@@ -16,7 +16,7 @@ from .kernel import (EigenSolution, adjoint_kernel, build_eigensolution,
 from .linop import BandOperator, CoefficientSet, assemble, assemble_adjoint, p_coeff
 from .nonlinear import (LevelSetPerturbation, build_vorticity, continue_branch,
                         functional_F, linearization_check, sobolev_distance)
-from .poisson import ModalField, RadialGrid, sn_cn, solve_axisymmetric, solve_full, solve_mode
+from .poisson import RadialGrid, solve_axisymmetric, solve_full, solve_mode
 from .profile import TrapezoidProfile
 from .quadrature import ZGrid
 
@@ -28,8 +28,8 @@ __all__ = [
     "BandOperator", "CoefficientSet", "assemble", "assemble_adjoint", "p_coeff",
     "LevelSetPerturbation", "build_vorticity", "continue_branch",
     "functional_F", "linearization_check", "sobolev_distance",
-    "ModalField", "RadialGrid", "sn_cn", "solve_axisymmetric", "solve_full",
-    "solve_mode", "TrapezoidProfile", "ZGrid",
+    "RadialGrid", "solve_axisymmetric", "solve_full", "solve_mode",
+    "TrapezoidProfile", "ZGrid",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,6 @@
 """Command line front end: one subcommand per workflow, CSV artifacts.
 
-Exit codes: 0 ok, 2 config error, 3 numeric/validation failure.  The
-environment variable ANNULUS_ROTOR_THREADS caps internal parallelism of the
-modal solves.
+Exit codes: 0 ok, 2 config error, 3 numeric/validation failure.
 """
 
 from __future__ import annotations
@@ -15,9 +13,9 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .errors import ConfigError, NumericsError
-from .kernel import (adjoint_kernel, build_eigensolution, lambda_star,
-                     operator_residual, transversality, validate_kernel)
-from .linop import CoefficientSet, assemble
+from .kernel import (adjoint_kernel, build_eigensolution, operator_residual,
+                     transversality, validate_kernel)
+from .linop import assemble
 from .nonlinear import (LevelSetPerturbation, continue_branch, functional_F,
                         linearization_check, sobolev_distance)
 from .poisson import RadialGrid, solve_mode
@@ -105,13 +103,14 @@ def cmd_find_eigen(run: RunConfig, outdir: str, args) -> int:
     write_csv(os.path.join(outdir, "eigen_sigma_table.csv"),
               ["mode", "sigma_min", "sigma_second", "sigma_max"], rows)
     adj = adjoint_kernel(eig, cfg, profile)
+    lam_star = eig.diagnostics["lambda1_bisection"]["lambda_star"]
     write_csv(os.path.join(outdir, "eigen_kernel.csv"),
               ["z", "a", "b", "a_star", "b_star"],
               zip(zgrid.z, eig.a, eig.b, adj["astar"], adj["bstar"]))
     _report(outdir, "find-eigen", [
         f"mode m={run.m}, eps={run.eps}, kappa={run.kappa}",
         f"lambda0={_fmt(eig.lam0)}",
-        f"lambda1={_fmt(eig.lam1)} (lambda_star={_fmt(lambda_star(CoefficientSet(cfg, profile)))})",
+        f"lambda1={_fmt(eig.lam1)} (lambda_star={_fmt(lam_star)})",
         f"lambda2={_fmt(eig.lam2)}",
         f"lambda={_fmt(eig.lam)}",
         f"operator residual (weighted, relative): {_fmt(res)}",

@@ -295,12 +295,15 @@ class EigenSolution:
         return self.b0 + self.eps * self.b1
 
 
+# Gauss nodes of the delta averages in the Taylor remainders
+N_DELTA = 12
+
+
 class KernelBuilder:
     """Shared machinery for the order-two fixed point at one (m, eps)."""
 
     def __init__(self, cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
-                 zgrid: ZGrid, coeffs: CoefficientSet | None = None,
-                 n_delta: int = 12):
+                 zgrid: ZGrid, coeffs: CoefficientSet | None = None):
         self.cfg = cfg
         self.profile = profile
         self.m = m
@@ -313,7 +316,7 @@ class KernelBuilder:
         self.ep_minus = profile.edge_prime(-z)     # edge'(-z)
         self.p1 = p_coeff(1, m, cfg)
         self.p2 = p_coeff(2, m, cfg)
-        self.dx, self.dw = mapped_rule(0.0, self.eps, n_delta)
+        self.dx, self.dw = mapped_rule(0.0, self.eps, N_DELTA)
         self.x1 = cfg.R1 + self.eps * z
         self.x2 = cfg.R2 + self.eps * z
 
@@ -552,9 +555,8 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     zg = eig.zgrid
     op = assemble(eig.m, eig.eps, eig.lam, cfg, profile, zg)
     Mw = op.weighted_matrix()
-    svals = np.linalg.svd(Mw, compute_uv=False)
+    _, svals, Vt = np.linalg.svd(Mw)
     sigma_min, sigma_second = svals[-1], svals[-2]
-    _, _, Vt = np.linalg.svd(Mw)
     null_vec = Vt[-1]
     constructed = op.weighted_vector(eig.a, eig.b)
     cosine = abs(float(np.dot(null_vec, constructed))) \
@@ -609,9 +611,12 @@ def adjoint_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     if svals[-1] / svals[-2] > 1e-3:
         raise KernelValidationError("adjoint kernel dimension is not one")
     null_w = Vt[-1]
-    s1, s2 = adj.sqrt_weights
-    astar = np.where(s1 > 0, null_w[:zg.n] / np.where(s1 > 0, s1, 1.0), 0.0)
-    bstar = np.where(s2 > 0, null_w[zg.n:] / np.where(s2 > 0, s2, 1.0), 0.0)
+    # back to nodal values; a sqrt-weight at rounding level relative to the
+    # largest one carries no information, so it counts as a zero weight
+    S = np.concatenate(adj.sqrt_weights)
+    live = S > np.finfo(float).eps * np.max(S)
+    star = np.where(live, null_w / np.where(live, S, 1.0), 0.0)
+    astar, bstar = star[:zg.n], star[zg.n:]
     # unit weighted norm, then align the outer part with b0
     nrm = np.sqrt(adj.inner((astar, bstar), (astar, bstar)))
     astar, bstar = astar / nrm, bstar / nrm

@@ -9,9 +9,12 @@ operator acting on the pair of band profiles (a, b) is
 with Lam_i(z) = lam (R_i+eps z)^2 + (R_i+eps z) phi'(R_i+eps z), the annulus
 Green kernel G_n, and source densities d_j carrying the profile slope on the
 band (positive weight on the inner band, negative on the outer one).  The
-adjoint is taken in the slope-weighted L2 pair; both are assembled as dense
-blocks on a shared Gauss grid, with the within-band kernel kink handled by
-per-target indefinite integration weights.
+operator is assembled as dense blocks on a shared Gauss grid, with the
+within-band kernel kink handled by per-target indefinite integration weights.
+The adjoint in the slope-weighted L2 pair is built from the operator's own
+kernel blocks: the Gauss weights and their indefinite weights W satisfy the
+summation-by-parts identity w_j W[j, i] + w_i W[i, j] = w_i w_j, so its
+weighted matrix is the transpose of the operator's.
 """
 
 from __future__ import annotations
@@ -202,7 +205,6 @@ class BandOperator:
     zgrid: ZGrid
     blocks: list                       # 2x2 nested list of (N, N) arrays
     sqrt_weights: tuple                # sqrt(w * sigma) per band
-    adjoint: bool = False
 
     def apply(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out1 = self.blocks[0][0] @ a + self.blocks[0][1] @ b
@@ -241,45 +243,27 @@ class BandOperator:
     def norm(self, u: tuple) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
-    def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.weighted_matrix(), 2))
 
-    def dump_csv(self, path: str) -> None:
-        M = self.matrix()
-        with open(path, "w") as fh:
-            fh.write("row,col,value\n")
-            for i in range(M.shape[0]):
-                for j in range(M.shape[1]):
-                    fh.write(f"{i},{j},{M[i, j]:.17g}\n")
-
-
-def _band_data(profile: TrapezoidProfile, zgrid: ZGrid):
-    z = zgrid.z
-    sig = {1: profile.weight_inner(z), 2: profile.weight_outer(z)}
-    slope = {1: sig[1], 2: -sig[2]}        # profile derivative on each band
-    return sig, slope
-
-
-def assemble(n: int, eps: float, lam: float, cfg: AnnulusConfig,
-             profile: TrapezoidProfile, zgrid: ZGrid,
-             coeffs: CoefficientSet | None = None) -> BandOperator:
-    """Dense band operator for mode n at rotation rate lam."""
+def _operator_parts(n: int, eps: float, lam: float, cfg: AnnulusConfig,
+                    profile: TrapezoidProfile, zgrid: ZGrid,
+                    coeffs: CoefficientSet | None):
+    """Slope weights, band radii, diagonal multipliers and the Green's-kernel
+    blocks core[i, j] = eps r_i(z) K_ij(z, s) of mode n, quadrature weights
+    included; the source factor r_j sigma_j(s) is left to the callers."""
     if n < 1:
         raise ValueError("band operator is defined for modes n >= 1")
     if abs(profile.eps - eps) > 1e-15:
         profile = TrapezoidProfile(cfg, eps, profile.kappa, profile.moll)
     if coeffs is None or abs(coeffs.profile.eps - eps) > 1e-15:
         coeffs = CoefficientSet(cfg, profile)
-    z, w = zgrid.z, zgrid.w
-    sig, slope = _band_data(profile, zgrid)
+    z = zgrid.z
+    sig = {1: profile.weight_inner(z), 2: profile.weight_outer(z)}
     radii = {1: cfg.R1 + eps * z, 2: cfg.R2 + eps * z}
     lam_diag = {band: lam * radii[band] ** 2 + coeffs.swirl_direct(band, z)
                 for band in (1, 2)}
-    blocks = [[None, None], [None, None]]
+    core = {}
     for i in (1, 2):
-        ci = eps * radii[i]
         for j in (1, 2):
-            dj = radii[j] * slope[j]
             if i == j:
                 gl = _green(n, radii[i][:, None], radii[j][None, :],
                             cfg.r1, cfg.r2, "left")
@@ -289,51 +273,48 @@ def assemble(n: int, eps: float, lam: float, cfg: AnnulusConfig,
             else:
                 branch = "left" if j < i else "right"
                 K = _green(n, radii[i][:, None], radii[j][None, :],
-                           cfg.r1, cfg.r2, branch) * w[None, :]
-            B = ci[:, None] * K * dj[None, :]
-            if i == j:
-                B[np.arange(zgrid.n), np.arange(zgrid.n)] += lam_diag[i]
-            blocks[i - 1][j - 1] = B
-    sqrtw = (np.sqrt(w * sig[1]), np.sqrt(w * sig[2]))
+                           cfg.r1, cfg.r2, branch) * zgrid.w[None, :]
+            core[i, j] = (eps * radii[i])[:, None] * K
+    return sig, radii, lam_diag, core
+
+
+def _band_operator(n, eps, lam, zgrid, sig, lam_diag, blocks) -> BandOperator:
+    """Add the diagonal multiplier to the 2x2 kernel blocks and wrap them."""
+    diag = np.arange(zgrid.n)
+    for band in (1, 2):
+        blocks[band - 1][band - 1][diag, diag] += lam_diag[band]
+    sqrtw = (np.sqrt(zgrid.w * sig[1]), np.sqrt(zgrid.w * sig[2]))
     return BandOperator(n=n, eps=eps, lam=lam, zgrid=zgrid, blocks=blocks,
                         sqrt_weights=sqrtw)
+
+
+def assemble(n: int, eps: float, lam: float, cfg: AnnulusConfig,
+             profile: TrapezoidProfile, zgrid: ZGrid,
+             coeffs: CoefficientSet | None = None) -> BandOperator:
+    """Dense band operator for mode n at rotation rate lam."""
+    sig, radii, lam_diag, core = _operator_parts(n, eps, lam, cfg, profile,
+                                                 zgrid, coeffs)
+    slope = {1: sig[1], 2: -sig[2]}        # profile derivative on each band
+    blocks = [[core[i, j] * (radii[j] * slope[j])[None, :] for j in (1, 2)]
+              for i in (1, 2)]
+    return _band_operator(n, eps, lam, zgrid, sig, lam_diag, blocks)
 
 
 def assemble_adjoint(n: int, eps: float, lam: float, cfg: AnnulusConfig,
                      profile: TrapezoidProfile, zgrid: ZGrid,
                      coeffs: CoefficientSet | None = None) -> BandOperator:
-    """Adjoint of `assemble` in the slope-weighted L2 pair."""
-    if n < 1:
-        raise ValueError("band operator is defined for modes n >= 1")
-    if abs(profile.eps - eps) > 1e-15:
-        profile = TrapezoidProfile(cfg, eps, profile.kappa, profile.moll)
-    if coeffs is None or abs(coeffs.profile.eps - eps) > 1e-15:
-        coeffs = CoefficientSet(cfg, profile)
-    z, w = zgrid.z, zgrid.w
-    sig, _ = _band_data(profile, zgrid)
-    radii = {1: cfg.R1 + eps * z, 2: cfg.R2 + eps * z}
-    lam_diag = {band: lam * radii[band] ** 2 + coeffs.swirl_direct(band, z)
-                for band in (1, 2)}
+    """Adjoint of `assemble` in the slope-weighted L2 pair.
+
+    Block (j, i) is sign_j r_j K^T (w sigma_i) / w, with K = eps r_i K_ij the
+    kernel block of `assemble` and sign +1 on the inner band, -1 on the outer
+    one.  Only the positive Gauss weights are divided by, never the slope
+    weights, which vanish at some nodes.
+    """
+    sig, radii, lam_diag, core = _operator_parts(n, eps, lam, cfg, profile,
+                                                 zgrid, coeffs)
+    w = zgrid.w
     sign = {1: 1.0, 2: -1.0}
-    blocks = [[None, None], [None, None]]
-    for j in (1, 2):                     # adjoint output band
-        ej = sign[j] * radii[j]
-        for i in (1, 2):                 # adjoint input band
-            csig = eps * radii[i] * sig[i]
-            if i == j:
-                gl = _green(n, radii[j][:, None], radii[i][None, :],
-                            cfg.r1, cfg.r2, "left")
-                gr = _green(n, radii[j][:, None], radii[i][None, :],
-                            cfg.r1, cfg.r2, "right")
-                K = gl * zgrid.w_left + gr * zgrid.w_right
-            else:
-                branch = "left" if i < j else "right"
-                K = _green(n, radii[j][:, None], radii[i][None, :],
-                           cfg.r1, cfg.r2, branch) * w[None, :]
-            B = ej[:, None] * K * csig[None, :]
-            if i == j:
-                B[np.arange(zgrid.n), np.arange(zgrid.n)] += lam_diag[j]
-            blocks[j - 1][i - 1] = B
-    sqrtw = (np.sqrt(w * sig[1]), np.sqrt(w * sig[2]))
-    return BandOperator(n=n, eps=eps, lam=lam, zgrid=zgrid, blocks=blocks,
-                        sqrt_weights=sqrtw, adjoint=True)
+    blocks = [[(sign[j] * radii[j] / w)[:, None] * core[i, j].T
+               * (w * sig[i])[None, :] for i in (1, 2)]
+              for j in (1, 2)]
+    return _band_operator(n, eps, lam, zgrid, sig, lam_diag, blocks)

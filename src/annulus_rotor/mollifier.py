@@ -63,15 +63,6 @@ class Mollifier:
         """Normalized bump."""
         return _bump_raw(u) / self.norm
 
-    def prime(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        q = 1.0 - ui * ui
-        out[inside] = np.exp(-1.0 / q) * (-2.0 * ui / q ** 2) / self.norm
-        return out
-
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, -1.0, 1.0)
@@ -88,14 +79,6 @@ class Mollifier:
     def sup(self) -> float:
         """Maximum of the normalized bump (attained at 0)."""
         return float(np.exp(-1.0) / self.norm)
-
-    def l2sq(self) -> float:
-        """Integral of the squared normalized bump."""
-        a, b = self.edges[:-1], self.edges[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid[:, None] + half[:, None] * self._gx[None, :]
-        vals = (self.value(pts.ravel()) ** 2).reshape(pts.shape)
-        return float(np.sum(half * (vals @ self._gw)))
 
 
 _DEFAULT = None

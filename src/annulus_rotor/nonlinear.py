@@ -412,8 +412,7 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
                     profile: TrapezoidProfile, sigma_target: float,
                     steps: int = 4, n_theta: int = 48,
                     tol: float = 1e-9, max_newton: int = 12,
-                    zgrid: ZGrid | None = None,
-                    verbose: bool = False) -> list[BranchPoint]:
+                    zgrid: ZGrid | None = None) -> list[BranchPoint]:
     """Continue the nontrivial branch to the target amplitude.
 
     Unknowns are the mode-m band samples of f plus the rate; the bordered
@@ -452,11 +451,10 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
         x = guess.copy()
         ok = False
         J = None
+        taken = 0                      # Newton steps accepted at this sigma
         for it in range(max_newton):
             r = residual_vec(x[:-1], x[-1], sigma)
             rn = np.linalg.norm(r, np.inf)
-            if verbose:
-                print(f"  sigma={sigma:g} newton {it}: |r|={rn:.3e}")
             if rn <= tol:
                 ok = True
                 break
@@ -474,6 +472,7 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
                                     np.inf)
                 if rc < rn:
                     x = cand
+                    taken += 1
                     break
                 step /= 2.0
             else:
@@ -492,7 +491,7 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
                                   g_outer=gvec[n:].copy(),
                                   residual=float(np.linalg.norm(
                                       residual_vec(gvec, lam, sigma), np.inf)),
-                                  newton_iters=it + 1))
+                                  newton_iters=taken))
     return points
 
 

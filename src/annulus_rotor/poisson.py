@@ -14,47 +14,14 @@ oracle; it shares no code with the Green's route.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-import os
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .config import AnnulusConfig
-from .errors import NumericsError, OutOfDomainError
+from .errors import NumericsError
 from .quadrature import indefinite_weights, lobatto_rule
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ANNULUS_ROTOR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def sn_cn(n: int, x):
-    """Auxiliary hyperbolic pair (sinh(n log x), cosh(n log x)).
-
-    Uses the power form for moderate exponents and a guarded log-space
-    branch once n |log x| would overflow.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise OutOfDomainError("sn_cn requires x > 0")
-    y = n * np.log(x)
-    big = np.abs(y) > 700.0
-    if not np.any(big):
-        return np.sinh(y), np.cosh(y)
-    s = np.empty_like(y)
-    c = np.empty_like(y)
-    s[~big] = np.sinh(y[~big])
-    c[~big] = np.cosh(y[~big])
-    # values overflow float64 here; callers needing ratios should work in
-    # log space (see greens_kernel); keep the sign and saturate
-    s[big] = np.sign(y[big]) * np.inf
-    c[big] = np.inf
-    return s, c
 
 
 def _log_sn(n: int, logx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,9 +115,6 @@ class RadialGrid:
             offset = out[idx][-1]      # wl[-1] integrates to the panel edge
         return out
 
-    def refine(self) -> "RadialGrid":
-        return RadialGrid(self.edges, tuple(2 * int(n) for n in self.nodes_per_panel))
-
     def _diff_matrices(self):
         if not hasattr(self, "_diffs"):
             mats = []
@@ -223,19 +187,7 @@ def _bary_interp(xn: np.ndarray, fn: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class ModalField:
-    """Radial coefficient array of a single Fourier mode."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("mode index must be nonnegative")
-
-
-def solve_mode(n: int, g: np.ndarray | ModalField, grid: RadialGrid,
+def solve_mode(n: int | np.ndarray, g: np.ndarray, grid: RadialGrid,
                r1: float, r2: float) -> np.ndarray:
     """Solve f'' + f'/r - (n/r)^2 f = g with f(r1) = f(r2) = 0 (n >= 1).
 
@@ -244,37 +196,42 @@ def solve_mode(n: int, g: np.ndarray | ModalField, grid: RadialGrid,
     partial integrals are re-anchored at every target node through the
     panel indefinite-integration weights, so the kernel kink at s = r never
     crosses a quadrature interval.
+
+    n is one mode with g of shape (nr,), or an array of K modes with g of
+    shape (nr, K) holding one source column per mode; g may be complex.
     """
-    if n < 1:
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("solve_mode handles n >= 1; use solve_axisymmetric")
-    gv = g.values if isinstance(g, ModalField) else np.asarray(g, dtype=float)
-    if gv.shape != grid.r.shape:
-        raise NumericsError("modal field length does not match the grid")
-    r = grid.r
+    gv = np.asarray(g, dtype=complex if np.iscomplexobj(g) else float)
+    if gv.shape != grid.r.shape + n.shape:
+        raise NumericsError("modal field shape does not match the grid")
     full = float(np.log(r2 / r1))
-    if n * full > 600.0:
-        raise NumericsError(f"mode {n} exceeds the stable range of the "
+    n_top = np.max(n, initial=0)
+    if n_top * full > 600.0:
+        raise NumericsError(f"mode {n_top} exceeds the stable range of the "
                             "Green solve; scale the ratio r2/r1 or cap modes")
+    col = (-1,) + (1,) * n.ndim             # broadcast radial data over modes
+    r = grid.r.reshape(col)
     logx = np.log(r / r1)
     sn_lo = np.sinh(n * logx)                  # S_n(r/r1)
     sn_hi = np.sinh(n * (full - logx))         # S_n(r2/r)
     sn_full = np.sinh(n * full)
     A = sn_lo * r * gv                         # integrand of L
     B = sn_hi * r * gv                         # integrand of R
-    L = np.empty_like(gv)
-    R = np.empty_like(gv)
+    L = np.empty_like(A)
+    R = np.empty_like(B)
     # panel totals once, then per-node partials via the W matrices
-    totals_A = [float(np.dot(wl[-1], A[idx]))
-                for idx, wl in zip(grid.panel_slices, grid._panel_wleft)]
-    totals_B = [float(np.dot(wl[-1], B[idx]))
-                for idx, wl in zip(grid.panel_slices, grid._panel_wleft)]
-    pref_A = np.concatenate(([0.0], np.cumsum(totals_A)))
-    suff_B = np.concatenate((np.cumsum(totals_B[::-1])[::-1], [0.0]))
+    totals_A = np.array([wl[-1] @ A[idx] for idx, wl
+                         in zip(grid.panel_slices, grid._panel_wleft)])
+    totals_B = np.array([wl[-1] @ B[idx] for idx, wl
+                         in zip(grid.panel_slices, grid._panel_wleft)])
+    zero = np.zeros_like(totals_A[:1])
+    pref_A = np.concatenate((zero, np.cumsum(totals_A, axis=0)))
+    suff_B = np.concatenate((np.cumsum(totals_B[::-1], axis=0)[::-1], zero))
     for p, (idx, wl) in enumerate(zip(grid.panel_slices, grid._panel_wleft)):
-        partA = wl @ A[idx]
-        partB = wl @ B[idx]
-        L[idx] = pref_A[p] + partA
-        R[idx] = suff_B[p + 1] + (totals_B[p] - partB)
+        L[idx] = pref_A[p] + wl @ A[idx]
+        R[idx] = suff_B[p + 1] + (totals_B[p] - wl @ B[idx])
     f = -(sn_hi * L + sn_lo * R) / (n * sn_full)
     f[0] = 0.0
     f[-1] = 0.0
@@ -303,7 +260,7 @@ def axisymmetric_prime(grid: RadialGrid, w0: np.ndarray, gamma: float,
 
 
 def solve_full(omega: np.ndarray, gamma: float, grid: RadialGrid,
-               cfg: AnnulusConfig, n_max: int | None = None) -> np.ndarray:
+               cfg: AnnulusConfig) -> np.ndarray:
     """Solve the stream problem for omega sampled on (radial x angular) grid.
 
     omega has shape (Nr, Ntheta) on a uniform angular grid; returns psi of
@@ -314,26 +271,12 @@ def solve_full(omega: np.ndarray, gamma: float, grid: RadialGrid,
         raise NumericsError("omega radial dimension does not match the grid")
     ntheta = omega.shape[1]
     what = np.fft.rfft(omega, axis=1)
-    kmax = what.shape[1] - 1 if n_max is None else min(n_max, what.shape[1] - 1)
-    psi_hat = np.zeros_like(what)
+    psi_hat = np.empty_like(what)
     psi_hat[:, 0] = solve_axisymmetric(grid, what[:, 0].real, gamma * ntheta,
                                        cfg.r1, cfg.r2)
-
-    def one_mode(k):
-        # -(lap) psi = omega  =>  modal ODE source is -omega_k
-        re = solve_mode(k, -what[:, k].real, grid, cfg.r1, cfg.r2)
-        im = solve_mode(k, -what[:, k].imag, grid, cfg.r1, cfg.r2)
-        return k, re + 1j * im
-
-    modes = range(1, kmax + 1)
-    nthreads = thread_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            for k, vals in pool.map(one_mode, modes):
-                psi_hat[:, k] = vals
-    else:
-        for k in modes:
-            _, psi_hat[:, k] = one_mode(k)
+    # -(lap) psi = omega  =>  modal ODE source is -omega_k
+    psi_hat[:, 1:] = solve_mode(np.arange(1, what.shape[1]), -what[:, 1:],
+                                grid, cfg.r1, cfg.r2)
     return np.fft.irfft(psi_hat, n=ntheta, axis=1)
 
 

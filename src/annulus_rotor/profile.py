@@ -127,10 +127,6 @@ class TrapezoidProfile:
 
     # -- band geometry helpers ----------------------------------------------
 
-    @property
-    def band_centers(self) -> tuple[float, float]:
-        return self.cfg.R1, self.cfg.R2
-
     def band_edges(self) -> list[float]:
         R1, R2, e = self.cfg.R1, self.cfg.R2, self.eps
         return [R1 - e, R1 + e, R2 - e, R2 + e]

@@ -23,19 +23,6 @@ def mapped_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def integrate(f, a: float, b: float, n: int = 40) -> float:
-    x, w = mapped_rule(a, b, n)
-    return float(np.dot(w, f(x)))
-
-
-def integrate_panels(f, edges, n: int = 24) -> float:
-    """Composite Gauss integral of f over consecutive panels given by `edges`."""
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += integrate(f, lo, hi, n)
-    return total
-
-
 def geometric_edges(a: float, b: float, toward: str = "right",
                     n_panels: int = 30, ratio: float = 0.65) -> np.ndarray:
     """Panel edges on [a, b] geometrically refined toward one endpoint.

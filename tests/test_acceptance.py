@@ -136,7 +136,7 @@ def test_acceptance_02_poisson_correctness():
 def test_acceptance_03_operator_adjoint_duality():
     rng = np.random.default_rng(7)
     zg = ZGrid(96)
-    worst = 0.0
+    worst = worst_t = 0.0
     for eps in (1e-2, 5e-3):
         prof = TrapezoidProfile(CFG, eps, DESK_KAPPA)
         coeffs = CoefficientSet(CFG, prof)
@@ -144,6 +144,11 @@ def test_acceptance_03_operator_adjoint_duality():
         for n in range(1, 9):
             op = assemble(n, eps, lam, CFG, prof, zg, coeffs)
             adj = assemble_adjoint(n, eps, lam, CFG, prof, zg, coeffs)
+            # weighted adjoint == transpose of the weighted operator
+            Mw = op.weighted_matrix()
+            gap = np.max(np.abs(adj.weighted_matrix() - Mw.T))
+            worst_t = max(worst_t, gap / np.max(np.abs(Mw)))
+            assert gap <= 1e-14 * np.max(np.abs(Mw))
             for _ in range(50):
                 u = rng.standard_normal((2, zg.n))
                 w = rng.standard_normal((2, zg.n))
@@ -153,7 +158,8 @@ def test_acceptance_03_operator_adjoint_duality():
                 defect = abs(lhs - rhs) / max(scale, 1e-30)
                 worst = max(worst, defect)
                 assert defect <= 1e-10
-    _ok(3, f"duality defect <= 1e-10 over n=1..8, both eps; worst {worst:.2e}")
+    _ok(3, f"duality defect <= 1e-10 over n=1..8, both eps; worst {worst:.2e}; "
+           f"weighted adjoint vs transpose worst {worst_t:.2e}")
 
 
 def test_acceptance_04_lambda1_root():

@@ -135,24 +135,3 @@ def test_dealias_flag_smoke(prof):
     state = initial_state(CFG, prof, None, nr=96, ntheta=32, dealias=True)
     s1 = step(state, dt=5e-3)
     assert np.max(np.abs(s1.omega - state.omega)) < 1e-10
-
-
-def test_thread_cap_changes_nothing(prof):
-    import os
-    from annulus_rotor.poisson import RadialGrid, solve_full
-    from annulus_rotor.domain import circulation
-    grid = RadialGrid.for_profile(CFG, EPS, (24, 32, 24, 32, 24))
-    rng = np.random.default_rng(4)
-    omega = rng.standard_normal((grid.n, 16))
-    gamma = circulation(CFG)
-    base = solve_full(omega, gamma, grid, CFG)
-    old = os.environ.get("ANNULUS_ROTOR_THREADS")
-    os.environ["ANNULUS_ROTOR_THREADS"] = "3"
-    try:
-        threaded = solve_full(omega, gamma, grid, CFG)
-    finally:
-        if old is None:
-            os.environ.pop("ANNULUS_ROTOR_THREADS", None)
-        else:
-            os.environ["ANNULUS_ROTOR_THREADS"] = old
-    np.testing.assert_array_equal(base, threaded)

@@ -254,6 +254,10 @@ def test_adjoint_kernel_expansion(zg):
         p = TrapezoidProfile(CFG, eps, 0.1)
         e = build_eigensolution(CFG, p, M_MODE, zg)
         out[eps] = adjoint_kernel(e, CFG, p)
+        # no rounding noise blown up by near-zero weights in the samples
+        big = max(np.max(np.abs(out[eps]["astar"])),
+                  np.max(np.abs(out[eps]["bstar"])))
+        assert big <= 2.0 * np.max(np.abs(e.b0))
     # inner part is O(eps): halving eps halves its weighted norm
     ratio = out[1e-2]["a_norm_weighted"] / out[5e-3]["a_norm_weighted"]
     assert 1.5 <= ratio <= 2.6

@@ -177,6 +177,8 @@ def test_continue_branch_small_amplitude(zg, prof, eig):
     pts = continue_branch(eig, CFG, prof, sigma_target=2e-4, steps=2,
                           n_theta=32, zgrid=zgb)
     assert all(p.residual <= 1e-9 for p in pts)
+    # the kernel ray already meets the default tolerance: no Newton step
+    assert all(p.newton_iters == 0 for p in pts)
     last = pts[-1]
     from annulus_rotor.nonlinear import _interp_gauss
     h_in, h_out = normalized_kernel(eig)
@@ -197,6 +199,7 @@ def test_continue_branch_larger_amplitude_corrects(zg, prof, eig):
     pts = continue_branch(eig, CFG, prof, sigma_target=3e-3, steps=3,
                           n_theta=32, tol=1e-10, zgrid=zgb)
     assert all(p.residual <= 1e-10 for p in pts)
+    assert any(p.newton_iters >= 1 for p in pts)
     from annulus_rotor.nonlinear import _interp_gauss, normalized_kernel
     h_in, h_out = normalized_kernel(eig)
     h_in = _interp_gauss(zg, h_in, zgb.z)

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from annulus_rotor.domain import circulation, u_tc
-from annulus_rotor.errors import OutOfDomainError
 from annulus_rotor.poisson import (RadialGrid, axisymmetric_prime, fd_bvp_solve,
-                                   greens_kernel, sn_cn, solve_axisymmetric,
+                                   greens_kernel, solve_axisymmetric,
                                    solve_full, solve_mode)
 from annulus_rotor.profile import TrapezoidProfile
 
@@ -14,36 +12,6 @@ from conftest import DESK_CFG as CFG
 
 def make_grid(nodes=(64, 128, 64, 128, 64), eps=1e-2):
     return RadialGrid.for_profile(CFG, eps, nodes)
-
-
-def test_sn_cn_trivial_and_values():
-    s, c = sn_cn(7, 1.0)
-    assert s == 0.0 and c == 1.0
-    s, c = sn_cn(2, np.e)
-    assert abs(s - np.sinh(2.0)) < 1e-12
-    assert abs(c - np.cosh(2.0)) < 1e-12
-
-
-def test_sn_cn_domain():
-    with pytest.raises(OutOfDomainError):
-        sn_cn(1, -1.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(min_value=1, max_value=40),
-       x=st.floats(min_value=0.2, max_value=5.0),
-       y=st.floats(min_value=0.2, max_value=5.0))
-def test_sn_addition_law(n, x, y):
-    sx, cx = sn_cn(n, x)
-    sy, cy = sn_cn(n, y)
-    sq, _ = sn_cn(n, x / y)
-    scale = max(abs(sx * cy), abs(cx * sy), 1.0)
-    assert abs(sq - (sx * cy - cx * sy)) < 1e-12 * scale
-
-
-def test_sn_cn_large_n_guarded():
-    s, c = sn_cn(2000, 2.0)   # n log 2 ~ 1386 > 700
-    assert np.isinf(s) and np.isinf(c)
 
 
 def test_greens_kernel_sign_symmetry():
@@ -108,6 +76,15 @@ def test_solve_mode_linear():
     rhs = a * solve_mode(4, g1, grid, CFG.r1, CFG.r2) \
         + b * solve_mode(4, g2, grid, CFG.r1, CFG.r2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(lhs)))
+    # an array of modes with complex source columns solves each column as
+    # its own mode, real and imaginary parts alike
+    modes = np.array([1, 4, 9, 16])
+    G = rng.standard_normal((grid.n, 4)) + 1j * rng.standard_normal((grid.n, 4))
+    F = solve_mode(modes, G, grid, CFG.r1, CFG.r2)
+    for k, n in enumerate(modes):
+        ref = solve_mode(n, G[:, k].real, grid, CFG.r1, CFG.r2) \
+            + 1j * solve_mode(n, G[:, k].imag, grid, CFG.r1, CFG.r2)
+        assert np.max(np.abs(F[:, k] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_solve_mode_interior_maximum_for_sign_definite_source():
