@@ -84,6 +84,7 @@ class ZGrid:
         return float(np.dot(self.w, fvals))
 
 
+@lru_cache(maxsize=64)
 def lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Lobatto-Legendre rule on [-1, 1] (includes both endpoints)."""
     if n < 2:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from conftest import DESK_CFG as CFG, DESK_EPS as EPS, DESK_KAPPA as KAPPA
 
 from annulus_rotor.domain import circulation
-from annulus_rotor.errors import NumericsError
+from annulus_rotor.errors import NumericsError, OutOfDomainError
 from annulus_rotor.eulersim import (ModalStreamSolver, SimGrid, SimState,
-                                    cfl_limit, conserved_quantities,
+                                    _d_xi, cfl_limit, conserved_quantities,
                                     initial_state, step, verify_rotation)
 from annulus_rotor.poisson import RadialGrid, solve_full
 from annulus_rotor.profile import TrapezoidProfile
@@ -48,6 +49,49 @@ def test_modal_solver_matches_green_solver(prof):
                      for j in range(grid.ntheta)]).T
     rel = np.linalg.norm(ours - psi_ref) / np.linalg.norm(psi_ref)
     assert rel < 2e-5
+
+
+def per_mode_banded(grid, omega_hat):
+    """Reference for modes k >= 1: one banded solve per mode of
+    psi_k'' + psi_k'/r - (k/r)^2 psi_k = -omega_k, psi_k = 0 at the walls."""
+    nr, nk = omega_hat.shape
+    h = 1.0 / (nr - 1)
+    r, r_xi = grid.r, grid.r_xi
+    r_xixi = _d_xi(r_xi, h)
+    i = np.arange(1, nr - 1)
+    a_lo = 1.0 / (h * h * r_xi[i] ** 2) \
+        + (r_xixi[i] / r_xi[i] ** 3 - 1.0 / (r[i] * r_xi[i])) / (2 * h)
+    a_hi = 1.0 / (h * h * r_xi[i] ** 2) \
+        - (r_xixi[i] / r_xi[i] ** 3 - 1.0 / (r[i] * r_xi[i])) / (2 * h)
+    a_di = -2.0 / (h * h * r_xi[i] ** 2)
+    psi = np.zeros_like(omega_hat)
+    for k in range(1, nk):
+        band = np.zeros((3, nr - 2), dtype=complex)
+        band[0, 1:] = a_hi[:-1]
+        band[1, :] = a_di - (k / r[i]) ** 2
+        band[2, :-1] = a_lo[1:]
+        psi[1:-1, k] = solve_banded((1, 1), band, -omega_hat[1:-1, k])
+    return psi
+
+
+@pytest.mark.parametrize("nr, ntheta", [(384, 256), (96, 33)])
+def test_modal_solver_matches_per_mode_banded(nr, ntheta):
+    grid = SimGrid(cfg=CFG, nr=nr, ntheta=ntheta, eps=EPS)
+    rng = np.random.default_rng(1)
+    shape = (nr, ntheta // 2 + 1)
+    what = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    psi = ModalStreamSolver(grid, circulation(CFG)).solve(what, 1.0)
+    ref = per_mode_banded(grid, what)
+    assert np.max(np.abs(psi[:, 1:] - ref[:, 1:])) \
+        <= 1e-14 * np.max(np.abs(ref[:, 1:]))
+
+
+def test_modal_solver_rejects_wrong_mode_count():
+    grid = SimGrid(cfg=CFG, nr=64, ntheta=32, eps=EPS)
+    solver = ModalStreamSolver(grid, circulation(CFG))
+    what = np.zeros((64, 16), dtype=complex)        # 17 columns expected
+    with pytest.raises(OutOfDomainError, match=r"\(64, 16\).*\(64, 17\)"):
+        solver.solve(what, 1.0)
 
 
 def test_radial_state_is_fixed_point(prof):
