@@ -9,7 +9,7 @@ simulator that verifies rigid rotation.
 """
 
 from .config import AnnulusConfig, RunConfig, default_run_config, parse_config
-from .domain import circulation, lambda0, phi_and_phi_prime, u_tc
+from .domain import circulation, lambda0, u_tc
 from .kernel import (EigenSolution, adjoint_kernel, build_eigensolution,
                      lambda_star, solve_lambda1, transversality,
                      validate_kernel)
@@ -22,7 +22,7 @@ from .quadrature import ZGrid
 
 __all__ = [
     "AnnulusConfig", "RunConfig", "default_run_config", "parse_config",
-    "circulation", "lambda0", "phi_and_phi_prime", "u_tc",
+    "circulation", "lambda0", "u_tc",
     "EigenSolution", "adjoint_kernel", "build_eigensolution", "lambda_star",
     "solve_lambda1", "transversality", "validate_kernel",
     "BandOperator", "CoefficientSet", "assemble", "assemble_adjoint", "p_coeff",

@@ -127,9 +127,3 @@ class BaseStream:
                                  - cfg.r1 ** 2 * np.log(ri / cfg.r1))
                       - acc)
         return out
-
-
-def phi_and_phi_prime(cfg: AnnulusConfig, profile: TrapezoidProfile, r):
-    """Base stream function and its radial derivative at radius r."""
-    bs = BaseStream(cfg, profile)
-    return bs.phi(r), bs.phi_prime(r)

@@ -109,9 +109,8 @@ class ModalStreamSolver:
     one gttrs sweep over all modes.
     """
 
-    def __init__(self, grid: SimGrid, gamma: float):
+    def __init__(self, grid: SimGrid):
         self.grid = grid
-        self.gamma = gamma
         nr = grid.nr
         h = 1.0 / (nr - 1)
         r = grid.r
@@ -233,7 +232,7 @@ def step(state: SimState, dt: float,
          check_cfl: bool = False) -> SimState:
     """One explicit RK4 step with per-substage stream solves."""
     if solver is None:
-        solver = ModalStreamSolver(state.grid, state.gamma)
+        solver = ModalStreamSolver(state.grid)
     if check_cfl:
         lim = cfl_limit(state, solver)
         if dt > lim:
@@ -252,7 +251,7 @@ def conserved_quantities(state: SimState,
                          solver: ModalStreamSolver | None = None) -> dict:
     grid = state.grid
     if solver is None:
-        solver = ModalStreamSolver(state.grid, state.gamma)
+        solver = ModalStreamSolver(state.grid)
     u_r, u_theta, _ = _velocity(state, solver, state.omega)
     dth = 2.0 * np.pi / grid.ntheta
     circ = -float(np.sum(grid.quad_r(u_theta)) * dth) / (2.0 * np.pi)
@@ -283,7 +282,7 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     between the final and initial vorticity.
     """
     grid = state0.grid
-    solver = ModalStreamSolver(grid, state0.gamma)
+    solver = ModalStreamSolver(grid)
     if dt is None:
         dt = 0.8 * cfl_limit(state0, solver)
     nsteps = max(int(np.ceil(T / dt)), n_checkpoints)

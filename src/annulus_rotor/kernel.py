@@ -47,11 +47,10 @@ def _edge_breaks(kappa: float) -> list[float]:
     return sorted(pts)
 
 
-def _I_quadrature(coeffs: CoefficientSet, m: int, lam1: float,
-                  n_gauss: int = 24) -> float:
-    """I(lam1) = p2(m) * int edge'(s) / alpha1_out(s) ds, refined toward the
-    endpoints where the integrand has boundary-layer structure."""
-    prof = coeffs.profile
+def _I_panels(prof: TrapezoidProfile, n_gauss: int) -> list:
+    """(nodes, weights, edge' at the nodes) of each Gauss panel of I(lam1),
+    refined toward the endpoints where the integrand has boundary-layer
+    structure."""
     breaks = _edge_breaks(prof.kappa)
     edges: list[float] = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
@@ -59,11 +58,22 @@ def _I_quadrature(coeffs: CoefficientSet, m: int, lam1: float,
         sub_l = geometric_edges(lo, hi, "left", 18, 0.6)
         edges.extend(np.unique(np.concatenate([sub_r, sub_l])))
     edges = np.unique(np.asarray(edges))
-    total = 0.0
+    panels = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         x, w = mapped_rule(lo, hi, n_gauss)
-        total += float(np.dot(w, prof.edge_prime(x)
-                              / _alpha1_out(coeffs, x, lam1)))
+        panels.append((x, w, prof.edge_prime(x)))
+    return panels
+
+
+def _I_quadrature(coeffs: CoefficientSet, m: int, lam1: float,
+                  n_gauss: int = 24) -> float:
+    """I(lam1) = p2(m) * int edge'(s) / alpha1_out(s) ds; the panels and
+    their edge' values are built once per (profile, n_gauss)."""
+    panels = coeffs.memo(("I_panels", n_gauss),
+                         lambda: _I_panels(coeffs.profile, n_gauss))
+    total = 0.0
+    for x, w, ep in panels:
+        total += float(np.dot(w, ep / _alpha1_out(coeffs, x, lam1)))
     return p_coeff(2, m, coeffs.cfg) * total
 
 
@@ -308,7 +318,7 @@ class KernelBuilder:
         self.profile = profile
         self.m = m
         self.zgrid = zgrid
-        self.coeffs = coeffs if coeffs is not None else CoefficientSet(cfg, profile)
+        self.coeffs = coeffs if coeffs is not None else profile.coefficients
         self.kern = _DeltaKernels(cfg, m)
         self.eps = profile.eps
         z = zgrid.z
@@ -319,6 +329,15 @@ class KernelBuilder:
         self.dx, self.dw = mapped_rule(0.0, self.eps, N_DELTA)
         self.x1 = cfg.R1 + self.eps * z
         self.x2 = cfg.R2 + self.eps * z
+        self.swirl2 = self.coeffs.swirl2_on_grid(zgrid)
+
+    def _alpha2(self, band: int, lam1: float, lam2: float,
+                include_swirl2: bool) -> np.ndarray:
+        """coeffs.alpha2 at the grid nodes, with swirl2 from the set's
+        grid terms."""
+        out = self.coeffs.alpha2(band, self.zgrid.z, lam1, lam2,
+                                 include_swirl2=False)
+        return out + self.swirl2[band] if include_swirl2 else out
 
     # -- Taylor-remainder averages (1/eps) int_0^eps dPhi ------------------
 
@@ -404,7 +423,7 @@ class KernelBuilder:
         cfg, m = self.cfg, self.m
         z = self.zgrid.z
         out = self.coeffs.alpha1(1, z, lam1) * a2
-        out = out + self.coeffs.alpha2(1, z, lam1, lam2, include_swirl2=True) \
+        out = out + self._alpha2(1, lam1, lam2, include_swirl2=True) \
             * (a1 + self.eps * a2)
         out = out + self._rank_full(1, self.ep_minus * a2)
         K = self.kern._S(self.x1[:, None] / self.x1[None, :])
@@ -414,10 +433,8 @@ class KernelBuilder:
 
     def Q3(self, a2: np.ndarray, b1: np.ndarray, lam2: float, lam1: float,
            include_swirl2: bool) -> np.ndarray:
-        cfg, m = self.cfg, self.m
-        z = self.zgrid.z
-        out = self.coeffs.alpha2(2, z, lam1, lam2,
-                                 include_swirl2=include_swirl2) * b1
+        m = self.m
+        out = self._alpha2(2, lam1, lam2, include_swirl2) * b1
         out = out + self._rank_full(2, self.ep_minus * a2)
         K = self.kern._S(self.x2[:, None] / self.x1[None, :])
         full = (self.x2[:, None] * K * self.zgrid.w[None, :]) \
@@ -460,18 +477,16 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
     zg = builder.zgrid
     cfg = builder.cfg
     eps = builder.eps
-    prof = builder.profile
-    sig_in = prof.weight_inner(zg.z)
-    sig_out = prof.weight_outer(zg.z)
-    w_in = zg.w * sig_in
-    w_out = zg.w * sig_out
+    sig = builder.coeffs.slope_weights(zg)
+    w_in = zg.w * sig[1]
+    w_out = zg.w * sig[2]
     ep = builder.ep_plus
     beta_b0 = builder.coeffs.beta_quad(zg.z, lam1) * b0
     alpha0_in = builder.coeffs.alpha0(1)
     den = float(np.dot(zg.w, b0 ** 2 * ep))
 
     A0 = -builder.known_T2(a1, lam1) - builder.remainder_T1(b0)
-    B0 = (-builder.known_Q2(a1) - builder.coeffs.swirl2(2, zg.z) * b0
+    B0 = (-builder.known_Q2(a1) - builder.swirl2[2] * b0
           - builder.remainder_Q1(b0))
 
     a2 = np.zeros(zg.n)
@@ -516,7 +531,7 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
 def build_eigensolution(cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
                         zgrid: ZGrid, mode: str = "exact",
                         tol: float = 1e-11) -> EigenSolution:
-    coeffs = CoefficientSet(cfg, profile)
+    coeffs = profile.coefficients
     root = solve_lambda1(m, coeffs)
     lam1 = _polish_lambda1_on_grid(m, root["lam1"], coeffs, zgrid)
     b0, a1 = b0_and_a1(m, lam1, coeffs, zgrid)

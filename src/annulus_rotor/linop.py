@@ -64,6 +64,11 @@ class CoefficientSet:
     The moment splits exactly into order-0/1/2 pieces in eps; all pieces are
     evaluated by quadrature on the profile edge function.  Also carries the
     alpha coefficients of the eigenvalue expansion built on top of it.
+
+    A profile has one shared set (`TrapezoidProfile.coefficients`).  The
+    grid terms that no iterate, mode or rate changes (slope weights, direct
+    swirl moment, swirl2) are computed once per (profile, grid) and kept in
+    the set's `memo`; the evaluators stay usable at any z.
     """
 
     cfg: AnnulusConfig
@@ -73,6 +78,37 @@ class CoefficientSet:
     def __post_init__(self):
         self.lam0 = lambda0(self.cfg)
         self.gamma = circulation(self.cfg)
+        self._memo: dict = {}
+
+    def memo(self, key, build):
+        """build(), computed once per key and kept as long as the set."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def _on_grid(self, name: str, zgrid: ZGrid, f) -> dict:
+        """f(band, z) at the grid nodes per band, once per grid size; the
+        arrays are read-only because every caller shares them."""
+        def build():
+            out = {band: f(band, zgrid.z) for band in (1, 2)}
+            for values in out.values():
+                values.flags.writeable = False
+            return out
+        return self.memo((name, zgrid.n), build)
+
+    def slope_weights(self, zgrid: ZGrid) -> dict:
+        """sigma_- (band 1) and sigma_+ (band 2) at the grid nodes."""
+        return self._on_grid("sigma", zgrid, lambda band, z: (
+            self.profile.weight_inner(z) if band == 1
+            else self.profile.weight_outer(z)))
+
+    def swirl_on_grid(self, zgrid: ZGrid) -> dict:
+        """swirl_direct at the grid nodes, per band."""
+        return self._on_grid("swirl", zgrid, self.swirl_direct)
+
+    def swirl2_on_grid(self, zgrid: ZGrid) -> dict:
+        """swirl2 at the grid nodes, per band."""
+        return self._on_grid("swirl2", zgrid, self.swirl2)
 
     @cached_property
     def _stream(self) -> BaseStream:
@@ -249,18 +285,20 @@ def _operator_parts(n: int, eps: float, lam: float, cfg: AnnulusConfig,
                     coeffs: CoefficientSet | None):
     """Slope weights, band radii, diagonal multipliers and the Green's-kernel
     blocks core[i, j] = eps r_i(z) K_ij(z, s) of mode n, quadrature weights
-    included; the source factor r_j sigma_j(s) is left to the callers."""
+    included; the source factor r_j sigma_j(s) is left to the callers.
+    The profile terms come from `coeffs` when it belongs to the profile,
+    otherwise from the profile's shared set."""
     if n < 1:
         raise ValueError("band operator is defined for modes n >= 1")
     if abs(profile.eps - eps) > 1e-15:
         profile = TrapezoidProfile(cfg, eps, profile.kappa, profile.moll)
-    if coeffs is None or abs(coeffs.profile.eps - eps) > 1e-15:
-        coeffs = CoefficientSet(cfg, profile)
+    if coeffs is None or coeffs.profile is not profile:
+        coeffs = profile.coefficients
     z = zgrid.z
-    sig = {1: profile.weight_inner(z), 2: profile.weight_outer(z)}
+    sig = coeffs.slope_weights(zgrid)
+    swirl = coeffs.swirl_on_grid(zgrid)
     radii = {1: cfg.R1 + eps * z, 2: cfg.R2 + eps * z}
-    lam_diag = {band: lam * radii[band] ** 2 + coeffs.swirl_direct(band, z)
-                for band in (1, 2)}
+    lam_diag = {band: lam * radii[band] ** 2 + swirl[band] for band in (1, 2)}
     core = {}
     for i in (1, 2):
         for j in (1, 2):

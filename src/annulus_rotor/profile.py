@@ -9,6 +9,8 @@ kappa-regularization of the linear descent (1 - z)/2.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .config import AnnulusConfig, RunConfig
@@ -41,6 +43,18 @@ class TrapezoidProfile:
     @classmethod
     def from_run(cls, run: RunConfig) -> "TrapezoidProfile":
         return cls(run.annulus, run.eps, run.kappa)
+
+    @cached_property
+    def coefficients(self):
+        """The profile's one `linop.CoefficientSet`, shared by every
+        assembly and eigenpair build on it.
+
+        Kept on the profile so that it lives exactly as long as the
+        profile; a cache keyed by profile would keep its key alive, since
+        the set refers to the profile.
+        """
+        from .linop import CoefficientSet   # linop imports this module
+        return CoefficientSet(self.cfg, self)
 
     # -- edge function -------------------------------------------------------
 

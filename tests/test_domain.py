@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_rotor.config import AnnulusConfig
-from annulus_rotor.domain import BaseStream, circulation, lambda0, phi_and_phi_prime, u_tc
+from annulus_rotor.domain import BaseStream, circulation, lambda0, u_tc
 from annulus_rotor.errors import ConfigError, OutOfDomainError
 from annulus_rotor.profile import TrapezoidProfile
 
@@ -99,8 +99,7 @@ def test_base_stream_recovers_taylor_couette_at_zero_profile():
 
 def test_base_stream_boundary_values():
     prof = TrapezoidProfile(CFG, eps=1e-2, kappa=0.1)
-    bs = BaseStream(CFG, prof)
-    phi, _ = phi_and_phi_prime(CFG, prof, np.array([CFG.r1, CFG.r2]))
+    phi = BaseStream(CFG, prof).phi(np.array([CFG.r1, CFG.r2]))
     assert abs(phi[0]) < 1e-12
     assert abs(phi[1] - circulation(CFG)) < 1e-10
 

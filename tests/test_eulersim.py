@@ -35,7 +35,7 @@ def test_modal_solver_matches_green_solver(prof):
     rng = np.random.default_rng(0)
     pert = np.exp(-((grid.r - 1.35) / 0.1) ** 2)
     omega = w0[:, None] + 1e-2 * np.outer(pert, np.cos(3 * grid.theta))
-    solver = ModalStreamSolver(grid, gamma)
+    solver = ModalStreamSolver(grid)
     what = np.fft.rfft(omega, axis=1)
     psi = np.fft.irfft(solver.solve(what, gamma * grid.ntheta),
                        n=grid.ntheta, axis=1)
@@ -80,7 +80,7 @@ def test_modal_solver_matches_per_mode_banded(nr, ntheta):
     rng = np.random.default_rng(1)
     shape = (nr, ntheta // 2 + 1)
     what = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    psi = ModalStreamSolver(grid, circulation(CFG)).solve(what, 1.0)
+    psi = ModalStreamSolver(grid).solve(what, 1.0)
     ref = per_mode_banded(grid, what)
     assert np.max(np.abs(psi[:, 1:] - ref[:, 1:])) \
         <= 1e-14 * np.max(np.abs(ref[:, 1:]))
@@ -88,7 +88,7 @@ def test_modal_solver_matches_per_mode_banded(nr, ntheta):
 
 def test_modal_solver_rejects_wrong_mode_count():
     grid = SimGrid(cfg=CFG, nr=64, ntheta=32, eps=EPS)
-    solver = ModalStreamSolver(grid, circulation(CFG))
+    solver = ModalStreamSolver(grid)
     what = np.zeros((64, 16), dtype=complex)        # 17 columns expected
     with pytest.raises(OutOfDomainError, match=r"\(64, 16\).*\(64, 17\)"):
         solver.solve(what, 1.0)
@@ -113,7 +113,7 @@ def test_pure_background_unchanged():
 
 def test_cfl_guard(prof):
     state = initial_state(CFG, prof, None, nr=96, ntheta=64)
-    solver = ModalStreamSolver(state.grid, state.gamma)
+    solver = ModalStreamSolver(state.grid)
     lim = cfl_limit(state, solver)
     with pytest.raises(NumericsError):
         step(state, dt=4.0 * lim, solver=solver, check_cfl=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from annulus_rotor import kernel as kernel_mod
 from annulus_rotor.config import AnnulusConfig
 from annulus_rotor.errors import BracketError
 from annulus_rotor.kernel import (KernelBuilder, adjoint_kernel, b0_and_a1,
@@ -9,10 +10,11 @@ from annulus_rotor.kernel import (KernelBuilder, adjoint_kernel, b0_and_a1,
                                   invert_q2hat, lambda1_closed_form,
                                   lambda_star, operator_residual,
                                   solve_lambda1, transversality,
-                                  validate_kernel, _I_quadrature)
+                                  validate_kernel, _edge_breaks,
+                                  _I_quadrature)
 from annulus_rotor.linop import CoefficientSet, assemble, p_coeff
 from annulus_rotor.profile import TrapezoidProfile
-from annulus_rotor.quadrature import ZGrid
+from annulus_rotor.quadrature import ZGrid, geometric_edges, mapped_rule
 
 from conftest import DESK_CFG as CFG
 M_MODE = 3
@@ -315,3 +317,72 @@ def test_off_default_geometry_with_rotation_constant(zg):
     assert diag["gap_ratio"] <= 1e-6
     assert diag["cosine"] >= 1.0 - 1e-4
     assert operator_residual(eig, cfg, prof) < 1e-10
+
+
+# -- profile terms are computed once per (profile, grid), not per loop -------
+
+def _count_calls(monkeypatch, owner, name):
+    counts = {"n": 0}
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts["n"] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_second_validation_pass_evaluates_no_edge(monkeypatch, zg):
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    eig = build_eigensolution(CFG, prof, M_MODE, zg)
+
+    def validation_pass():
+        validate_kernel(eig, CFG, prof)
+        adjoint_kernel(eig, CFG, prof)
+        operator_residual(eig, CFG, prof)
+
+    validation_pass()
+    edge = _count_calls(monkeypatch, TrapezoidProfile, "edge")
+    validation_pass()
+    assert edge["n"] == 0
+
+
+def test_lambda1_edge_prime_calls_do_not_grow_with_I_evals(monkeypatch):
+    evals = _count_calls(monkeypatch, kernel_mod, "_I_quadrature")
+    edge_prime = _count_calls(monkeypatch, TrapezoidProfile, "edge_prime")
+    seen = []
+    for tol in (1e-4, 1e-10):
+        coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, 1e-2, 0.1))
+        evals["n"] = edge_prime["n"] = 0
+        solve_lambda1(M_MODE, coeffs, tol=tol)
+        seen.append((evals["n"], edge_prime["n"]))
+    (evals_loose, calls_loose), (evals_tight, calls_tight) = seen
+    assert evals_tight > evals_loose
+    assert calls_tight == calls_loose
+
+
+def _I_reference(coeffs, m, lam1, n_gauss=24):
+    """I(lam1) with edge' evaluated panel by panel on every call."""
+    prof = coeffs.profile
+    breaks = _edge_breaks(prof.kappa)
+    edges = []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        edges.extend(np.unique(np.concatenate(
+            [geometric_edges(lo, hi, "right", 18, 0.6),
+             geometric_edges(lo, hi, "left", 18, 0.6)])))
+    edges = np.unique(np.asarray(edges))
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        x, w = mapped_rule(lo, hi, n_gauss)
+        total += float(np.dot(w, prof.edge_prime(x)
+                              / coeffs.alpha1(2, x, lam1)))
+    return p_coeff(2, m, coeffs.cfg) * total
+
+
+def test_I_quadrature_bit_identical_to_per_panel_reference():
+    coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, 1e-2, 0.1))
+    ls = lambda_star(coeffs)
+    for lam1 in (ls - 1e-3, ls - 0.1, ls - 10.0):
+        assert _I_quadrature(coeffs, M_MODE, lam1) \
+            == _I_reference(coeffs, M_MODE, lam1)

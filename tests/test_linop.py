@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -213,3 +216,35 @@ def test_quadrature_gauss_convergence_on_analytic_integrand():
         x, w = mapped_rule(-1.0, 1.0, n)
         errs.append(abs(np.dot(w, f(x)) - exact))
     assert errs[0] / max(errs[1], 5e-16) >= 50.0
+
+
+def test_shared_coefficients_give_identical_blocks():
+    # the profile's shared set, its grid terms cached at two grid sizes,
+    # builds the same blocks bit for bit as a fresh set per assembly
+    prof = TrapezoidProfile(CFG, EPS, KAPPA)
+    lam = prof.coefficients.lam0 + 0.03
+    for zg in (ZGrid(96), ZGrid(48)):
+        for n in range(1, 9):
+            for build in (assemble, assemble_adjoint):
+                shared = build(n, EPS, lam, CFG, prof, zg)
+                fresh = build(n, EPS, lam, CFG, prof, zg,
+                              CoefficientSet(CFG, prof))
+                for i in (0, 1):
+                    assert np.array_equal(shared.sqrt_weights[i],
+                                          fresh.sqrt_weights[i])
+                    for j in (0, 1):
+                        assert np.array_equal(shared.blocks[i][j],
+                                              fresh.blocks[i][j])
+
+
+def test_coefficient_cache_keeps_no_profile_alive():
+    prof = TrapezoidProfile(CFG, EPS, KAPPA)
+    assemble(2, EPS, 0.3, CFG, prof, ZGrid(48))
+    coeffs = prof.coefficients
+    assert coeffs.profile is prof and prof.coefficients is coeffs
+    with pytest.raises(ValueError):
+        coeffs.swirl_on_grid(ZGrid(48))[1][0] = 0.0    # shared, read-only
+    refs = weakref.ref(prof), weakref.ref(coeffs)
+    del prof, coeffs
+    gc.collect()
+    assert all(ref() is None for ref in refs)
