@@ -3,13 +3,16 @@
 Purpose-built to verify rigid rotation of the constructed waves over O(1)
 periods: explicit RK4 advection with a spectral angular derivative and
 4th-order finite differences on a band-refined smooth radial mapping; the
-modal Poisson operator is factored once, and each substage re-solves the
-stream function in one LAPACK tridiagonal sweep over all angular modes.
+modal Poisson operator is factored once per grid, and each substage
+re-solves the stream function in one LAPACK tridiagonal sweep over all
+angular modes.  The substage works in arrays the grid's solver owns, so an
+RK4 step allocates only the new vorticity field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
@@ -50,19 +53,29 @@ class SimGrid:
         self.r_xi = _d_xi(self.r, 1.0 / (self.nr - 1))
         self.theta = 2.0 * np.pi * np.arange(self.ntheta) / self.ntheta
 
-    def d_r(self, F: np.ndarray) -> np.ndarray:
-        """Radial derivative along axis 0 through the mapping."""
-        dF = _d_xi(F, 1.0 / (self.nr - 1))
-        shape = (-1,) + (1,) * (F.ndim - 1)
-        return dF / self.r_xi.reshape(shape)
+    @cached_property
+    def solver(self) -> "ModalStreamSolver":
+        """The grid's factored stream solver, with the substage's work
+        arrays."""
+        return ModalStreamSolver(self)
+
+    def d_r(self, F: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Radial derivative along axis 0 through the mapping (written into
+        out when given)."""
+        dF = _d_xi(F, 1.0 / (self.nr - 1), out)
+        dF /= self.r_xi.reshape((-1,) + (1,) * (F.ndim - 1))
+        return dF
 
     def d_theta(self, F: np.ndarray) -> np.ndarray:
         return self.d_theta_modes(np.fft.rfft(F, axis=1))
 
-    def d_theta_modes(self, F_hat: np.ndarray) -> np.ndarray:
-        """Angular derivative of the field whose rfft along axis 1 is F_hat."""
+    def d_theta_modes(self, F_hat: np.ndarray, out: np.ndarray | None = None,
+                      work: np.ndarray | None = None) -> np.ndarray:
+        """Angular derivative of the field whose rfft along axis 1 is F_hat
+        (written into out when given; work holds the product by i k)."""
         k = np.fft.rfftfreq(self.ntheta, d=1.0 / self.ntheta)
-        return np.fft.irfft(F_hat * (1j * k)[None, :], n=self.ntheta, axis=1)
+        work = np.multiply(F_hat, (1j * k)[None, :], out=work)
+        return np.fft.irfft(work, n=self.ntheta, axis=1, out=out)
 
     def quad_r(self, F: np.ndarray) -> np.ndarray:
         """Integral over r (per angular column) via the mapped trapezoid
@@ -86,10 +99,20 @@ def _cumint4(F: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _d_xi(F: np.ndarray, h: float) -> np.ndarray:
-    """4th-order first derivative on a uniform grid, one-sided at the ends."""
-    D = np.empty_like(F, dtype=float)
-    D[2:-2] = (F[:-4] - 8 * F[1:-3] + 8 * F[3:-1] - F[4:]) / (12 * h)
+def _d_xi(F: np.ndarray, h: float, out: np.ndarray | None = None
+          ) -> np.ndarray:
+    """4th-order first derivative on a uniform grid, one-sided at the ends.
+
+    Written into out (which must not overlap F) when given; the interior
+    stencil runs in place, without temporaries of F's size.
+    """
+    D = np.empty_like(F, dtype=float) if out is None else out
+    inner = D[2:-2]
+    np.subtract(F[3:-1], F[1:-3], out=inner)
+    inner *= 8.0
+    inner += F[:-4]
+    inner -= F[4:]
+    inner /= 12 * h
     D[0] = (-25 * F[0] + 48 * F[1] - 36 * F[2] + 16 * F[3] - 3 * F[4]) / (12 * h)
     D[1] = (-3 * F[0] - 10 * F[1] + 18 * F[2] - 6 * F[3] + F[4]) / (12 * h)
     D[-2] = (3 * F[-1] + 10 * F[-2] - 18 * F[-3] + 6 * F[-4] - F[-5]) / (12 * h)
@@ -106,7 +129,9 @@ class ModalStreamSolver:
     The tridiagonals of modes k = 1..ntheta//2 are stacked into one
     block-diagonal tridiagonal (zero coupling between blocks) and -A is
     LU-factored once at construction (LAPACK gttrf); each solve is then
-    one gttrs sweep over all modes.
+    one gttrs sweep over all modes.  The solver also owns the work arrays
+    of the RK4 substage (`_velocity`, `_rhs`, `step`); `SimGrid.solver`
+    holds one per grid.
     """
 
     def __init__(self, grid: SimGrid):
@@ -138,16 +163,24 @@ class ModalStreamSolver:
                                 f"(gttrf info={info})")
         self._lu = lu
         self._shape = (nr, nk + 1)
+        self._modal = np.empty((nk, nr - 2), dtype=complex)      # gttrs rhs
+        # substage work arrays: three spectral, three real fields, and the
+        # RK4 stage, accumulator and slope
+        self._what, self._psi_hat, self._hat = (
+            np.empty(self._shape, dtype=complex) for _ in range(3))
+        (self._psi, self._u_r, self._u_theta, self._stage, self._acc,
+         self._k) = (np.empty((nr, grid.ntheta)) for _ in range(6))
 
-    def solve(self, omega_hat: np.ndarray, gamma_hat: float) -> np.ndarray:
+    def solve(self, omega_hat: np.ndarray, gamma_hat: float,
+              out: np.ndarray | None = None) -> np.ndarray:
         """omega_hat: (nr, ntheta//2 + 1) complex modal sources (rfft
         scaling); the mode-zero wall value gamma_hat carries the same
-        scaling."""
+        scaling.  The stream modes are written into out when given."""
         if omega_hat.shape != self._shape:
             raise OutOfDomainError(f"omega_hat has shape {omega_hat.shape}; "
                                    f"the solver is factored for {self._shape}")
         nr, nk = omega_hat.shape
-        psi = np.zeros_like(omega_hat)
+        psi = np.empty_like(omega_hat) if out is None else out
         # mode zero carries the O(1) flow: closed-form double integral on
         # the mapped grid (4th-order cumulative quadrature)
         grid = self.grid
@@ -158,9 +191,13 @@ class ModalStreamSolver:
         logr = np.log(grid.r[-1] / grid.r[0])
         C = (gamma_hat + U[-1]) / logr
         psi[:, 0] = C * np.log(grid.r / grid.r[0]) - U
-        # -A psi = omega on the mode-major stack of interior values
-        rhs = omega_hat[1:-1, 1:].T.astype(complex, order="C").ravel()
-        inner, _ = zgttrs(*self._lu, rhs, overwrite_b=1)
+        # -A psi = omega on the mode-major stack of interior values; gttrs
+        # overwrites the stack in place
+        modal = self._modal
+        np.copyto(modal, omega_hat[1:-1, 1:].T)
+        inner, _ = zgttrs(*self._lu, modal.reshape(-1), overwrite_b=1)
+        psi[0, 1:] = 0.0
+        psi[-1, 1:] = 0.0
         psi[1:-1, 1:] = inner.reshape(nk - 1, nr - 2).T
         return psi
 
@@ -188,38 +225,51 @@ def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
                     gamma=circulation(cfg), dealias=dealias)
 
 
-def _velocity(state: SimState, solver: ModalStreamSolver, omega: np.ndarray
+def _velocity(state: SimState, omega: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Velocity (u_r, u_theta) of omega, plus d omega / d theta from the
-    same transform."""
+    same transform.
+
+    All three live in the grid solver's work arrays and are overwritten by
+    the next call.
+    """
     grid = state.grid
-    what = np.fft.rfft(omega, axis=1)
-    psi_hat = solver.solve(what, state.gamma * grid.ntheta)
-    psi = np.fft.irfft(psi_hat, n=grid.ntheta, axis=1)
-    u_r = grid.d_theta(psi) / grid.r[:, None]
+    sv = grid.solver
+    what = np.fft.rfft(omega, axis=1, out=sv._what)
+    psi_hat = sv.solve(what, state.gamma * grid.ntheta, out=sv._psi_hat)
+    u_r = grid.d_theta_modes(psi_hat, out=sv._u_r, work=sv._hat)
+    u_r /= grid.r[:, None]
     u_r[0, :] = 0.0
     u_r[-1, :] = 0.0
-    u_theta = -grid.d_r(psi)
-    return u_r, u_theta, grid.d_theta_modes(what)
+    psi = np.fft.irfft(psi_hat, n=grid.ntheta, axis=1, out=sv._psi)
+    u_theta = grid.d_r(psi, out=sv._u_theta)
+    np.negative(u_theta, out=u_theta)
+    # psi is spent: its array takes d omega / d theta
+    omega_theta = grid.d_theta_modes(what, out=sv._psi, work=sv._hat)
+    return u_r, u_theta, omega_theta
 
 
-def _rhs(state: SimState, solver: ModalStreamSolver,
-         omega: np.ndarray) -> np.ndarray:
+def _rhs(state: SimState, omega: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """-(u . grad) omega, written into out (which must not overlap omega)."""
     grid = state.grid
-    u_r, u_theta, omega_theta = _velocity(state, solver, omega)
-    out = -(u_r * grid.d_r(omega)
-            + u_theta / grid.r[:, None] * omega_theta)
+    u_r, u_theta, omega_theta = _velocity(state, omega)
+    grid.d_r(omega, out=out)
+    out *= u_r
+    u_theta /= grid.r[:, None]
+    u_theta *= omega_theta
+    out += u_theta
+    np.negative(out, out=out)
     if state.dealias:
-        out_hat = np.fft.rfft(out, axis=1)
+        out_hat = np.fft.rfft(out, axis=1, out=grid.solver._hat)
         kmax = out_hat.shape[1] - 1
         out_hat[:, int(2 * kmax / 3) + 1:] = 0.0
-        out = np.fft.irfft(out_hat, n=grid.ntheta, axis=1)
+        np.fft.irfft(out_hat, n=grid.ntheta, axis=1, out=out)
     return out
 
 
-def cfl_limit(state: SimState, solver: ModalStreamSolver) -> float:
+def cfl_limit(state: SimState) -> float:
     grid = state.grid
-    u_r, u_theta, _ = _velocity(state, solver, state.omega)
+    u_r, u_theta, _ = _velocity(state, state.omega)
     dr = np.gradient(grid.r)
     dth = 2.0 * np.pi / grid.ntheta
     lim_r = np.min(dr[:, None] / np.maximum(np.abs(u_r), 1e-14))
@@ -227,32 +277,39 @@ def cfl_limit(state: SimState, solver: ModalStreamSolver) -> float:
     return 0.5 * min(lim_r, lim_t)
 
 
-def step(state: SimState, dt: float,
-         solver: ModalStreamSolver | None = None,
-         check_cfl: bool = False) -> SimState:
-    """One explicit RK4 step with per-substage stream solves."""
-    if solver is None:
-        solver = ModalStreamSolver(state.grid)
+def step(state: SimState, dt: float, check_cfl: bool = False) -> SimState:
+    """One explicit RK4 step with per-substage stream solves.
+
+    The stages run in the grid solver's work arrays; the new vorticity is
+    the step's only allocation.
+    """
     if check_cfl:
-        lim = cfl_limit(state, solver)
+        lim = cfl_limit(state)
         if dt > lim:
             raise NumericsError(f"dt={dt:g} violates the CFL bound; "
                                 f"use dt <= {lim:g}")
-    w = state.omega
-    k1 = _rhs(state, solver, w)
-    k2 = _rhs(state, solver, w + 0.5 * dt * k1)
-    k3 = _rhs(state, solver, w + 0.5 * dt * k2)
-    k4 = _rhs(state, solver, w + dt * k3)
-    return replace(state, omega=w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4),
-                   time=state.time + dt)
+    sv = state.grid.solver
+    w, stage, acc, k = state.omega, sv._stage, sv._acc, sv._k
+    # acc = k1 + 2 k2 + 2 k3 + k4, summed in that order; stage = w + c dt k
+    _rhs(state, w, acc)
+    np.multiply(acc, 0.5 * dt, out=stage)
+    stage += w
+    for c in (0.5, 1.0):
+        _rhs(state, stage, k)
+        np.multiply(k, c * dt, out=stage)
+        stage += w
+        k *= 2.0
+        acc += k
+    _rhs(state, stage, k)
+    acc += k
+    omega = acc * (dt / 6.0)
+    omega += w
+    return replace(state, omega=omega, time=state.time + dt)
 
 
-def conserved_quantities(state: SimState,
-                         solver: ModalStreamSolver | None = None) -> dict:
+def conserved_quantities(state: SimState) -> dict:
     grid = state.grid
-    if solver is None:
-        solver = ModalStreamSolver(state.grid)
-    u_r, u_theta, _ = _velocity(state, solver, state.omega)
+    u_r, u_theta, _ = _velocity(state, state.omega)
     dth = 2.0 * np.pi / grid.ntheta
     circ = -float(np.sum(grid.quad_r(u_theta)) * dth) / (2.0 * np.pi)
     mean_w = float(np.sum(grid.quad_r(state.omega * grid.r[:, None])) * dth)
@@ -282,9 +339,8 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     between the final and initial vorticity.
     """
     grid = state0.grid
-    solver = ModalStreamSolver(grid)
     if dt is None:
-        dt = 0.8 * cfl_limit(state0, solver)
+        dt = 0.8 * cfl_limit(state0)
     nsteps = max(int(np.ceil(T / dt)), n_checkpoints)
     dt = T / nsteps
     if m is None:
@@ -298,13 +354,13 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     series = []
     den0 = np.sum(grid.quad_r(state0.omega ** 2))
     for k in range(nsteps):
-        state = step(state, dt, solver)
+        state = step(state, dt)
         if (k + 1) % per == 0 or k == nsteps - 1:
             cur = np.fft.rfft(state.omega, axis=1)[:, m]
             corr = np.sum(cur * np.conj(ref_hat))
             times.append(state.time)
             phases.append(np.angle(corr))
-            q = conserved_quantities(state, solver)
+            q = conserved_quantities(state)
             ph = np.unwrap(np.array(phases))
             lam_est = -np.polyfit(times, ph, 1)[0] / m
             err_t = float(np.sqrt(np.sum(grid.quad_r(
@@ -321,6 +377,6 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     ret = float(np.sqrt(num / den0))
     return RotationResult(lam_measured=lam_meas, return_error=ret,
                           times=list(times), phases=list(phases),
-                          conserved_start=conserved_quantities(state0, solver),
-                          conserved_end=conserved_quantities(state, solver),
+                          conserved_start=conserved_quantities(state0),
+                          conserved_end=conserved_quantities(state),
                           series=series)

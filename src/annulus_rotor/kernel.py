@@ -330,6 +330,7 @@ class KernelBuilder:
         self.x1 = cfg.R1 + self.eps * z
         self.x2 = cfg.R2 + self.eps * z
         self.swirl2 = self.coeffs.swirl2_on_grid(zgrid)
+        self._averages: dict[str, np.ndarray] = {}
 
     def _alpha2(self, band: int, lam1: float, lam2: float,
                 include_swirl2: bool) -> np.ndarray:
@@ -341,15 +342,30 @@ class KernelBuilder:
 
     # -- Taylor-remainder averages (1/eps) int_0^eps dPhi ------------------
 
+    def _averaged(self, kernel) -> np.ndarray:
+        """(1/eps) int_0^eps kernel(delta, z, s) d delta on the grid.
+
+        The average depends only on (m, eps, grid), so each kernel's matrix
+        is built once per builder and reused by every Picard iteration.
+        """
+        name = kernel.__name__
+        if name not in self._averages:
+            z = self.zgrid.z[:, None]
+            s = self.zgrid.z[None, :]
+            acc = np.zeros((self.zgrid.n, self.zgrid.n))
+            for d, wd in zip(self.dx, self.dw):
+                acc += wd * kernel(d, z, s)
+            acc /= self.eps
+            self._averages[name] = acc
+        return self._averages[name]
+
     def _avg_rank(self, kernel, weight_vec) -> np.ndarray:
         """(1/eps) int_0^eps of a rank-one term with source weight_vec."""
-        z = self.zgrid.z[:, None]
-        s = self.zgrid.z[None, :]
-        acc = np.zeros((self.zgrid.n, self.zgrid.n))
-        for d, wd in zip(self.dx, self.dw):
-            acc += wd * kernel(d, z, s)
-        acc /= self.eps
-        return acc @ (self.zgrid.w * weight_vec)
+        return self._averaged(kernel) @ (self.zgrid.w * weight_vec)
+
+    def _avg_volterra(self, kernel, weight_vec) -> np.ndarray:
+        """(1/eps) int_0^eps of a Volterra term (integral over s < z)."""
+        return (self._averaged(kernel) * self.zgrid.w_left) @ weight_vec
 
     def remainder_T1(self, b0: np.ndarray) -> np.ndarray:
         pref = -1.0 / (self.m * self.kern.S_full)
@@ -358,13 +374,8 @@ class KernelBuilder:
     def remainder_Q1(self, b0: np.ndarray) -> np.ndarray:
         pref = -1.0 / (self.m * self.kern.S_full)
         rank = pref * self._avg_rank(self.kern.dQ1_rank, self.ep_plus * b0)
-        z = self.zgrid.z[:, None]
-        s = self.zgrid.z[None, :]
-        acc = np.zeros((self.zgrid.n, self.zgrid.n))
-        for d, wd in zip(self.dx, self.dw):
-            acc += wd * self.kern.dQ1_volterra(d, z, s)
-        acc /= self.eps
-        volt = (acc * self.zgrid.w_left) @ (self.ep_plus * b0) / self.m
+        volt = self._avg_volterra(self.kern.dQ1_volterra,
+                                  self.ep_plus * b0) / self.m
         return rank + volt
 
     def remainder_T2(self, b1: np.ndarray, a1: float) -> np.ndarray:
@@ -372,13 +383,8 @@ class KernelBuilder:
         t_in = self._avg_rank(self.kern.dT2_inner_rank, self.ep_minus) * a1 / (m * Sf)
         t_cross = -self._avg_rank(self.kern.dT2_cross_rank,
                                   self.ep_plus * b1) / (m * Sf)
-        z = self.zgrid.z[:, None]
-        s = self.zgrid.z[None, :]
-        acc = np.zeros((self.zgrid.n, self.zgrid.n))
-        for d, wd in zip(self.dx, self.dw):
-            acc += wd * self.kern.dT2_volterra(d, z, s)
-        acc /= self.eps
-        t_vol = -(acc * self.zgrid.w_left) @ self.ep_minus * a1 / m
+        t_vol = -self._avg_volterra(self.kern.dT2_volterra,
+                                    self.ep_minus) * a1 / m
         return t_in + t_cross + t_vol
 
     def remainder_Q2(self, b1: np.ndarray, lam2: float, a1: float,
@@ -394,18 +400,10 @@ class KernelBuilder:
                                    self.ep_minus) * a1 / (m * Sf)
         out = out - self._avg_rank(self.kern.dQ2_outer_rank,
                                    self.ep_plus * b1) / (m * Sf)
-        zc = self.zgrid.z[:, None]
-        sc = self.zgrid.z[None, :]
-        acc = np.zeros((self.zgrid.n, self.zgrid.n))
-        for d, wd in zip(self.dx, self.dw):
-            acc += wd * self.kern.dQ2_cross_full(d, zc, sc)
-        acc /= self.eps
-        out = out - (acc @ (self.zgrid.w * self.ep_minus)) * a1 / m
-        acc = np.zeros((self.zgrid.n, self.zgrid.n))
-        for d, wd in zip(self.dx, self.dw):
-            acc += wd * self.kern.dQ2_volterra(d, zc, sc)
-        acc /= self.eps
-        out = out + (acc * self.zgrid.w_left) @ (self.ep_plus * b1) / m
+        out = out - self._avg_rank(self.kern.dQ2_cross_full,
+                                   self.ep_minus) * a1 / m
+        out = out + self._avg_volterra(self.kern.dQ2_volterra,
+                                       self.ep_plus * b1) / m
         return out
 
     # -- full-eps order-three terms ----------------------------------------

@@ -19,45 +19,42 @@ def _bump_raw(u: np.ndarray) -> np.ndarray:
 class Mollifier:
     """Normalized smooth bump on (-1, 1): value, CDF, and integrated CDF.
 
-    The CDF and its antiderivative are evaluated through cumulative panel
-    Gauss quadrature (machine accurate for the smooth bump), with the
-    saturated extensions CDF(x>=1)=1, CDF(x<=-1)=0 and the linear
-    continuation of the antiderivative beyond x=1.
+    Both are evaluated through cumulative panel Gauss quadrature (machine
+    accurate for the smooth bump): a table at the panel edges plus one
+    Gauss rule over [edge_k, x] on the panel k holding x.  The integrated
+    CDF uses the exact identity
+
+        cdf2(x) = cdf2(e_k) + (x - e_k) cdf(e_k) + int_{e_k}^x (x - t) phi(t) dt,
+
+    whose terms are all non-negative, so nothing cancels.  The CDF
+    saturates by clipping its argument to [-1, 1]; cdf2 takes the closed
+    forms cdf2(x<=-1)=0 and cdf2(x>=1) = cdf2(1) + (x - 1) without
+    quadrature.
     """
 
     def __init__(self, n_panels: int = 256, n_gauss: int = 16):
         self.edges = np.linspace(-1.0, 1.0, n_panels + 1)
         gx, gw = gauss_rule(n_gauss)
         self._gx, self._gw = gx, gw
-        raw_cum = self._cumulative(lambda u: _bump_raw(u))
-        self.norm = raw_cum[-1]
-        self._cdf_at_edges = raw_cum / self.norm
-        cdf2_cum = self._cumulative(lambda u: self._cdf_core(u))
-        self._cdf2_at_edges = cdf2_cum
-
-    def _cumulative(self, f) -> np.ndarray:
         a, b = self.edges[:-1], self.edges[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid[:, None] + half[:, None] * self._gx[None, :]
-        vals = f(pts.ravel()).reshape(pts.shape)
-        per_panel = half * (vals @ self._gw)
-        return np.concatenate(([0.0], np.cumsum(per_panel)))
+        pts = mid[:, None] + half[:, None] * gx[None, :]
+        raw = _bump_raw(pts)
+        raw_cum = np.concatenate(([0.0], np.cumsum(half * (raw @ gw))))
+        self.norm = raw_cum[-1]
+        self._cdf_at_edges = raw_cum / self.norm
+        per_panel = (b - a) * self._cdf_at_edges[:-1] \
+            + half * (((b[:, None] - pts) * raw / self.norm) @ gw)
+        self._cdf2_at_edges = np.concatenate(([0.0], np.cumsum(per_panel)))
 
-    def _partial(self, table: np.ndarray, f, x: np.ndarray) -> np.ndarray:
-        """table[k] + integral of f over [edge_k, x] for x in panel k."""
-        x = np.asarray(x, dtype=float)
+    def _panel(self, x: np.ndarray):
+        """Panel index, left edge, half-width and Gauss nodes of [edge, x]."""
         idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
                       0, len(self.edges) - 2)
         lo = self.edges[idx]
         half = 0.5 * (x - lo)
         pts = (lo + half)[..., None] + half[..., None] * self._gx
-        vals = f(pts.ravel()).reshape(pts.shape)
-        return table[idx] + half * (vals @ self._gw)
-
-    def _cdf_core(self, x):
-        """CDF for x clipped to [-1, 1] (no saturation handling)."""
-        return self._partial(self._cdf_at_edges,
-                             lambda u: _bump_raw(u) / self.norm, x)
+        return idx, lo, half, pts
 
     def value(self, u) -> np.ndarray:
         """Normalized bump."""
@@ -65,15 +62,20 @@ class Mollifier:
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, -1.0, 1.0)
-        return self._cdf_core(xc)
+        idx, _, half, pts = self._panel(np.clip(x, -1.0, 1.0))
+        return self._cdf_at_edges[idx] + half * (self.value(pts) @ self._gw)
 
     def cdf2(self, x) -> np.ndarray:
         """Antiderivative of the CDF with cdf2(-1)=0, linear for x > 1."""
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, -1.0, 1.0)
-        core = self._partial(self._cdf2_at_edges, self._cdf_core, xc)
-        return core + np.where(x > 1.0, x - 1.0, 0.0)
+        out = np.where(x >= 1.0, self._cdf2_at_edges[-1] + (x - 1.0), 0.0)
+        inside = (x > -1.0) & (x < 1.0)
+        xi = x[inside]
+        idx, lo, half, pts = self._panel(xi)
+        tail = ((xi[:, None] - pts) * self.value(pts)) @ self._gw
+        out[inside] = self._cdf2_at_edges[idx] \
+            + (xi - lo) * self._cdf_at_edges[idx] + half * tail
+        return out
 
     @property
     def sup(self) -> float:

@@ -21,7 +21,7 @@ from scipy.linalg import solve_banded
 
 from .config import AnnulusConfig
 from .errors import NumericsError
-from .quadrature import indefinite_weights, lobatto_rule
+from .quadrature import lobatto_indefinite_weights, lobatto_rule
 
 
 def _log_sn(n: int, logx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,7 +84,7 @@ class RadialGrid:
             half = 0.5 * (b - a)
             idx = np.arange(start, start + npan)
             self.panel_slices.append(idx)
-            self._panel_wleft.append(indefinite_weights(x, w) * half)
+            self._panel_wleft.append(lobatto_indefinite_weights(npan) * half)
             self.r[idx] = a + half * (x + 1.0)
             self.w[idx] += half * w                  # shared node accumulates
             start += npan - 1

@@ -95,3 +95,14 @@ def lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     Pnm1 = legvander(x, n - 1)[:, n - 1]
     w = 2.0 / (n * (n - 1) * Pnm1 ** 2)
     return x, w
+
+
+@lru_cache(maxsize=64)
+def lobatto_indefinite_weights(n: int) -> np.ndarray:
+    """`indefinite_weights` of the n-point Lobatto rule, built once per n.
+
+    Shared by every caller, so the matrix is read-only.
+    """
+    W = indefinite_weights(*lobatto_rule(n))
+    W.flags.writeable = False
+    return W

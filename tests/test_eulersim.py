@@ -113,10 +113,9 @@ def test_pure_background_unchanged():
 
 def test_cfl_guard(prof):
     state = initial_state(CFG, prof, None, nr=96, ntheta=64)
-    solver = ModalStreamSolver(state.grid)
-    lim = cfl_limit(state, solver)
+    lim = cfl_limit(state)
     with pytest.raises(NumericsError):
-        step(state, dt=4.0 * lim, solver=solver, check_cfl=True)
+        step(state, dt=4.0 * lim, check_cfl=True)
 
 
 def test_conserved_quantities_at_t0(prof):
@@ -179,3 +178,66 @@ def test_dealias_flag_smoke(prof):
     state = initial_state(CFG, prof, None, nr=96, ntheta=32, dealias=True)
     s1 = step(state, dt=5e-3)
     assert np.max(np.abs(s1.omega - state.omega)) < 1e-10
+
+
+def reference_step(state, dt):
+    """Reference: the RK4 step as first written, with fresh arrays for
+    every stage and d psi/d theta from an rfft of psi."""
+    grid = state.grid
+    solver = ModalStreamSolver(grid)
+
+    def rhs(omega):
+        what = np.fft.rfft(omega, axis=1)
+        psi = np.fft.irfft(solver.solve(what, state.gamma * grid.ntheta),
+                           n=grid.ntheta, axis=1)
+        u_r = grid.d_theta(psi) / grid.r[:, None]
+        u_r[0, :] = 0.0
+        u_r[-1, :] = 0.0
+        u_theta = -grid.d_r(psi)
+        out = -(u_r * grid.d_r(omega)
+                + u_theta / grid.r[:, None] * grid.d_theta_modes(what))
+        if state.dealias:
+            out_hat = np.fft.rfft(out, axis=1)
+            kmax = out_hat.shape[1] - 1
+            out_hat[:, int(2 * kmax / 3) + 1:] = 0.0
+            out = np.fft.irfft(out_hat, n=grid.ntheta, axis=1)
+        return out
+
+    w = state.omega
+    k1 = rhs(w)
+    k2 = rhs(w + 0.5 * dt * k1)
+    k3 = rhs(w + 0.5 * dt * k2)
+    k4 = rhs(w + dt * k3)
+    return w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _wave_state(prof, eig, nr, ntheta, dealias=False):
+    from annulus_rotor.nonlinear import LevelSetPerturbation
+    f = LevelSetPerturbation.from_kernel(eig, CFG, amplitude=1e-3)
+    return initial_state(CFG, prof, f, nr=nr, ntheta=ntheta, dealias=dealias)
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_step_matches_reference_rk4(prof, desk_eig, dealias):
+    state = _wave_state(prof, desk_eig, 160, 64, dealias)
+    dt = 0.5 * cfl_limit(state)
+    s1 = step(state, dt)
+    ref = reference_step(state, dt)
+    scale = np.max(np.abs(state.omega))
+    assert np.max(np.abs(s1.omega - ref)) <= 1e-13 * scale
+    # a second step on the same grid reuses the work arrays
+    s2 = step(s1, dt)
+    assert np.max(np.abs(s2.omega - reference_step(s1, dt))) <= 1e-13 * scale
+    assert s1.omega is not s2.omega and s2.time == pytest.approx(2 * dt)
+
+
+def test_step_allocates_only_its_result(prof, desk_eig):
+    import tracemalloc
+    state = step(_wave_state(prof, desk_eig, 192, 128), 1e-3)   # warm-up
+    tracemalloc.start()
+    try:
+        step(state, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state.omega.nbytes

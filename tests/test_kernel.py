@@ -211,6 +211,28 @@ def test_fixed_point_contracts_and_bounds(zg):
     assert np.sqrt(np.dot(zg.w, fp["b1"] ** 2)) < 1e3
 
 
+class _RebuiltPerCall(KernelBuilder):
+    """Reference: every delta average rebuilt on every use, as each Picard
+    iteration once did."""
+
+    def _averaged(self, kernel):
+        self._averages.clear()
+        return super()._averaged(kernel)
+
+
+def test_fixed_point_reuses_delta_averages_bit_identically(zg):
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    coeffs = CoefficientSet(CFG, prof)
+    root = solve_lambda1(M_MODE, coeffs)
+    b0, a1 = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
+    fp = fixed_point_corrections(KernelBuilder(CFG, prof, M_MODE, zg, coeffs),
+                                 root["lam1"], a1, b0)
+    ref = fixed_point_corrections(
+        _RebuiltPerCall(CFG, prof, M_MODE, zg, coeffs), root["lam1"], a1, b0)
+    for key in ("a2", "b1", "lam2", "distances", "iterations"):
+        assert np.array_equal(fp[key], ref[key])
+
+
 def test_fixed_point_ratio_halves_with_eps(zg):
     ratios = {}
     for eps in (1e-2, 5e-3):

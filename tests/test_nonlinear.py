@@ -49,7 +49,7 @@ def test_vorticity_roundtrip_on_level_sets(zg, prof, eig):
     grid, theta = field.grid, field.theta
     # evaluate the field at its own nodes: the stored sample at a node r_t
     # inside the deformed band must equal the transported profile value at
-    # the bisection preimage of r_t (no interpolation error involved)
+    # the Newton preimage of r_t (no interpolation error involved)
     rng = np.random.default_rng(0)
     from annulus_rotor.nonlinear import _invert_map
     for band in (1, 2):
@@ -64,6 +64,70 @@ def test_vorticity_roundtrip_on_level_sets(zg, prof, eig):
             rho = _invert_map(f, band, np.array([grid.r[k]]), cosj)[0]
             target = 2 * CFG.A + prof.value(rho)
             assert abs(field.values[k, j] - target) < 1e-10
+
+
+def bisect_map(f, band, r_targets, cos_m, tol=1e-13):
+    """Reference: the band inversion by monotone bisection, as first
+    written (one Legendre evaluation per halving)."""
+    R = CFG.R1 if band == 1 else CFG.R2
+    lo = np.full_like(r_targets, R - EPS)
+    hi = np.full_like(r_targets, R + EPS)
+    while np.max(hi - lo) >= tol:
+        mid = 0.5 * (lo + hi)
+        pos = mid + f.profile_at(mid, band) * cos_m - r_targets > 0.0
+        hi = np.where(pos, mid, hi)
+        lo = np.where(pos, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 3e-3])
+def test_newton_inversion_residual_and_bisection(zg, prof, eig, sigma):
+    from annulus_rotor.nonlinear import _invert_map
+    f = _pert(eig, sigma)
+    theta = 2.0 * np.pi * np.arange(24) / 24
+    cosm = np.cos(M_MODE * theta)
+    for band, R in ((1, CFG.R1), (2, CFG.R2)):
+        # targets across the whole deformed band, edges included
+        lo = R - EPS + f.profile_at(R - EPS, band) * cosm
+        hi = R + EPS + f.profile_at(R + EPS, band) * cosm
+        t = np.linspace(0.0, 1.0, 41)[:, None]
+        r = (lo + t * (hi - lo)).ravel()
+        c = np.broadcast_to(cosm, (41, 24)).ravel()
+        rho = _invert_map(f, band, r, c)
+        resid = rho + f.profile_at(rho, band) * c - r
+        assert np.max(np.abs(resid)) <= 1e-14
+        assert np.max(np.abs(rho - bisect_map(f, band, r, c))) <= 1e-12
+
+
+def test_newton_inversion_reports_nonconvergence(zg, prof, eig, monkeypatch):
+    from annulus_rotor import nonlinear
+    monkeypatch.setattr(nonlinear, "_NEWTON_STEPS", 1)
+    f = _pert(eig, 1e-3)
+    r = np.array([CFG.R2 + 0.3 * EPS])
+    with pytest.raises(NumericsError, match="last step"):
+        nonlinear._invert_map(f, 2, r, 1.0)
+
+
+def test_interp_columns_matches_per_column_splines(zg, prof, eig):
+    from scipy.interpolate import CubicSpline
+    from annulus_rotor.domain import circulation
+    from annulus_rotor.nonlinear import _interp_columns
+    from annulus_rotor.poisson import solve_full
+    f = _pert(eig, 1e-3)
+    field = build_vorticity(f, prof, n_theta=32)
+    grid = field.grid
+    psi = solve_full(field.values, circulation(CFG), grid, CFG)
+    cosm = np.cos(M_MODE * field.theta)
+    targets = np.concatenate([
+        (R + EPS * zg.z)[:, None] + np.outer(g, cosm)
+        for R, g in ((CFG.R1, f.g_inner), (CFG.R2, f.g_outer))])
+    targets[:3] = grid.r[[0, 5, -1]][:, None]      # nodes and walls
+    cs = CubicSpline(grid.r, psi, axis=0)
+    ref = np.empty_like(targets)
+    for j in range(psi.shape[1]):
+        ref[:, j] = cs(targets[:, j])[:, j]
+    out = _interp_columns(grid, psi, targets)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(psi))
 
 
 def test_vorticity_mass_drift_is_second_order(zg, prof, eig):

@@ -30,6 +30,36 @@ def test_mollifier_cdf_matches_brute_force():
         assert abs(moll.cdf(xq) - brute) < 1e-13
 
 
+def nested_cdf2(moll, x):
+    """Reference: cdf2 as first written, a panel Gauss rule over the Gauss
+    rule of the CDF (16 x 16 evaluations per point), plus the linear
+    continuation beyond 1."""
+    edges, gx, gw = moll.edges, moll._gx, moll._gw
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    pts = mid[:, None] + half[:, None] * gx
+    table = np.concatenate(([0.0], np.cumsum(half * (moll.cdf(pts) @ gw))))
+    xc = np.clip(x, -1.0, 1.0)
+    idx = np.clip(np.searchsorted(edges, xc, side="right") - 1,
+                  0, len(edges) - 2)
+    lo = edges[idx]
+    h = 0.5 * (xc - lo)
+    pts = (lo + h)[:, None] + h[:, None] * gx
+    return table[idx] + h * (moll.cdf(pts) @ gw) + np.where(x > 1.0, x - 1.0,
+                                                            0.0)
+
+
+def test_mollifier_cdf2_matches_nested_quadrature():
+    moll = default_mollifier()
+    x = np.concatenate([np.linspace(-1.5, 3.0, 4501),
+                        [-1.0, 1.0, np.nextafter(-1.0, 0.0),
+                         np.nextafter(1.0, 0.0)], moll.edges])
+    assert np.max(np.abs(moll.cdf2(x) - nested_cdf2(moll, x))) <= 1e-15
+    # closed forms at saturated arguments
+    assert np.all(moll.cdf2(np.array([-3.0, -1.0])) == 0.0)
+    assert moll.cdf2(2.5) == moll.cdf2(1.0) + 1.5
+
+
 def test_edge_boundary_values():
     p = make_profile()
     assert abs(p.edge(-1.0) - 1.0) < 1e-13

@@ -2,8 +2,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from annulus_rotor.quadrature import (ZGrid, gauss_rule, geometric_edges,
-                                      indefinite_weights, lobatto_rule,
-                                      mapped_rule)
+                                      indefinite_weights,
+                                      lobatto_indefinite_weights,
+                                      lobatto_rule, mapped_rule)
 
 
 def test_gauss_rule_exactness():
@@ -52,3 +53,10 @@ def test_geometric_edges_cover_interval(a, width, n):
 def test_mapped_rule_integrates():
     x, w = mapped_rule(0.0, 3.0, 20)
     assert abs(np.dot(w, np.exp(-x)) - (1.0 - np.exp(-3.0))) < 1e-14
+
+
+def test_lobatto_indefinite_weights_cached_read_only():
+    W = lobatto_indefinite_weights(12)
+    assert lobatto_indefinite_weights(12) is W
+    assert np.array_equal(W, indefinite_weights(*lobatto_rule(12)))
+    assert not W.flags.writeable
