@@ -241,7 +241,8 @@ class _DeltaKernels:
         return ((z * xs + s * xz) * self._S(ratio)
                 + self._C(ratio) * m * (z * Rs - s * Rz))
 
-    # kernels used by the order-one Taylor remainders
+    # kernels of the Taylor remainders; the order-two remainders reuse the
+    # order-one kernels (R1, R2) and (R2, R2)
     def dT1(self, d, z, s):
         return self._pair_rank(self.cfg.R1, self.cfg.R2, d, z, s)
 
@@ -251,12 +252,8 @@ class _DeltaKernels:
     def dQ1_volterra(self, d, z, s):
         return self._pair_volterra(self.cfg.R2, self.cfg.R2, d, z, s)
 
-    # kernels used by the order-two Taylor remainders
     def dT2_inner_rank(self, d, z, s):
         return self._pair_rank(self.cfg.R1, self.cfg.R1, d, z, s)
-
-    def dT2_cross_rank(self, d, z, s):
-        return self._pair_rank(self.cfg.R1, self.cfg.R2, d, z, s)
 
     def dT2_volterra(self, d, z, s):
         return self._pair_volterra(self.cfg.R1, self.cfg.R1, d, z, s)
@@ -264,14 +261,8 @@ class _DeltaKernels:
     def dQ2_cross_rank(self, d, z, s):
         return self._pair_rank(self.cfg.R2, self.cfg.R1, d, z, s)
 
-    def dQ2_outer_rank(self, d, z, s):
-        return self._pair_rank(self.cfg.R2, self.cfg.R2, d, z, s)
-
     def dQ2_cross_full(self, d, z, s):
         return self._pair_volterra(self.cfg.R2, self.cfg.R1, d, z, s)
-
-    def dQ2_volterra(self, d, z, s):
-        return self._pair_volterra(self.cfg.R2, self.cfg.R2, d, z, s)
 
 
 @dataclass
@@ -381,8 +372,7 @@ class KernelBuilder:
     def remainder_T2(self, b1: np.ndarray, a1: float) -> np.ndarray:
         m, Sf = self.m, self.kern.S_full
         t_in = self._avg_rank(self.kern.dT2_inner_rank, self.ep_minus) * a1 / (m * Sf)
-        t_cross = -self._avg_rank(self.kern.dT2_cross_rank,
-                                  self.ep_plus * b1) / (m * Sf)
+        t_cross = -self._avg_rank(self.kern.dT1, self.ep_plus * b1) / (m * Sf)
         t_vol = -self._avg_volterra(self.kern.dT2_volterra,
                                     self.ep_minus) * a1 / m
         return t_in + t_cross + t_vol
@@ -398,11 +388,11 @@ class KernelBuilder:
         out = avg_alpha * b0
         out = out + self._avg_rank(self.kern.dQ2_cross_rank,
                                    self.ep_minus) * a1 / (m * Sf)
-        out = out - self._avg_rank(self.kern.dQ2_outer_rank,
+        out = out - self._avg_rank(self.kern.dQ1_rank,
                                    self.ep_plus * b1) / (m * Sf)
         out = out - self._avg_rank(self.kern.dQ2_cross_full,
                                    self.ep_minus) * a1 / m
-        out = out + self._avg_volterra(self.kern.dQ2_volterra,
+        out = out + self._avg_volterra(self.kern.dQ1_volterra,
                                        self.ep_plus * b1) / m
         return out
 

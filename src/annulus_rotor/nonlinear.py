@@ -82,6 +82,19 @@ def normalized_kernel(eig: EigenSolution) -> tuple[np.ndarray, np.ndarray]:
     return sgn * a / nrm, sgn * b / nrm
 
 
+def _kernel_direction(eig: EigenSolution,
+                      zg: ZGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized kernel element on the collocation grid zg: interpolated
+    from the eigensolution's grid and rescaled to unit plain-L2 norm there."""
+    h_in, h_out = normalized_kernel(eig)
+    if zg.n == eig.zgrid.n:
+        return h_in, h_out
+    h_in = _interp_gauss(eig.zgrid, h_in, zg.z)
+    h_out = _interp_gauss(eig.zgrid, h_out, zg.z)
+    nrm = np.sqrt(float(np.dot(zg.w, h_in ** 2) + np.dot(zg.w, h_out ** 2)))
+    return h_in / nrm, h_out / nrm
+
+
 _COEFF_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -281,6 +294,20 @@ def _interp_columns(grid: RadialGrid, psi: np.ndarray,
     return ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
 
 
+def _band_radii(cfg: AnnulusConfig, eps: float, zg: ZGrid) -> np.ndarray:
+    """Radii R_i + eps z of the band nodes, inner band first."""
+    return np.concatenate([cfg.R1 + eps * zg.z, cfg.R2 + eps * zg.z])
+
+
+def _mode_jacobian(eig: EigenSolution, lam: float, cfg: AnnulusConfig,
+                   profile: TrapezoidProfile, zg: ZGrid) -> np.ndarray:
+    """Derivative of F's mode-m band coefficients in the band samples of g
+    at the trivial branch: each row of the band operator divided by its
+    band radius."""
+    op = assemble(eig.m, eig.eps, lam, cfg, profile, zg)
+    return op.matrix() / _band_radii(cfg, eig.eps, zg)[:, None]
+
+
 def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
                         profile: TrapezoidProfile,
                         directions: list | None = None,
@@ -289,8 +316,9 @@ def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
     """Compare (F[lam, tau h] - F[lam, 0])/tau against the band operator.
 
     The trivial branch has F[lam, 0] = 0 identically, so the quotient is
-    F[lam, tau h]/tau; the operator side is cos(m theta)/r times the
-    assembled blocks applied to the band samples of h.
+    F[lam, tau h]/tau; the operator side is cos(m theta) times the
+    row-scaled band operator that the branch Newton uses (`_mode_jacobian`)
+    applied to the band samples of h.
     """
     zg = eig.zgrid
     lam = eig.lam if lam is None else lam
@@ -303,7 +331,7 @@ def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
             g_in = sum(c * zg.z ** k for k, c in enumerate(c_in))
             g_out = sum(c * zg.z ** k for k, c in enumerate(c_out))
             directions.append((g_in, g_out))
-    op = assemble(eig.m, eig.eps, lam, cfg, profile, zg)
+    jac = _mode_jacobian(eig, lam, cfg, profile, zg)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     cosm = np.cos(eig.m * theta)
 
@@ -313,9 +341,9 @@ def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
 
     results = []
     for g_in, g_out in directions:
-        o1, o2 = op.apply(g_in, g_out)
-        lin_inner = np.outer(o1 / (cfg.R1 + eig.eps * zg.z), cosm)
-        lin_outer = np.outer(o2 / (cfg.R2 + eig.eps * zg.z), cosm)
+        lin = jac @ np.concatenate([g_in, g_out])
+        lin_inner = np.outer(lin[:zg.n], cosm)
+        lin_outer = np.outer(lin[zg.n:], cosm)
         ref = field_norm(lin_inner, lin_outer)
         errs = []
         for tau in taus:
@@ -431,92 +459,70 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
                     zgrid: ZGrid | None = None) -> list[BranchPoint]:
     """Continue the nontrivial branch to the target amplitude.
 
-    Unknowns are the mode-m band samples of f plus the rate; the bordered
-    system adds the amplitude constraint <f, h> = sigma against the
-    normalized kernel element h.  Newton with a finite-difference Jacobian
-    (frozen per amplitude step, rebuilt on stagnation) and step halving.
-    An optional coarser collocation grid shrinks the Jacobian.
+    Unknowns are the mode-m samples of f on the collocation grid `zgrid`
+    (default: the eigensolution's) plus the rate; the bordered system adds
+    the amplitude constraint <f, h> = sigma against the kernel element h.
+    Newton is a chord iteration on the analytic Jacobian: `_mode_jacobian`
+    (assembled once per call, only when a step is needed), the amplitude
+    row w h and the rate column dF_m/dlam = rho g, refreshed per iterate.
+    A step is halved up to five times until the residual falls.
     """
     zg = zgrid if zgrid is not None else eig.zgrid
-    h_in, h_out = normalized_kernel(eig)
-    if zg.n != eig.zgrid.n:
-        h_in = _interp_gauss(eig.zgrid, h_in, zg.z)
-        h_out = _interp_gauss(eig.zgrid, h_out, zg.z)
-        nrm = np.sqrt(float(np.dot(zg.w, h_in ** 2)
-                            + np.dot(zg.w, h_out ** 2)))
-        h_in, h_out = h_in / nrm, h_out / nrm
     w2 = np.concatenate([zg.w, zg.w])
-    hvec = np.concatenate([h_in, h_out])
+    hvec = np.concatenate(_kernel_direction(eig, zg))
+    rho = _band_radii(cfg, eig.eps, zg)
     n = zg.n
 
-    def residual_vec(gvec: np.ndarray, lam: float, sigma: float) -> np.ndarray:
-        pert = LevelSetPerturbation(m=eig.m, zgrid=zg, g_inner=gvec[:n],
-                                    g_outer=gvec[n:], cfg=cfg, eps=eig.eps)
-        res = functional_F(lam, pert, profile, n_theta=n_theta)
+    def residual_vec(x: np.ndarray, sigma: float) -> np.ndarray:
+        pert = LevelSetPerturbation(m=eig.m, zgrid=zg, g_inner=x[:n],
+                                    g_outer=x[n:-1], cfg=cfg, eps=eig.eps)
+        res = functional_F(x[-1], pert, profile, n_theta=n_theta)
         f_in, f_out = res.mode(eig.m)
-        constraint = float(np.dot(w2, hvec * gvec)) - sigma
+        constraint = float(np.dot(w2, hvec * x[:-1])) - sigma
         return np.concatenate([f_in, f_out, [constraint]])
 
     points: list[BranchPoint] = []
-    gvec = np.zeros(2 * n)
-    lam = eig.lam
-    sigmas = sigma_target * (np.arange(1, steps + 1) / steps)
-    for sigma in sigmas:
-        guess = np.concatenate([gvec + (sigma - (points[-1].sigma if points
-                                                 else 0.0)) * hvec, [lam]])
-        x = guess.copy()
-        ok = False
-        J = None
+    x = np.concatenate([np.zeros(2 * n), [eig.lam]])
+    J = None
+    prev = 0.0
+    for sigma in sigma_target * (np.arange(1, steps + 1) / steps):
+        x[:-1] += (sigma - prev) * hvec
+        prev = sigma
+        r = residual_vec(x, sigma)
+        rn = np.linalg.norm(r, np.inf)
         taken = 0                      # Newton steps accepted at this sigma
-        for it in range(max_newton):
-            r = residual_vec(x[:-1], x[-1], sigma)
-            rn = np.linalg.norm(r, np.inf)
-            if rn <= tol:
-                ok = True
-                break
+        while rn > tol:
+            if taken == max_newton:
+                raise NumericsError(
+                    f"branch Newton did not converge at sigma={sigma:g}: "
+                    f"residual {rn:.3e} > tol {tol:g} after "
+                    f"max_newton={max_newton} steps")
             if J is None:
-                J = _fd_jacobian(residual_vec, x, sigma)
+                J = np.zeros((2 * n + 1, 2 * n + 1))
+                J[:-1, :-1] = _mode_jacobian(eig, eig.lam, cfg, profile, zg)
+                J[-1, :-1] = w2 * hvec
+            J[:-1, -1] = rho * x[:-1]
             try:
                 dx = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError as exc:
                 raise NumericsError(f"singular branch Jacobian: {exc}")
-            # step halving safeguard; rebuild the Jacobian on stagnation
             step = 1.0
             for _ in range(5):
                 cand = x + step * dx
-                rc = np.linalg.norm(residual_vec(cand[:-1], cand[-1], sigma),
-                                    np.inf)
-                if rc < rn:
-                    x = cand
+                rc = residual_vec(cand, sigma)
+                rcn = np.linalg.norm(rc, np.inf)
+                if rcn < rn:
+                    x, r, rn = cand, rc, rcn
                     taken += 1
                     break
                 step /= 2.0
             else:
-                if J is not None and it + 1 < max_newton:
-                    J = _fd_jacobian(residual_vec, x, sigma)
-                    continue
-                raise NumericsError("branch Newton diverged after 5 halvings")
-        if not ok:
-            r = residual_vec(x[:-1], x[-1], sigma)
-            if np.linalg.norm(r, np.inf) > tol:
                 raise NumericsError(
-                    f"branch Newton did not converge at sigma={sigma:g}")
-        gvec, lam = x[:-1], float(x[-1])
-        points.append(BranchPoint(sigma=float(sigma), lam=lam,
-                                  g_inner=gvec[:n].copy(),
-                                  g_outer=gvec[n:].copy(),
-                                  residual=float(np.linalg.norm(
-                                      residual_vec(gvec, lam, sigma), np.inf)),
-                                  newton_iters=taken))
+                    f"branch Newton diverged after 5 halvings at "
+                    f"sigma={sigma:g}: residual {rn:.3e} > tol {tol:g}, "
+                    f"last trial {rcn:.3e}")
+        points.append(BranchPoint(sigma=float(sigma), lam=float(x[-1]),
+                                  g_inner=x[:n].copy(), g_outer=x[n:-1].copy(),
+                                  residual=float(rn), newton_iters=taken))
     return points
 
-
-def _fd_jacobian(residual_vec, x: np.ndarray, sigma: float,
-                 h: float = 1e-7) -> np.ndarray:
-    base = residual_vec(x[:-1], x[-1], sigma)
-    J = np.empty((len(base), len(x)))
-    for k in range(len(x)):
-        xp = x.copy()
-        xp[k] += h
-        J[:, k] = (residual_vec(xp[:-1], xp[-1], sigma) - base) / h
-    return J

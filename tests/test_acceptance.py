@@ -18,9 +18,9 @@ from annulus_rotor.kernel import (adjoint_kernel, lambda1_closed_form,
                                   operator_residual, solve_lambda1,
                                   transversality, validate_kernel)
 from annulus_rotor.linop import CoefficientSet, assemble, assemble_adjoint
-from annulus_rotor.nonlinear import (LevelSetPerturbation, continue_branch,
-                                     h2_band_bound, linearization_check,
-                                     normalized_kernel, sobolev_distance)
+from annulus_rotor.nonlinear import (LevelSetPerturbation, _kernel_direction,
+                                     continue_branch, h2_band_bound,
+                                     linearization_check, sobolev_distance)
 from annulus_rotor.poisson import (RadialGrid, axisymmetric_prime,
                                    fd_bvp_solve, solve_mode)
 from annulus_rotor.profile import TrapezoidProfile
@@ -50,16 +50,6 @@ def branch_points(sigma=1e-3, steps=2, n_theta=32, tol=1e-11):
                                              n_theta=n_theta, tol=tol,
                                              zgrid=BRANCH_ZG)
     return _BRANCH_CACHE[key]
-
-
-def branch_kernel_reference(eig):
-    from annulus_rotor.nonlinear import _interp_gauss
-    h_in, h_out = normalized_kernel(eig)
-    h_in = _interp_gauss(eig.zgrid, h_in, BRANCH_ZG.z)
-    h_out = _interp_gauss(eig.zgrid, h_out, BRANCH_ZG.z)
-    nrm = np.sqrt(float(np.dot(BRANCH_ZG.w, h_in ** 2)
-                        + np.dot(BRANCH_ZG.w, h_out ** 2)))
-    return h_in / nrm, h_out / nrm
 
 
 def test_acceptance_01_lambda0_identity():
@@ -264,7 +254,7 @@ def test_acceptance_10_branch():
     assert all(p.residual <= 1e-9 for p in pts)
     last = pts[-1]
     zg = BRANCH_ZG
-    h_in, h_out = branch_kernel_reference(eig)
+    h_in, h_out = _kernel_direction(eig, zg)
     gap = np.sqrt(float(np.dot(zg.w, (last.g_inner / last.sigma - h_in) ** 2)
                         + np.dot(zg.w,
                                  (last.g_outer / last.sigma - h_out) ** 2)))

@@ -233,6 +233,18 @@ def test_fixed_point_reuses_delta_averages_bit_identically(zg):
         assert np.array_equal(fp[key], ref[key])
 
 
+def test_builder_builds_each_distinct_average_once(zg):
+    # the order-two remainders share the order-one (R1, R2) rank, (R2, R2)
+    # rank and (R2, R2) Volterra kernels: seven distinct averages, not ten
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    coeffs = CoefficientSet(CFG, prof)
+    root = solve_lambda1(M_MODE, coeffs)
+    b0, a1 = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
+    builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
+    fixed_point_corrections(builder, root["lam1"], a1, b0)
+    assert len(builder._averages) == 7
+
+
 def test_fixed_point_ratio_halves_with_eps(zg):
     ratios = {}
     for eps in (1e-2, 5e-3):

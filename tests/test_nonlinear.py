@@ -3,10 +3,11 @@ import pytest
 
 from annulus_rotor.errors import NumericsError
 from annulus_rotor.kernel import build_eigensolution
-from annulus_rotor.nonlinear import (LevelSetPerturbation, build_vorticity,
-                                     continue_branch, functional_F,
-                                     h2_band_bound, linearization_check,
-                                     normalized_kernel, sobolev_distance)
+from annulus_rotor.nonlinear import (LevelSetPerturbation, _band_radii,
+                                     _kernel_direction, _mode_jacobian,
+                                     build_vorticity, continue_branch,
+                                     functional_F, h2_band_bound,
+                                     linearization_check, sobolev_distance)
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid
 
@@ -244,12 +245,7 @@ def test_continue_branch_small_amplitude(zg, prof, eig):
     # the kernel ray already meets the default tolerance: no Newton step
     assert all(p.newton_iters == 0 for p in pts)
     last = pts[-1]
-    from annulus_rotor.nonlinear import _interp_gauss
-    h_in, h_out = normalized_kernel(eig)
-    h_in = _interp_gauss(zg, h_in, zgb.z)
-    h_out = _interp_gauss(zg, h_out, zgb.z)
-    nrm = np.sqrt(float(np.dot(zgb.w, h_in ** 2) + np.dot(zgb.w, h_out ** 2)))
-    h_in, h_out = h_in / nrm, h_out / nrm
+    h_in, h_out = _kernel_direction(eig, zgb)
     gap = np.sqrt(float(np.dot(zgb.w, (last.g_inner / last.sigma - h_in) ** 2)
                         + np.dot(zgb.w, (last.g_outer / last.sigma - h_out) ** 2)))
     assert gap <= 0.05
@@ -264,17 +260,134 @@ def test_continue_branch_larger_amplitude_corrects(zg, prof, eig):
                           n_theta=32, tol=1e-10, zgrid=zgb)
     assert all(p.residual <= 1e-10 for p in pts)
     assert any(p.newton_iters >= 1 for p in pts)
-    from annulus_rotor.nonlinear import _interp_gauss, normalized_kernel
-    h_in, h_out = normalized_kernel(eig)
-    h_in = _interp_gauss(zg, h_in, zgb.z)
-    h_out = _interp_gauss(zg, h_out, zgb.z)
-    nrm = np.sqrt(float(np.dot(zgb.w, h_in ** 2) + np.dot(zgb.w, h_out ** 2)))
-    h_in, h_out = h_in / nrm, h_out / nrm
+    h_in, h_out = _kernel_direction(eig, zgb)
     last = pts[-1]
     dev = np.sqrt(float(np.dot(zgb.w, (last.g_inner / last.sigma - h_in) ** 2)
                         + np.dot(zgb.w,
                                  (last.g_outer / last.sigma - h_out) ** 2)))
     assert 0.0 < dev <= 0.05      # nontrivial correction, still close to h
+
+
+def branch_residual(eig, prof, zgb, sigma, x, n_theta=32):
+    """Reference: the bordered mode-m residual that `continue_branch` drives
+    to zero, at x = (inner samples, outer samples, rate)."""
+    n = zgb.n
+    pert = LevelSetPerturbation(m=M_MODE, zgrid=zgb, g_inner=x[:n],
+                                g_outer=x[n:-1], cfg=CFG, eps=EPS)
+    f_in, f_out = functional_F(x[-1], pert, prof, n_theta=n_theta).mode(M_MODE)
+    amplitude = np.dot(np.concatenate([zgb.w, zgb.w]),
+                       np.concatenate(_kernel_direction(eig, zgb)) * x[:-1])
+    return np.concatenate([f_in, f_out, [amplitude - sigma]])
+
+
+def fd_jacobian(residual, x, h=1e-7):
+    """Reference: the forward-difference Jacobian the branch Newton was
+    first built on (one residual evaluation per unknown, plus the base)."""
+    base = residual(x)
+    J = np.empty((len(base), len(x)))
+    for k in range(len(x)):
+        xp = x.copy()
+        xp[k] += h
+        J[:, k] = (residual(xp) - base) / h
+    return J
+
+
+def chord_jacobian(eig, prof, zgb, x):
+    """The bordered matrix `continue_branch` solves with at iterate x."""
+    n = 2 * zgb.n
+    J = np.zeros((n + 1, n + 1))
+    J[:-1, :-1] = _mode_jacobian(eig, eig.lam, CFG, prof, zgb)
+    J[-1, :-1] = (np.concatenate([zgb.w, zgb.w])
+                  * np.concatenate(_kernel_direction(eig, zgb)))
+    J[:-1, -1] = _band_radii(CFG, EPS, zgb) * x[:-1]
+    return J
+
+
+@pytest.mark.parametrize("sigma,nz,steps,tol",
+                         [(1e-3, 48, 2, 1e-11), (3e-3, 40, 3, 1e-10)])
+def test_chord_jacobian_contracts_against_fd_reference(prof, eig, sigma, nz,
+                                                       steps, tol):
+    zgb = ZGrid(nz)
+    last = continue_branch(eig, CFG, prof, sigma_target=sigma, steps=steps,
+                           n_theta=32, tol=tol, zgrid=zgb)[-1]
+    x = np.concatenate([last.g_inner, last.g_outer, [last.lam]])
+    J = chord_jacobian(eig, prof, zgb, x)
+    J_fd = fd_jacobian(lambda y: branch_residual(eig, prof, zgb, sigma, y), x)
+    # the chord iteration contracts by the spectral radius of I - J^-1 J_fd
+    radius = np.max(np.abs(np.linalg.eigvals(
+        np.eye(len(x)) - np.linalg.solve(J, J_fd))))
+    assert radius <= 1e-2
+    # F is affine in the rate, so its FD column is exact up to rounding
+    assert np.max(np.abs(J[:, -1] - J_fd[:, -1])) <= 1e-9
+
+
+def _count_calls(monkeypatch, name):
+    from annulus_rotor import nonlinear
+    calls = []
+    original = getattr(nonlinear, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, name, counted)
+    return calls
+
+
+def test_continue_branch_evaluation_counts(prof, eig, monkeypatch):
+    evals = _count_calls(monkeypatch, "functional_F")
+    assembles = _count_calls(monkeypatch, "assemble")
+    # acceptance 10's settings: one chord step at the second point
+    pts = continue_branch(eig, CFG, prof, sigma_target=1e-3, steps=2,
+                          n_theta=32, tol=1e-11, zgrid=ZGrid(48))
+    assert [p.newton_iters for p in pts] == [0, 1]
+    assert len(evals) <= 4
+    assert len(assembles) == 1
+    # at the CLI tolerance the kernel ray already converges: no operator
+    evals.clear()
+    assembles.clear()
+    pts = continue_branch(eig, CFG, prof, sigma_target=1e-3, steps=2,
+                          n_theta=32, zgrid=ZGrid(48))
+    assert all(p.newton_iters == 0 for p in pts)
+    assert len(evals) == 2
+    assert len(assembles) == 0
+    # steps at two amplitudes still share one operator
+    assembles.clear()
+    pts = continue_branch(eig, CFG, prof, sigma_target=3e-3, steps=3,
+                          n_theta=32, tol=1e-10, zgrid=ZGrid(40))
+    assert [p.newton_iters for p in pts] == [0, 1, 1]
+    assert len(assembles) == 1
+
+
+def _last_residual(eig, prof, zgb, sigma, calls):
+    lam, f = calls[-1][:2]
+    x = np.concatenate([f.g_inner, f.g_outer, [lam]])
+    return np.linalg.norm(branch_residual(eig, prof, zgb, sigma, x), np.inf)
+
+
+def test_continue_branch_nonconvergence_carries_residual(prof, eig,
+                                                         monkeypatch):
+    evals = _count_calls(monkeypatch, "functional_F")
+    zgb = ZGrid(40)
+    with pytest.raises(NumericsError, match="did not converge") as err:
+        continue_branch(eig, CFG, prof, sigma_target=1e-3, steps=1,
+                        n_theta=32, tol=1e-16, max_newton=1, zgrid=zgb)
+    # the guess and one accepted step; the error evaluates nothing again
+    assert len(evals) == 2
+    rn = _last_residual(eig, prof, zgb, 1e-3, evals)
+    assert f"residual {rn:.3e} > tol 1e-16" in str(err.value)
+
+
+def test_continue_branch_divergence_carries_residual(prof, eig, monkeypatch):
+    evals = _count_calls(monkeypatch, "functional_F")
+    zgb = ZGrid(40)
+    # below rounding no step lowers the residual, so the halvings run out
+    with pytest.raises(NumericsError, match="diverged after 5 halvings") as err:
+        continue_branch(eig, CFG, prof, sigma_target=1e-3, steps=1,
+                        n_theta=32, tol=0.0, zgrid=zgb)
+    accepted = evals[:-5]                   # the last five are the halvings
+    rn = _last_residual(eig, prof, zgb, 1e-3, accepted)
+    assert f"residual {rn:.3e} > tol 0" in str(err.value)
 
 
 def test_build_vorticity_rejects_folding(zg, prof, eig):
