@@ -274,6 +274,7 @@ def cmd_simulate(run: RunConfig, outdir: str, args) -> int:
               [(row["t"], row["lam_est"], row["return_error"],
                 row["circulation"], row["energy"]) for row in out.series])
     if args.snapshots:
+        # the stored sector; the field repeats with period 2 pi/m
         grid = state.grid
         rowsnap = []
         for i in range(0, grid.nr, max(grid.nr // 64, 1)):
@@ -321,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=float, default=None)
     sp.add_argument("--dt", type=float, default=None)
     sp.add_argument("--nr", type=int, default=384)
-    sp.add_argument("--ntheta", type=int, default=256)
+    sp.add_argument("--ntheta", type=int, default=256,
+                    help="full-circle angular points; the m-fold symmetric "
+                         "wave runs on one 2 pi/m sector of about ntheta/m")
     sp.add_argument("--checkpoint-every", dest="checkpoints", type=int,
                     default=16)
     sp.add_argument("--use-branch", action="store_true")

@@ -7,6 +7,11 @@ modal Poisson operator is factored once per grid, and each substage
 re-solves the stream function in one LAPACK tridiagonal sweep over all
 angular modes.  The substage works in arrays the grid's solver owns, so an
 RK4 step allocates only the new vorticity field.
+
+Euler preserves m-fold symmetry, so a grid of symmetry order m stores one
+sector theta in [0, 2 pi/m) and carries only the angular wavenumbers k m;
+`initial_state` builds such a grid for an m-mode wave.  Symmetry order 1
+is the full circle.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import AnnulusConfig
@@ -26,13 +32,18 @@ from .profile import TrapezoidProfile
 
 @dataclass
 class SimGrid:
-    """Band-refined smooth radial mapping r(xi), uniform xi in [0, 1]."""
+    """Band-refined smooth radial mapping r(xi), uniform xi in [0, 1].
+
+    The ntheta angular columns cover one sector [0, 2 pi/symmetry); a
+    column's rfft index k is the full-circle wavenumber symmetry k.
+    """
 
     cfg: AnnulusConfig
     nr: int
     ntheta: int
     eps: float
     focus: float = 25.0         # extra node density at the bands
+    symmetry: int = 1           # m-fold symmetry order: one 2 pi/m sector
     r: np.ndarray = field(init=False, repr=False)
     r_xi: np.ndarray = field(init=False, repr=False)
     theta: np.ndarray = field(init=False, repr=False)
@@ -51,7 +62,8 @@ class SimGrid:
         self.r[0], self.r[-1] = cfg.r1, cfg.r2
         # metric by 4th-order differences of the node positions
         self.r_xi = _d_xi(self.r, 1.0 / (self.nr - 1))
-        self.theta = 2.0 * np.pi * np.arange(self.ntheta) / self.ntheta
+        self.theta = 2.0 * np.pi * np.arange(self.ntheta) \
+            / (self.symmetry * self.ntheta)
 
     @cached_property
     def solver(self) -> "ModalStreamSolver":
@@ -73,7 +85,7 @@ class SimGrid:
                       work: np.ndarray | None = None) -> np.ndarray:
         """Angular derivative of the field whose rfft along axis 1 is F_hat
         (written into out when given; work holds the product by i k)."""
-        k = np.fft.rfftfreq(self.ntheta, d=1.0 / self.ntheta)
+        k = self.symmetry * np.fft.rfftfreq(self.ntheta, d=1.0 / self.ntheta)
         work = np.multiply(F_hat, (1j * k)[None, :], out=work)
         return np.fft.irfft(work, n=self.ntheta, axis=1, out=out)
 
@@ -123,15 +135,16 @@ def _d_xi(F: np.ndarray, h: float, out: np.ndarray | None = None
 class ModalStreamSolver:
     """Tridiagonal modal solver on the mapped radial grid.
 
-    Solves psi_k'' + psi_k'/r - (k/r)^2 psi_k = -omega_k with the wall
-    values (0, gamma delta_{k0}); second order in the mapped coordinate,
+    Solves psi_n'' + psi_n'/r - (n/r)^2 psi_n = -omega_n with the wall
+    values (0, gamma delta_{n0}); second order in the mapped coordinate,
     cross-validated against the Green's-function solver in the tests.
-    The tridiagonals of modes k = 1..ntheta//2 are stacked into one
-    block-diagonal tridiagonal (zero coupling between blocks) and -A is
-    LU-factored once at construction (LAPACK gttrf); each solve is then
-    one gttrs sweep over all modes.  The solver also owns the work arrays
-    of the RK4 substage (`_velocity`, `_rhs`, `step`); `SimGrid.solver`
-    holds one per grid.
+    On a grid of symmetry order m the stored modes are the wavenumbers
+    n = k m.  The tridiagonals of modes k m, k = 1..ntheta//2, are stacked
+    into one block-diagonal tridiagonal (zero coupling between blocks) and
+    -A is LU-factored once at construction (LAPACK gttrf); each solve is
+    then one gttrs sweep over all modes.  The solver also owns the work
+    arrays of the RK4 substage (`_velocity`, `_rhs`, `step`);
+    `SimGrid.solver` holds one per grid.
     """
 
     def __init__(self, grid: SimGrid):
@@ -149,7 +162,7 @@ class ModalStreamSolver:
             - (r_xixi[i] / r_xi[i] ** 3 - 1.0 / (r[i] * r_xi[i])) / (2 * h)
         a_di = -2.0 / (h * h * r_xi[i] ** 2)
         nk = grid.ntheta // 2
-        k = np.arange(1, nk + 1)[:, None]
+        k = grid.symmetry * np.arange(1, nk + 1)[:, None]
         # rows of -A, one mode per row; the last column of dl/du is the
         # zero entry joining two blocks
         dl = np.zeros((nk, nr - 2), dtype=complex)
@@ -214,7 +227,18 @@ class SimState:
 def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
                   f: LevelSetPerturbation | None, nr: int, ntheta: int,
                   dealias: bool = False) -> SimState:
-    grid = SimGrid(cfg=cfg, nr=nr, ntheta=ntheta, eps=profile.eps)
+    """Initial vorticity of the wave f (the Taylor-Couette flow when f is
+    None) on an nr x ntheta grid.
+
+    ntheta counts the full circle.  An m-mode wave is simulated on one
+    2 pi/m sector of ceil(ntheta/m) columns, rounded up to an FFT-friendly
+    length; the full circle keeps ntheta columns.
+    """
+    symmetry = 1 if f is None else f.m
+    if symmetry > 1:
+        ntheta = next_fast_len(-(-ntheta // symmetry), real=True)
+    grid = SimGrid(cfg=cfg, nr=nr, ntheta=ntheta, eps=profile.eps,
+                   symmetry=symmetry)
     if f is None:
         omega = np.tile((2 * cfg.A + profile.value(grid.r))[:, None],
                         (1, ntheta))
@@ -271,7 +295,7 @@ def cfl_limit(state: SimState) -> float:
     grid = state.grid
     u_r, u_theta, _ = _velocity(state, state.omega)
     dr = np.gradient(grid.r)
-    dth = 2.0 * np.pi / grid.ntheta
+    dth = 2.0 * np.pi / (grid.symmetry * grid.ntheta)
     lim_r = np.min(dr[:, None] / np.maximum(np.abs(u_r), 1e-14))
     lim_t = np.min(grid.r[:, None] * dth / np.maximum(np.abs(u_theta), 1e-14))
     return 0.5 * min(lim_r, lim_t)
@@ -310,6 +334,7 @@ def step(state: SimState, dt: float, check_cfl: bool = False) -> SimState:
 def conserved_quantities(state: SimState) -> dict:
     grid = state.grid
     u_r, u_theta, _ = _velocity(state, state.omega)
+    # the sector sum times 2 pi/ntheta is the full-circle integral
     dth = 2.0 * np.pi / grid.ntheta
     circ = -float(np.sum(grid.quad_r(u_theta)) * dth) / (2.0 * np.pi)
     mean_w = float(np.sum(grid.quad_r(state.omega * grid.r[:, None])) * dth)
@@ -336,17 +361,29 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
 
     The rotation rate comes from the phase drift of the m-mode correlation
     against the initial field; the return error is the relative L2 gap
-    between the final and initial vorticity.
+    between the final and initial vorticity.  m is the full-circle mode
+    (detected from the initial spectrum when None); it must be a multiple
+    of the grid's symmetry order and at most the grid's highest mode.  On
+    a sector grid the correlation reads the stored mode m // symmetry,
+    whose phase is that of full mode m.
     """
     grid = state0.grid
+    sym = grid.symmetry
+    if m is not None and m % sym:
+        raise OutOfDomainError(f"mode m={m} is not a multiple of the grid's "
+                               f"symmetry order {sym}")
+    if m is not None and m // sym > grid.ntheta // 2:
+        raise OutOfDomainError(f"mode m={m} is above the grid's highest "
+                               f"mode {sym * (grid.ntheta // 2)}")
     if dt is None:
         dt = 0.8 * cfl_limit(state0)
     nsteps = max(int(np.ceil(T / dt)), n_checkpoints)
     dt = T / nsteps
     if m is None:
         spec = np.abs(np.fft.rfft(state0.omega, axis=1)).sum(axis=0)
-        m = int(np.argmax(spec[1:]) + 1)
-    ref_hat = np.fft.rfft(state0.omega, axis=1)[:, m]
+        m = int(np.argmax(spec[1:]) + 1) * sym
+    mode = m // sym
+    ref_hat = np.fft.rfft(state0.omega, axis=1)[:, mode]
     per = max(nsteps // n_checkpoints, 1)
     state = state0
     times = [0.0]
@@ -356,7 +393,7 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     for k in range(nsteps):
         state = step(state, dt)
         if (k + 1) % per == 0 or k == nsteps - 1:
-            cur = np.fft.rfft(state.omega, axis=1)[:, m]
+            cur = np.fft.rfft(state.omega, axis=1)[:, mode]
             corr = np.sum(cur * np.conj(ref_hat))
             times.append(state.time)
             phases.append(np.angle(corr))

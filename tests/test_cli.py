@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import numpy as np
+
 CONFIG_OK = """\
 # desk-scale defaults
 r1 = 1.0
@@ -130,7 +132,11 @@ def test_simulate_subcommand_tiny(tmp_path):
     series = (out / "simulate_series.csv").read_text().splitlines()
     assert series[0] == "t,lam_measured,return_error,circulation,energy"
     assert len(series) >= 3
-    assert (out / "snapshot_t0.csv").exists()
+    snapshot = (out / "snapshot_t0.csv").read_text().splitlines()
+    assert snapshot[0] == "r,theta,omega" and len(snapshot) > 1
+    # the stored 2 pi/m sector (m = 3)
+    assert all(float(row.split(",")[1]) < 2 * np.pi / 3
+               for row in snapshot[1:])
 
 
 def test_distance_subcommand(tmp_path):

@@ -233,11 +233,90 @@ def test_step_matches_reference_rk4(prof, desk_eig, dealias):
 
 def test_step_allocates_only_its_result(prof, desk_eig):
     import tracemalloc
-    state = step(_wave_state(prof, desk_eig, 192, 128), 1e-3)   # warm-up
-    tracemalloc.start()
-    try:
-        step(state, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * state.omega.nbytes
+    sector = _wave_state(prof, desk_eig, 192, 128)
+    full = initial_state(CFG, prof, None, nr=192, ntheta=128)
+    assert sector.grid.symmetry == 3 and full.grid.symmetry == 1
+    for state in (sector, full):
+        state = step(state, 1e-3)                               # warm-up
+        tracemalloc.start()
+        try:
+            step(state, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * state.omega.nbytes
+
+
+def _sector_and_full(prof, eig, dealias=False):
+    """The same m = 3 wave on a 30-column sector grid and on the 90-column
+    full circle, sampled by vorticity_samples; the full circle is the
+    reference."""
+    from annulus_rotor.nonlinear import LevelSetPerturbation, vorticity_samples
+    f = LevelSetPerturbation.from_kernel(eig, CFG, amplitude=1e-3)
+    states = []
+    for symmetry, ntheta in ((3, 30), (1, 90)):
+        grid = SimGrid(cfg=CFG, nr=192, ntheta=ntheta, eps=EPS,
+                       symmetry=symmetry)
+        omega = vorticity_samples(f, prof, grid.r, grid.theta)
+        states.append(SimState(grid=grid, omega=omega, time=0.0,
+                               gamma=circulation(CFG), dealias=dealias))
+    return states
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_sector_step_matches_full_circle(prof, desk_eig, dealias):
+    sector, full = _sector_and_full(prof, desk_eig, dealias)
+    np.testing.assert_array_equal(sector.grid.theta, full.grid.theta[:30])
+    np.testing.assert_array_equal(sector.omega, full.omega[:, :30])
+    lim_s, lim_f = cfl_limit(sector), cfl_limit(full)
+    assert abs(lim_s - lim_f) <= 1e-14 * lim_f
+    qs, qf = conserved_quantities(sector), conserved_quantities(full)
+    for key in qf:
+        assert abs(qs[key] - qf[key]) <= 1e-14 * abs(qf[key])
+    dt = 0.5 * lim_f
+    scale = np.max(np.abs(full.omega))
+    s1, f1 = step(sector, dt), step(full, dt)
+    assert np.max(np.abs(s1.omega - f1.omega[:, :30])) <= 1e-13 * scale
+
+
+def test_sector_rotation_matches_full_circle(prof, desk_eig):
+    sector, full = _sector_and_full(prof, desk_eig)
+    lam = desk_eig.lam
+    T = 2.0 * np.pi / (3 * lam) / 20.0
+    out_s = verify_rotation(sector, lam, T, n_checkpoints=4, m=3)
+    out_f = verify_rotation(full, lam, T, n_checkpoints=4, m=3)
+    assert out_s.lam_measured == pytest.approx(out_f.lam_measured,
+                                               rel=1e-12, abs=0)
+    assert out_s.return_error == pytest.approx(out_f.return_error,
+                                               rel=1e-12, abs=0)
+
+
+def test_verify_rotation_mode_on_sector(prof, desk_eig):
+    sector, _ = _sector_and_full(prof, desk_eig)
+    lam = desk_eig.lam
+    T = 2.0 * np.pi / (3 * lam) / 40.0
+    with pytest.raises(OutOfDomainError, match=r"m=2\b.*symmetry order 3"):
+        verify_rotation(sector, lam, T, n_checkpoints=2, m=2)
+    with pytest.raises(OutOfDomainError, match=r"m=48\b.*highest mode 45"):
+        verify_rotation(sector, lam, T, n_checkpoints=2, m=48)
+    # m=None detects the full-circle mode 3 from sector mode 1
+    detected = verify_rotation(sector, lam, T, n_checkpoints=2)
+    given = verify_rotation(sector, lam, T, n_checkpoints=2, m=3)
+    assert detected.lam_measured == given.lam_measured
+    assert detected.lam_measured == pytest.approx(lam, rel=0.05)
+
+
+def test_initial_state_sector_length(prof, desk_eig):
+    from dataclasses import replace
+    from annulus_rotor.nonlinear import LevelSetPerturbation
+    f3 = LevelSetPerturbation.from_kernel(desk_eig, CFG, amplitude=1e-3)
+    state = initial_state(CFG, prof, f3, nr=32, ntheta=256)
+    # ceil(256/3) = 86 = 2 * 43 is a slow FFT length; 90 = 2 * 3^2 * 5
+    assert state.grid.symmetry == 3
+    assert state.omega.shape == (32, 90) and state.grid.ntheta == 90
+    assert state.grid.theta.max() < 2.0 * np.pi / 3
+    f1 = replace(f3, m=1)
+    for ntheta in (32, 64, 96, 128, 256):
+        for f in (None, f1):
+            grid = initial_state(CFG, prof, f, nr=32, ntheta=ntheta).grid
+            assert grid.symmetry == 1 and grid.ntheta == ntheta
