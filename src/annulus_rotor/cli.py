@@ -237,9 +237,16 @@ def cmd_distance(run: RunConfig, outdir: str, args) -> int:
                          out["h2"]))
     write_csv(os.path.join(outdir, "distance.csv"),
               ["eps", "kappa", "s", "norm_estimate", "h1", "h2"], rows)
+    # log-log slope of the estimate in eps, per s (rows run s fastest)
+    n_s = len(args.s_list)
+    slopes = [np.polyfit(np.log(args.eps_list),
+                         np.log([r[3] for r in rows[j::n_s]]), 1)[0]
+              for j in range(n_s)] if len(args.eps_list) > 1 else []
     _report(outdir, "distance", [
         "Sobolev distance sweep (eps, kappa, s, estimate):",
         *[f"  eps={_fmt(r[0])} s={_fmt(r[2])}: {_fmt(r[3])}" for r in rows],
+        *[f"fitted slope of log estimate in log eps at s={_fmt(s)}: "
+          f"{_fmt(k)}" for s, k in zip(args.s_list, slopes)],
     ])
     return 0
 

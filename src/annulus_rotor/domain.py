@@ -7,7 +7,10 @@ import numpy as np
 from .config import AnnulusConfig
 from .errors import OutOfDomainError
 from .profile import TrapezoidProfile
-from .quadrature import mapped_rule
+from .quadrature import gauss_rule, mapped_rule
+
+# Gauss order of every band-moment and base-stream panel
+N_GAUSS = 48
 
 
 def u_tc(cfg: AnnulusConfig, r) -> np.ndarray:
@@ -36,6 +39,20 @@ def lambda0(cfg: AnnulusConfig) -> float:
             - gam / (cfg.R2 ** 2 * logr))
 
 
+def band_moment(profile: TrapezoidProfile, band: int, z) -> np.ndarray:
+    """int_{-1}^{z} (R_band + eps t) edge(-+t) dt at every z of an array.
+
+    The edge enters mirrored, edge(-t), on the inner band.  One Gauss rule
+    mapped to every [-1, z] at once and one `edge` call cover the array.
+    """
+    z = np.asarray(z, dtype=float)
+    R, sign = (profile.cfg.R1, -1.0) if band == 1 else (profile.cfg.R2, 1.0)
+    x, w = gauss_rule(N_GAUSS)
+    half = 0.5 * (z[..., None] + 1.0)
+    t = -1.0 + half * (x + 1.0)
+    return np.vecdot(half * w, (R + profile.eps * t) * profile.edge(sign * t))
+
+
 class BaseStream:
     """Stream function of the axisymmetric flow with vorticity 2A + profile.
 
@@ -44,14 +61,12 @@ class BaseStream:
     every quadrature panel on a smooth integrand.
     """
 
-    def __init__(self, cfg: AnnulusConfig, profile: TrapezoidProfile | None,
-                 n_gauss: int = 32):
+    def __init__(self, cfg: AnnulusConfig, profile: TrapezoidProfile | None):
         if profile is not None and profile.cfg is not cfg and profile.cfg != cfg:
             raise ValueError("profile was built for a different config")
         self.cfg = cfg
         self.profile = profile
         self.gamma = circulation(cfg)
-        self.n_gauss = n_gauss
         R1, R2 = cfg.R1, cfg.R2
         if profile is None:
             self._edges = [cfg.r1, cfg.r2]
@@ -59,48 +74,42 @@ class BaseStream:
         else:
             e = profile.eps
             self._edges = [cfg.r1, R1 - e, R1 + e, R2 - e, R2 + e, cfg.r2]
-            self._v_band1_full = self._band_mass(R1, -1)  # int over inner band
-            self._v_band2_full = self._band_mass(R2, +1)
+            # V over each whole band
+            self._v_band1_full = e * e * float(band_moment(profile, 1, 1.0))
+            self._v_band2_full = e * e * float(band_moment(profile, 2, 1.0))
         # circulation-matching constant of the log term
         logr = np.log(cfg.r2 / cfg.r1)
         base = cfg.A * ((cfg.r2 ** 2 - cfg.r1 ** 2) / 2.0
                         - cfg.r1 ** 2 * logr)
         self.C = (self.gamma + base + self._outer_integral()) / logr
 
-    # V(r) = int_{r1}^{r} t * profile(t) dt, evaluated piecewise
-    def _band_mass(self, center: float, sign: int, z_to: float = 1.0) -> float:
-        e = self.profile.eps
-        x, w = mapped_rule(-1.0, z_to, self.n_gauss)
-        vals = (center + e * x) * self.profile.edge(sign * x)
-        return e * e * float(np.dot(w, vals))
-
     def moment(self, r) -> np.ndarray:
+        """V(r) = int_{r1}^{r} t * profile(t) dt, piecewise over the five
+        regions r1 | inner band | plateau | outer band | r2."""
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if self.profile is None:
             return np.zeros_like(r)
-        cfg, e = self.cfg, self.profile.eps
-        R1, R2 = cfg.R1, cfg.R2
+        e = self.profile.eps
+        R1, R2 = self.cfg.R1, self.cfg.R2
         out = np.zeros_like(r)
         plateau_at = lambda rr: (self._v_band1_full
                                  + e * (rr ** 2 - (R1 + e) ** 2) / 2.0)
-        for i, ri in enumerate(r):
-            if ri <= R1 - e:
-                out[i] = 0.0
-            elif ri <= R1 + e:
-                out[i] = self._band_mass(R1, -1, (ri - R1) / e)
-            elif ri <= R2 - e:
-                out[i] = plateau_at(ri)
-            elif ri <= R2 + e:
-                out[i] = plateau_at(R2 - e) + self._band_mass(R2, +1, (ri - R2) / e)
-            else:
-                out[i] = plateau_at(R2 - e) + self._v_band2_full
+        band1 = (r > R1 - e) & (r <= R1 + e)
+        plateau = (r > R1 + e) & (r <= R2 - e)
+        band2 = (r > R2 - e) & (r <= R2 + e)
+        outside = r > R2 + e
+        out[band1] = e * e * band_moment(self.profile, 1, (r[band1] - R1) / e)
+        out[plateau] = plateau_at(r[plateau])
+        out[band2] = plateau_at(R2 - e) + e * e * band_moment(
+            self.profile, 2, (r[band2] - R2) / e)
+        out[outside] = plateau_at(R2 - e) + self._v_band2_full
         return out
 
     def _outer_integral(self) -> float:
         """int_{r1}^{r2} V(s)/s ds over smooth panels."""
         total = 0.0
         for lo, hi in zip(self._edges[:-1], self._edges[1:]):
-            x, w = mapped_rule(lo, hi, self.n_gauss)
+            x, w = mapped_rule(lo, hi, N_GAUSS)
             total += float(np.dot(w, self.moment(x) / x))
         return total
 
@@ -120,7 +129,7 @@ class BaseStream:
             acc = 0.0
             edges = [p for p in self._edges if p < ri] + [min(ri, cfg.r2)]
             for lo, hi in zip(edges[:-1], edges[1:]):
-                x, w = mapped_rule(lo, hi, self.n_gauss)
+                x, w = mapped_rule(lo, hi, N_GAUSS)
                 acc += float(np.dot(w, self.moment(x) / x))
             out[i] = (self.C * np.log(ri / cfg.r1)
                       - cfg.A * ((ri ** 2 - cfg.r1 ** 2) / 2.0

@@ -47,10 +47,14 @@ def _edge_breaks(kappa: float) -> list[float]:
     return sorted(pts)
 
 
-def _I_panels(prof: TrapezoidProfile, n_gauss: int) -> list:
-    """(nodes, weights, edge' at the nodes) of each Gauss panel of I(lam1),
-    refined toward the endpoints where the integrand has boundary-layer
-    structure."""
+# Gauss order of each I(lam1) panel
+_I_GAUSS = 24
+
+
+def _I_panels(prof: TrapezoidProfile) -> tuple:
+    """Nodes, weights and edge' values of the Gauss panels of I(lam1), one
+    row per panel, refined toward the endpoints where the integrand has
+    boundary-layer structure."""
     breaks = _edge_breaks(prof.kappa)
     edges: list[float] = []
     for lo, hi in zip(breaks[:-1], breaks[1:]):
@@ -58,22 +62,21 @@ def _I_panels(prof: TrapezoidProfile, n_gauss: int) -> list:
         sub_l = geometric_edges(lo, hi, "left", 18, 0.6)
         edges.extend(np.unique(np.concatenate([sub_r, sub_l])))
     edges = np.unique(np.asarray(edges))
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = mapped_rule(lo, hi, n_gauss)
-        panels.append((x, w, prof.edge_prime(x)))
-    return panels
+    rules = [mapped_rule(lo, hi, _I_GAUSS)
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    x = np.array([xk for xk, _ in rules])
+    w = np.array([wk for _, wk in rules])
+    return x, w, prof.edge_prime(x)
 
 
-def _I_quadrature(coeffs: CoefficientSet, m: int, lam1: float,
-                  n_gauss: int = 24) -> float:
-    """I(lam1) = p2(m) * int edge'(s) / alpha1_out(s) ds; the panels and
-    their edge' values are built once per (profile, n_gauss)."""
-    panels = coeffs.memo(("I_panels", n_gauss),
-                         lambda: _I_panels(coeffs.profile, n_gauss))
+def _I_quadrature(coeffs: CoefficientSet, m: int, lam1: float) -> float:
+    """I(lam1) = p2(m) * int edge'(s) / alpha1_out(s) ds, summed panel by
+    panel; the panels and their edge' values are built once per profile."""
+    x, w, ep = coeffs.memo("I_panels", lambda: _I_panels(coeffs.profile))
+    q = ep / _alpha1_out(coeffs, x, lam1)
     total = 0.0
-    for x, w, ep in panels:
-        total += float(np.dot(w, ep / _alpha1_out(coeffs, x, lam1)))
+    for wk, qk in zip(w, q):
+        total += float(np.dot(wk, qk))
     return p_coeff(2, m, coeffs.cfg) * total
 
 

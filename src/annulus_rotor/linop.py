@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import AnnulusConfig
-from .domain import BaseStream, circulation, lambda0
+from .domain import N_GAUSS, BaseStream, band_moment, circulation, lambda0
 from .poisson import _log_sn
 from .profile import TrapezoidProfile
 from .quadrature import ZGrid, mapped_rule
@@ -73,7 +73,6 @@ class CoefficientSet:
 
     cfg: AnnulusConfig
     profile: TrapezoidProfile
-    n_gauss: int = 48
 
     def __post_init__(self):
         self.lam0 = lambda0(self.cfg)
@@ -112,9 +111,9 @@ class CoefficientSet:
 
     @cached_property
     def _stream(self) -> BaseStream:
-        # same panel rule as the expansion moments so the exact identity
+        # shares `band_moment` with the expansion, so the exact identity
         # direct == order-0/1/2 expansion cancels quadrature error
-        return BaseStream(self.cfg, self.profile, n_gauss=self.n_gauss)
+        return BaseStream(self.cfg, self.profile)
 
     def band_radius(self, band: int) -> float:
         return self.cfg.R1 if band == 1 else self.cfg.R2
@@ -155,32 +154,25 @@ class CoefficientSet:
             out = out - (cfg.R2 ** 2 - cfg.R1 ** 2) / 2.0
         return out
 
-    def _edge_moment(self, band: int, z, mirrored: bool) -> np.ndarray:
-        """int_{-1}^{z} (R_band + eps t) edge(-+t) dt, vectorized in z."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        R = self.band_radius(band)
-        e = self.profile.eps
-        out = np.empty_like(z)
-        for k, zk in enumerate(z):
-            x, w = mapped_rule(-1.0, zk, self.n_gauss)
-            ev = self.profile.edge(-x if mirrored else x)
-            out[k] = np.dot(w, (R + e * x) * ev)
-        return out
+    @cached_property
+    def _band_full(self) -> dict:
+        """`band_moment` over each whole band."""
+        return {band: float(band_moment(self.profile, band, 1.0))
+                for band in (1, 2)}
 
     @cached_property
     def remainder_const(self) -> float:
         cfg, e = self.cfg, self.profile.eps
-        j1_full = float(self._edge_moment(1, 1.0, mirrored=True)[0])
-        j2_full = float(self._edge_moment(2, 1.0, mirrored=False)[0])
-        x, w = mapped_rule(-1.0, 1.0, self.n_gauss)
+        x, w = mapped_rule(-1.0, 1.0, N_GAUSS)
         k1 = float(np.dot(w, (cfg.R1 + e * x) * self.profile.edge(-x)
                           * np.log(cfg.R1 + e * x)))
         k2 = float(np.dot(w, (cfg.R2 + e * x) * self.profile.edge(x)
                           * np.log(cfg.R2 + e * x)))
-        xi, wi = mapped_rule(0.0, e, self.n_gauss)
+        xi, wi = mapped_rule(0.0, e, N_GAUSS)
         tail = float(np.dot(wi, (cfg.R2 - xi) * np.log(cfg.R2 - xi)
                             + (cfg.R1 + xi) * np.log(cfg.R1 + xi))) / e
-        return (np.log(cfg.r2) * (j1_full + j2_full - (cfg.R1 + cfg.R2))
+        return (np.log(cfg.r2) * (self._band_full[1] + self._band_full[2]
+                                  - (cfg.R1 + cfg.R2))
                 - (k1 + k2) + tail)
 
     def swirl2(self, band: int, z) -> np.ndarray:
@@ -189,12 +181,10 @@ class CoefficientSet:
         logr = np.log(cfg.r2 / cfg.r1)
         if band == 1:
             return (self.remainder_const / logr - cfg.A * z ** 2
-                    - self._edge_moment(1, z, mirrored=True))
-        base = (self.remainder_const / logr - cfg.A
-                - float(self._edge_moment(1, 1.0, mirrored=True)[0]))
+                    - band_moment(self.profile, 1, z))
+        base = self.remainder_const / logr - cfg.A - self._band_full[1]
         return (base + cfg.A * (1.0 - z ** 2)
-                - (self._edge_moment(2, z, mirrored=False)
-                   - (cfg.R1 + cfg.R2)))
+                - (band_moment(self.profile, 2, z) - (cfg.R1 + cfg.R2)))
 
     def swirl_expansion(self, band: int, z) -> np.ndarray:
         e = self.profile.eps

@@ -95,29 +95,14 @@ def _kernel_direction(eig: EigenSolution,
     return h_in / nrm, h_out / nrm
 
 
-_COEFF_CACHE: dict[int, np.ndarray] = {}
-
-
-def _coeffs(zgrid: ZGrid, g: np.ndarray) -> np.ndarray:
-    """Legendre coefficients via the discrete orthogonality of the grid
-    (exact for data of polynomial degree < n)."""
-    key = zgrid.n
-    if key not in _COEFF_CACHE:
-        from numpy.polynomial.legendre import legvander
-        P = legvander(zgrid.z, zgrid.n - 1)        # P[i, k]
-        scale = (2.0 * np.arange(zgrid.n) + 1.0) / 2.0
-        _COEFF_CACHE[key] = scale[:, None] * (P.T * zgrid.w[None, :])
-    return _COEFF_CACHE[key] @ g
-
-
 def _interp_gauss(zgrid: ZGrid, g: np.ndarray, z) -> np.ndarray:
     from numpy.polynomial.legendre import legval
-    return legval(np.asarray(z, dtype=float), _coeffs(zgrid, g))
+    return legval(np.asarray(z, dtype=float), zgrid.to_legendre @ g)
 
 
 def _diff_gauss(zgrid: ZGrid, g: np.ndarray) -> np.ndarray:
     from numpy.polynomial.legendre import legder, legval
-    return legval(zgrid.z, legder(_coeffs(zgrid, g)))
+    return legval(zgrid.z, legder(zgrid.to_legendre @ g))
 
 
 @dataclass
@@ -135,9 +120,9 @@ class VorticityField:
         return float(np.dot(self.grid.w, self.grid.r * radial))
 
 
-def _default_grid(cfg: AnnulusConfig, eps: float, pad: float,
-                  nodes=(48, 96, 48, 96, 48)) -> RadialGrid:
-    return RadialGrid.for_profile(cfg, eps, nodes, pad=pad)
+# Lobatto nodes per panel of the transported-vorticity grid, from r1: gap,
+# inner band, plateau, outer band, gap (bands padded by the displacement)
+_FIELD_NODES = (48, 96, 48, 96, 48)
 
 
 def vorticity_samples(f: LevelSetPerturbation, profile: TrapezoidProfile,
@@ -182,14 +167,11 @@ def vorticity_samples(f: LevelSetPerturbation, profile: TrapezoidProfile,
 
 
 def build_vorticity(f: LevelSetPerturbation, profile: TrapezoidProfile,
-                    grid: RadialGrid | None = None,
                     n_theta: int = 64) -> VorticityField:
     """Transported vorticity on the panel-refined radial grid."""
-    cfg = f.cfg
     pad = 1.5 * float(max(np.max(np.abs(f.g_inner)), np.max(np.abs(f.g_outer)),
                           1e-12))
-    if grid is None:
-        grid = _default_grid(cfg, f.eps, pad)
+    grid = RadialGrid.for_profile(f.cfg, f.eps, _FIELD_NODES, pad=pad)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     values = vorticity_samples(f, profile, grid.r, theta)
     return VorticityField(grid=grid, theta=theta, values=values)
@@ -214,7 +196,7 @@ def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
     from numpy.polynomial.legendre import legder, legval
     cfg, eps = f.cfg, f.eps
     R = cfg.R1 if band == 1 else cfg.R2
-    c = _coeffs(f.zgrid, f.g_inner if band == 1 else f.g_outer)
+    c = f.zgrid.to_legendre @ (f.g_inner if band == 1 else f.g_outer)
     dc = legder(c)
     z = np.clip((np.asarray(r_targets, dtype=float) - R) / eps, -1.0, 1.0)
     for _ in range(_NEWTON_STEPS):
@@ -255,12 +237,10 @@ class ResidualField:
 
 def functional_F(lam: float, f: LevelSetPerturbation,
                  profile: TrapezoidProfile,
-                 grid: RadialGrid | None = None, n_theta: int = 64,
-                 field: VorticityField | None = None) -> ResidualField:
+                 n_theta: int = 64) -> ResidualField:
     """Wave residual on the bands for rotation rate lam."""
     cfg = f.cfg
-    if field is None:
-        field = build_vorticity(f, profile, grid=grid, n_theta=n_theta)
+    field = build_vorticity(f, profile, n_theta=n_theta)
     grid = field.grid
     theta = field.theta
     gamma = circulation(cfg)
@@ -310,27 +290,26 @@ def _mode_jacobian(eig: EigenSolution, lam: float, cfg: AnnulusConfig,
 
 def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
                         profile: TrapezoidProfile,
-                        directions: list | None = None,
-                        taus=(1e-4, 5e-5), lam: float | None = None,
-                        n_theta: int = 64, seed: int = 0) -> list[dict]:
+                        taus=(1e-4, 5e-5), seed: int = 0) -> list[dict]:
     """Compare (F[lam, tau h] - F[lam, 0])/tau against the band operator.
 
     The trivial branch has F[lam, 0] = 0 identically, so the quotient is
-    F[lam, tau h]/tau; the operator side is cos(m theta) times the
-    row-scaled band operator that the branch Newton uses (`_mode_jacobian`)
-    applied to the band samples of h.
+    F[lam, tau h]/tau at the kernel rate lam; the operator side is
+    cos(m theta) times the row-scaled band operator that the branch Newton
+    uses (`_mode_jacobian`) applied to the band samples of h.  The five
+    directions h are random cubics in z, drawn from `seed`.
     """
     zg = eig.zgrid
-    lam = eig.lam if lam is None else lam
-    if directions is None:
-        rng = np.random.default_rng(seed)
-        directions = []
-        for _ in range(5):
-            c_in = rng.standard_normal(4)
-            c_out = rng.standard_normal(4)
-            g_in = sum(c * zg.z ** k for k, c in enumerate(c_in))
-            g_out = sum(c * zg.z ** k for k, c in enumerate(c_out))
-            directions.append((g_in, g_out))
+    lam = eig.lam
+    n_theta = 64
+    rng = np.random.default_rng(seed)
+    directions = []
+    for _ in range(5):
+        c_in = rng.standard_normal(4)
+        c_out = rng.standard_normal(4)
+        g_in = sum(c * zg.z ** k for k, c in enumerate(c_in))
+        g_out = sum(c * zg.z ** k for k, c in enumerate(c_out))
+        directions.append((g_in, g_out))
     jac = _mode_jacobian(eig, lam, cfg, profile, zg)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     cosm = np.cos(eig.m * theta)
@@ -359,8 +338,7 @@ def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
 
 
 def sobolev_distance(profile: TrapezoidProfile, s: float,
-                     f: LevelSetPerturbation | None = None,
-                     n_theta: int = 64, nz: int = 64) -> dict:
+                     f: LevelSetPerturbation | None = None) -> dict:
     """Band-quadrature Sobolev seminorms of the vorticity deviation.
 
     Returns the L2 deviation, the first/second band seminorms (with the
@@ -372,7 +350,8 @@ def sobolev_distance(profile: TrapezoidProfile, s: float,
         raise ValueError("Sobolev exponent must lie in [0, 3/2)")
     cfg = profile.cfg
     e = profile.eps
-    zg = ZGrid(nz)
+    zg = ZGrid(64)
+    n_theta = 64
 
     # L2 of the deviation from the constant background
     grid = RadialGrid.for_profile(cfg, e, (24, 48, 24, 48, 24))

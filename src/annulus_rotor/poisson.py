@@ -35,23 +35,6 @@ def _log_sn(n: int, logx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, np.sign(y)
 
 
-def greens_kernel(n: int, r: np.ndarray, s: np.ndarray,
-                  r1: float, r2: float) -> np.ndarray:
-    """G_n(r, s) for the homogeneous-Dirichlet modal problem (n >= 1).
-
-    Symmetric, nonpositive, with a derivative kink on the diagonal.
-    """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    lo = np.log(np.minimum(r, s) / r1)
-    hi = np.log(r2 / np.maximum(r, s))
-    full = np.log(r2 / r1)
-    la, _ = _log_sn(n, lo)
-    lb, _ = _log_sn(n, hi)
-    lc, _ = _log_sn(n, np.asarray(full))
-    return -np.exp(la + lb - lc) / n
-
-
 @dataclass
 class RadialGrid:
     """Panel-refined Lobatto collocation grid on [r1, r2].

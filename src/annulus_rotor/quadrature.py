@@ -42,6 +42,28 @@ def geometric_edges(a: float, b: float, toward: str = "right",
     return cuts
 
 
+def _legendre_analysis(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Matrix A with (A f)[k] the k-th Legendre coefficient of the degree
+    N-1 interpolant of f at the nodes z, by the discrete orthogonality of
+    the rule (z, w) (exact for a Gauss rule)."""
+    n = len(z)
+    coeff = legvander(z, n - 1).T * w            # before (2k+1)/2 scaling
+    coeff *= ((2 * np.arange(n) + 1) / 2.0)[:, None]   # coeff[k, i]
+    return coeff
+
+
+def _legendre_integrals(z: np.ndarray) -> np.ndarray:
+    """I[j, k] = int_{-1}^{z_j} P_k for k < len(z)."""
+    # I_0 = x+1, I_k = (P_{k+1} - P_{k-1})/(2k+1)
+    n = len(z)
+    Pz = legvander(z, n)                         # up to degree n
+    I = np.empty((n, n))
+    I[:, 0] = z + 1.0
+    ks = np.arange(1, n)
+    I[:, 1:] = (Pz[:, 2:n + 1] - Pz[:, 0:n - 1]) / (2 * ks + 1)
+    return I
+
+
 def indefinite_weights(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Matrix W with W[j, i] = integral of the i-th Lagrange cardinal on [-1, z_j].
 
@@ -49,17 +71,7 @@ def indefinite_weights(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     sum_i W[j, i] f(z_i) is the exact integral of the degree N-1 interpolant
     of f from -1 to z_j.
     """
-    n = len(z)
-    P = legvander(z, n - 1)                      # P[i, k] = P_k(z_i)
-    coeff = P.T * w                              # before (2k+1)/2 scaling
-    coeff *= ((2 * np.arange(n) + 1) / 2.0)[:, None]   # coeff[k, i]
-    # I_k(x) = int_{-1}^x P_k: I_0 = x+1, I_k = (P_{k+1} - P_{k-1})/(2k+1)
-    Pz = legvander(z, n)                         # up to degree n
-    I = np.empty((n, n))                         # I[j, k] = I_k(z_j)
-    I[:, 0] = z + 1.0
-    ks = np.arange(1, n)
-    I[:, 1:] = (Pz[:, 2:n + 1] - Pz[:, 0:n - 1]) / (2 * ks + 1)
-    return I @ coeff
+    return _legendre_integrals(z) @ _legendre_analysis(z, w)
 
 
 @dataclass(frozen=True)
@@ -71,14 +83,17 @@ class ZGrid:
     w: np.ndarray = field(init=False, repr=False)
     w_left: np.ndarray = field(init=False, repr=False)   # int_{-1}^{z_j}
     w_right: np.ndarray = field(init=False, repr=False)  # int_{z_j}^{1}
+    to_legendre: np.ndarray = field(init=False, repr=False)  # f -> Legendre coeffs
 
     def __post_init__(self):
         z, w = gauss_rule(self.n)
-        wl = indefinite_weights(z, w)
+        to_legendre = _legendre_analysis(z, w)
+        wl = _legendre_integrals(z) @ to_legendre
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "w_left", wl)
         object.__setattr__(self, "w_right", w[None, :] - wl)
+        object.__setattr__(self, "to_legendre", to_legendre)
 
     def integrate(self, fvals: np.ndarray) -> float:
         return float(np.dot(self.w, fvals))

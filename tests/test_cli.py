@@ -146,3 +146,7 @@ def test_distance_subcommand(tmp_path):
     lines = (out / "distance.csv").read_text().splitlines()
     assert lines[0] == "eps,kappa,s,norm_estimate,h1,h2"
     assert len(lines) == 3
+    # the H1 estimate scales like eps^(1/2)
+    slope = (out / "distance.txt").read_text().splitlines()[-1]
+    assert slope.startswith("fitted slope of log estimate in log eps at s=1:")
+    assert abs(float(slope.split(": ")[1]) - 0.5) < 0.05

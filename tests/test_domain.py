@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_rotor.config import AnnulusConfig
-from annulus_rotor.domain import BaseStream, circulation, lambda0, u_tc
+from annulus_rotor.domain import (N_GAUSS, BaseStream, circulation, lambda0,
+                                  u_tc)
 from annulus_rotor.errors import ConfigError, OutOfDomainError
 from annulus_rotor.profile import TrapezoidProfile
+from annulus_rotor.quadrature import mapped_rule
 
 from conftest import DESK_CFG as CFG
 
@@ -111,6 +113,51 @@ def test_phi_prime_matches_fd_of_phi():
     h = 1e-6
     fd = (bs.phi(rs + h) - bs.phi(rs - h)) / (2 * h)
     np.testing.assert_allclose(fd, bs.phi_prime(rs), rtol=2e-9, atol=2e-9)
+
+
+def _band_mass_reference(prof, center, sign, z_to):
+    """eps^2 int_{-1}^{z_to} (center + eps t) edge(sign t) dt, one point."""
+    e = prof.eps
+    x, w = mapped_rule(-1.0, z_to, N_GAUSS)
+    return e * e * float(np.dot(w, (center + e * x) * prof.edge(sign * x)))
+
+
+def _moment_reference(prof, r):
+    """V(r), one Gauss rule and one edge evaluation per radius."""
+    e, R1, R2 = prof.eps, prof.cfg.R1, prof.cfg.R2
+    full1 = _band_mass_reference(prof, R1, -1, 1.0)
+    full2 = _band_mass_reference(prof, R2, +1, 1.0)
+    plateau_at = lambda rr: full1 + e * (rr ** 2 - (R1 + e) ** 2) / 2.0
+    out = np.zeros_like(r)
+    for i, ri in enumerate(r):
+        if ri <= R1 - e:
+            out[i] = 0.0
+        elif ri <= R1 + e:
+            out[i] = _band_mass_reference(prof, R1, -1, (ri - R1) / e)
+        elif ri <= R2 - e:
+            out[i] = plateau_at(ri)
+        elif ri <= R2 + e:
+            out[i] = plateau_at(R2 - e) + _band_mass_reference(
+                prof, R2, +1, (ri - R2) / e)
+        else:
+            out[i] = plateau_at(R2 - e) + full2
+    return out
+
+
+def test_moment_matches_per_point_reference():
+    prof = TrapezoidProfile(CFG, eps=1e-2, kappa=0.1)
+    e, R1, R2 = prof.eps, CFG.R1, CFG.R2
+    edges = np.array([R1 - e, R1 + e, R2 - e, R2 + e])
+    r = np.concatenate([np.linspace(CFG.r1, CFG.r2, 76),
+                        R1 + e * np.linspace(-1.0, 1.0, 60),
+                        R2 + e * np.linspace(-1.0, 1.0, 60), edges])
+    assert len(r) == 200
+    # every region holds radii, and every band edge is one of them
+    regions = np.digitize(r, edges, right=True)
+    assert set(regions) == {0, 1, 2, 3, 4}
+    assert all(np.any(r == edge) for edge in edges)
+    np.testing.assert_allclose(BaseStream(CFG, prof).moment(r),
+                               _moment_reference(prof, r), rtol=1e-14, atol=0)
 
 
 @settings(max_examples=20, deadline=None)

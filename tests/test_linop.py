@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from annulus_rotor.config import AnnulusConfig
+from annulus_rotor.domain import N_GAUSS
 from annulus_rotor.linop import (CoefficientSet, assemble,
                                  assemble_adjoint, p_coeff, _green)
 from annulus_rotor.profile import TrapezoidProfile
-from annulus_rotor.quadrature import ZGrid
+from annulus_rotor.quadrature import ZGrid, mapped_rule
 
 from conftest import DESK_CFG as CFG
 EPS, KAPPA = 1e-2, 0.1
@@ -248,3 +249,62 @@ def test_coefficient_cache_keeps_no_profile_alive():
     del prof, coeffs
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def _edge_moment_reference(prof, band, z):
+    """int_{-1}^{z} (R_band + eps t) edge(-+t) dt, one Gauss rule and one
+    edge evaluation per point."""
+    R, sign = (CFG.R1, -1.0) if band == 1 else (CFG.R2, 1.0)
+    out = np.empty_like(z)
+    for k, zk in enumerate(z):
+        x, w = mapped_rule(-1.0, zk, N_GAUSS)
+        out[k] = np.dot(w, (R + prof.eps * x) * prof.edge(sign * x))
+    return out
+
+
+def _swirl2_reference(prof, band, z):
+    cfg, e = CFG, prof.eps
+    j1 = float(_edge_moment_reference(prof, 1, np.array([1.0]))[0])
+    j2 = float(_edge_moment_reference(prof, 2, np.array([1.0]))[0])
+    x, w = mapped_rule(-1.0, 1.0, N_GAUSS)
+    k1 = float(np.dot(w, (cfg.R1 + e * x) * prof.edge(-x)
+                      * np.log(cfg.R1 + e * x)))
+    k2 = float(np.dot(w, (cfg.R2 + e * x) * prof.edge(x)
+                      * np.log(cfg.R2 + e * x)))
+    xi, wi = mapped_rule(0.0, e, N_GAUSS)
+    tail = float(np.dot(wi, (cfg.R2 - xi) * np.log(cfg.R2 - xi)
+                        + (cfg.R1 + xi) * np.log(cfg.R1 + xi))) / e
+    const = (np.log(cfg.r2) * (j1 + j2 - (cfg.R1 + cfg.R2))
+             - (k1 + k2) + tail) / np.log(cfg.r2 / cfg.r1)
+    if band == 1:
+        return const - cfg.A * z ** 2 - _edge_moment_reference(prof, 1, z)
+    return (const - cfg.A - j1 + cfg.A * (1.0 - z ** 2)
+            - (_edge_moment_reference(prof, 2, z) - (cfg.R1 + cfg.R2)))
+
+
+def test_swirl2_matches_per_point_reference(setup):
+    prof, c, _ = setup
+    z = np.linspace(-1.0, 1.0, 200)
+    for band in (1, 2):
+        np.testing.assert_allclose(c.swirl2(band, z),
+                                   _swirl2_reference(prof, band, z),
+                                   rtol=1e-14, atol=0)
+
+
+def test_swirl_grid_terms_edge_calls_independent_of_grid(monkeypatch):
+    calls = {"n": 0}
+    edge = TrapezoidProfile.edge
+
+    def counted(self, z):
+        calls["n"] += 1
+        return edge(self, z)
+
+    monkeypatch.setattr(TrapezoidProfile, "edge", counted)
+    seen = []
+    for n in (48, 96):
+        c = CoefficientSet(CFG, TrapezoidProfile(CFG, EPS, KAPPA))
+        calls["n"] = 0
+        c.swirl_on_grid(ZGrid(n))
+        c.swirl2_on_grid(ZGrid(n))
+        seen.append(calls["n"])
+    assert seen[0] == seen[1]

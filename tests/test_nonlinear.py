@@ -4,7 +4,8 @@ import pytest
 from annulus_rotor.errors import NumericsError
 from annulus_rotor.kernel import build_eigensolution
 from annulus_rotor.nonlinear import (LevelSetPerturbation, _band_radii,
-                                     _kernel_direction, _mode_jacobian,
+                                     _interp_gauss, _kernel_direction,
+                                     _mode_jacobian,
                                      build_vorticity, continue_branch,
                                      functional_F, h2_band_bound,
                                      linearization_check, sobolev_distance)
@@ -28,6 +29,19 @@ def prof():
 @pytest.fixture(scope="module")
 def eig(zg, prof):
     return build_eigensolution(CFG, prof, M_MODE, zg)
+
+
+def test_interp_gauss_uses_the_grid_analysis_matrix_bit_for_bit():
+    from numpy.polynomial.legendre import legval, legvander
+    for n in (48, 96):
+        zgn = ZGrid(n)
+        # the analysis matrix as formed apart from the grid
+        scale = (2.0 * np.arange(n) + 1.0) / 2.0
+        analysis = scale[:, None] * (legvander(zgn.z, n - 1).T * zgn.w[None, :])
+        g = np.cos(3.0 * zgn.z) + zgn.z ** 5
+        zt = np.linspace(-1.0, 1.0, 101)
+        assert np.array_equal(_interp_gauss(zgn, g, zt),
+                              legval(zt, analysis @ g))
 
 
 def _pert(eig, sigma):
@@ -204,7 +218,7 @@ def test_linearization_stays_in_mode(zg, prof, eig):
 
 def test_sobolev_sigma0_band_identities(prof):
     # the band identity is a change of variables: exact under a shared rule
-    out = sobolev_distance(prof, 1.0, nz=64)
+    out = sobolev_distance(prof, 1.0)
     zgf = ZGrid(64)
     ref = EPS * float(np.dot(zgf.w, prof.edge_prime(zgf.z) ** 2))
     for band in (1, 2):

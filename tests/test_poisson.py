@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from annulus_rotor.domain import circulation, u_tc
+from annulus_rotor.linop import _green
 from annulus_rotor.poisson import (RadialGrid, axisymmetric_prime, fd_bvp_solve,
-                                   greens_kernel, solve_axisymmetric,
-                                   solve_full, solve_mode)
+                                   solve_axisymmetric, solve_full, solve_mode)
 from annulus_rotor.profile import TrapezoidProfile
 
 from conftest import DESK_CFG as CFG
@@ -17,12 +17,16 @@ def make_grid(nodes=(64, 128, 64, 128, 64), eps=1e-2):
 def test_greens_kernel_sign_symmetry():
     grid = make_grid()
     r = grid.r[::17]
-    G = greens_kernel(4, r[:, None], r[None, :], CFG.r1, CFG.r2)
+    x, y = r[:, None], r[None, :]
+    # the band operator's kernel, 'left' branch: y is the inner argument
+    G = _green(4, np.maximum(x, y), np.minimum(x, y), CFG.r1, CFG.r2, "left")
     assert np.all(G <= 0.0)
     np.testing.assert_allclose(G, G.T, rtol=1e-13)
     # Dirichlet: kernel vanishes when either argument hits a wall
-    edge = greens_kernel(4, np.array([CFG.r1]), r, CFG.r1, CFG.r2)
-    assert np.max(np.abs(edge)) < 1e-14
+    inner = _green(4, r, np.array([CFG.r1]), CFG.r1, CFG.r2, "left")
+    outer = _green(4, np.array([CFG.r2]), r, CFG.r1, CFG.r2, "left")
+    assert np.max(np.abs(inner)) < 1e-14
+    assert np.max(np.abs(outer)) < 1e-14
 
 
 def test_radial_grid_band_edges_are_nodes():
