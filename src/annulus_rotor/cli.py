@@ -291,6 +291,7 @@ def cmd_simulate(run: RunConfig, outdir: str, args) -> int:
                   ["r", "theta", "omega"], rowsnap)
     _report(outdir, "simulate", [
         f"expected rate lambda={_fmt(lam)} over T={_fmt(T)}",
+        f"time step: dt={_fmt(out.dt)}, {out.nsteps} steps",
         f"measured rate: {_fmt(out.lam_measured)} "
         f"(rel gap {_fmt(abs(out.lam_measured - lam) / abs(lam))})",
         f"period-return error: {_fmt(out.return_error)}",
@@ -327,7 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-list", type=float, nargs="+", default=[1.0])
     sp = sub.add_parser("simulate")
     sp.add_argument("--T", type=float, default=None)
-    sp.add_argument("--dt", type=float, default=None)
+    sp.add_argument("--dt", type=float, default=None,
+                    help="time step of the integrating-factor RK4, which "
+                         "moves with the mean rotation; default 0.8 of the "
+                         "limit set by the radial velocity, the residual "
+                         "swirl and 1/max|omega|, shrunk to a whole number "
+                         "of at least --checkpoint-every steps over T")
     sp.add_argument("--nr", type=int, default=384)
     sp.add_argument("--ntheta", type=int, default=256,
                     help="full-circle angular points; the m-fold symmetric "

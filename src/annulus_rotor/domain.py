@@ -98,10 +98,14 @@ class BaseStream:
         plateau = (r > R1 + e) & (r <= R2 - e)
         band2 = (r > R2 - e) & (r <= R2 + e)
         outside = r > R2 + e
-        out[band1] = e * e * band_moment(self.profile, 1, (r[band1] - R1) / e)
+        # a band that holds none of the radii costs no edge evaluation
+        if band1.any():
+            out[band1] = e * e * band_moment(self.profile, 1,
+                                             (r[band1] - R1) / e)
         out[plateau] = plateau_at(r[plateau])
-        out[band2] = plateau_at(R2 - e) + e * e * band_moment(
-            self.profile, 2, (r[band2] - R2) / e)
+        if band2.any():
+            out[band2] = plateau_at(R2 - e) + e * e * band_moment(
+                self.profile, 2, (r[band2] - R2) / e)
         out[outside] = plateau_at(R2 - e) + self._v_band2_full
         return out
 

@@ -1,12 +1,20 @@
 """Direct time integration of the vorticity equation on the annulus.
 
 Purpose-built to verify rigid rotation of the constructed waves over O(1)
-periods: explicit RK4 advection with a spectral angular derivative and
-4th-order finite differences on a band-refined smooth radial mapping; the
-modal Poisson operator is factored once per grid, and each substage
+periods, with a spectral angular derivative and 4th-order finite
+differences on a band-refined smooth radial mapping.  The time stepper is
+Lawson's integrating-factor RK4 in the frame of the flow's own mean
+rotation: each step takes Omega(r) = <u_theta>_theta / r from the state,
+transports every angular Fourier mode exactly by exp(-i k Omega t), and
+leaves only the remainder -(u_r d_r + (u_theta/r - Omega) d_theta) omega
+to the four stages.  The base swirl then no longer sets the step (the
+FARGO idea for differentially rotating discs); the radial velocity, the
+swirl left after the mean rotation and the vorticity do.
+
+The modal Poisson operator is factored once per grid, and each substage
 re-solves the stream function in one LAPACK tridiagonal sweep over all
-angular modes.  The substage works in arrays the grid's solver owns, so an
-RK4 step allocates only the new vorticity field.
+angular modes.  The stages are combined in spectral space, in arrays the
+grid's solver owns, so a step allocates only the new vorticity field.
 
 Euler preserves m-fold symmetry, so a grid of symmetry order m stores one
 sector theta in [0, 2 pi/m) and carries only the angular wavenumbers k m;
@@ -67,7 +75,7 @@ class SimGrid:
 
     @cached_property
     def solver(self) -> "ModalStreamSolver":
-        """The grid's factored stream solver, with the substage's work
+        """The grid's factored stream solver, with the time step's work
         arrays."""
         return ModalStreamSolver(self)
 
@@ -78,6 +86,16 @@ class SimGrid:
         dF /= self.r_xi.reshape((-1,) + (1,) * (F.ndim - 1))
         return dF
 
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """Full-circle angular wavenumber of each rfft column, as the
+        angular derivative sees it: zero at the Nyquist column of an even
+        ntheta, whose sampled derivative vanishes."""
+        k = self.symmetry * np.fft.rfftfreq(self.ntheta, d=1.0 / self.ntheta)
+        if self.ntheta % 2 == 0:
+            k[-1] = 0.0
+        return k
+
     def d_theta(self, F: np.ndarray) -> np.ndarray:
         return self.d_theta_modes(np.fft.rfft(F, axis=1))
 
@@ -85,8 +103,7 @@ class SimGrid:
                       work: np.ndarray | None = None) -> np.ndarray:
         """Angular derivative of the field whose rfft along axis 1 is F_hat
         (written into out when given; work holds the product by i k)."""
-        k = self.symmetry * np.fft.rfftfreq(self.ntheta, d=1.0 / self.ntheta)
-        work = np.multiply(F_hat, (1j * k)[None, :], out=work)
+        work = np.multiply(F_hat, 1j * self.wavenumbers, out=work)
         return np.fft.irfft(work, n=self.ntheta, axis=1, out=out)
 
     def quad_r(self, F: np.ndarray) -> np.ndarray:
@@ -143,7 +160,7 @@ class ModalStreamSolver:
     into one block-diagonal tridiagonal (zero coupling between blocks) and
     -A is LU-factored once at construction (LAPACK gttrf); each solve is
     then one gttrs sweep over all modes.  The solver also owns the work
-    arrays of the RK4 substage (`_velocity`, `_rhs`, `step`);
+    arrays of the time step (`_velocity`, `_remainder`, `step`);
     `SimGrid.solver` holds one per grid.
     """
 
@@ -177,12 +194,15 @@ class ModalStreamSolver:
         self._lu = lu
         self._shape = (nr, nk + 1)
         self._modal = np.empty((nk, nr - 2), dtype=complex)      # gttrs rhs
-        # substage work arrays: three spectral, three real fields, and the
-        # RK4 stage, accumulator and slope
-        self._what, self._psi_hat, self._hat = (
-            np.empty(self._shape, dtype=complex) for _ in range(3))
-        (self._psi, self._u_r, self._u_theta, self._stage, self._acc,
-         self._k) = (np.empty((nr, grid.ntheta)) for _ in range(6))
+        # step work arrays, spectral: the state's modes, the phase E, the
+        # stage, accumulator and slope, the stream modes and the i k
+        # product; physical: four fields and the frame's mean swirl
+        (self._what, self._phase, self._stage, self._acc, self._slope,
+         self._psi_hat, self._hat) = (
+            np.empty(self._shape, dtype=complex) for _ in range(7))
+        self._psi, self._u_r, self._u_theta, self._field = (
+            np.empty((nr, grid.ntheta)) for _ in range(4))
+        self._mean_swirl = np.empty(nr)
 
     def solve(self, omega_hat: np.ndarray, gamma_hat: float,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -249,18 +269,17 @@ def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
                     gamma=circulation(cfg), dealias=dealias)
 
 
-def _velocity(state: SimState, omega: np.ndarray
+def _velocity(state: SimState, w_hat: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Velocity (u_r, u_theta) of omega, plus d omega / d theta from the
-    same transform.
+    """Velocity (u_r, u_theta) of the vorticity whose rfft along axis 1 is
+    w_hat, plus d omega / d theta from the same modes.
 
     All three live in the grid solver's work arrays and are overwritten by
     the next call.
     """
     grid = state.grid
     sv = grid.solver
-    what = np.fft.rfft(omega, axis=1, out=sv._what)
-    psi_hat = sv.solve(what, state.gamma * grid.ntheta, out=sv._psi_hat)
+    psi_hat = sv.solve(w_hat, state.gamma * grid.ntheta, out=sv._psi_hat)
     u_r = grid.d_theta_modes(psi_hat, out=sv._u_r, work=sv._hat)
     u_r /= grid.r[:, None]
     u_r[0, :] = 0.0
@@ -269,71 +288,121 @@ def _velocity(state: SimState, omega: np.ndarray
     u_theta = grid.d_r(psi, out=sv._u_theta)
     np.negative(u_theta, out=u_theta)
     # psi is spent: its array takes d omega / d theta
-    omega_theta = grid.d_theta_modes(what, out=sv._psi, work=sv._hat)
+    omega_theta = grid.d_theta_modes(w_hat, out=sv._psi, work=sv._hat)
     return u_r, u_theta, omega_theta
 
 
-def _rhs(state: SimState, omega: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """-(u . grad) omega, written into out (which must not overlap omega)."""
+def _remainder(state: SimState, w_hat: np.ndarray, out: np.ndarray,
+               omega: np.ndarray | None = None) -> np.ndarray:
+    """Modes of -(u_r d_r omega + (u_theta/r - Omega) d_theta omega) at the
+    stage w_hat, written into out and dealiased when the state asks.
+
+    The step's first substage passes the state's own vorticity omega, and
+    its mean swirl <u_theta>_theta = r Omega then fixes the step's frame;
+    later stages pass None and are transformed back from w_hat.
+    """
     grid = state.grid
-    u_r, u_theta, omega_theta = _velocity(state, omega)
-    grid.d_r(omega, out=out)
-    out *= u_r
+    sv = grid.solver
+    u_r, u_theta, omega_theta = _velocity(state, w_hat)
+    if omega is None:
+        omega = np.fft.irfft(w_hat, n=grid.ntheta, axis=1, out=sv._field)
+    else:
+        np.mean(u_theta, axis=1, out=sv._mean_swirl)
+    u_theta -= sv._mean_swirl[:, None]
     u_theta /= grid.r[:, None]
     u_theta *= omega_theta
-    out += u_theta
-    np.negative(out, out=out)
+    # omega_theta is spent: its array takes the remainder
+    rem = grid.d_r(omega, out=omega_theta)
+    rem *= u_r
+    rem += u_theta
+    np.negative(rem, out=rem)
+    np.fft.rfft(rem, axis=1, out=out)
     if state.dealias:
-        out_hat = np.fft.rfft(out, axis=1, out=grid.solver._hat)
-        kmax = out_hat.shape[1] - 1
-        out_hat[:, int(2 * kmax / 3) + 1:] = 0.0
-        np.fft.irfft(out_hat, n=grid.ntheta, axis=1, out=out)
+        kmax = out.shape[1] - 1
+        out[:, int(2 * kmax / 3) + 1:] = 0.0
     return out
 
 
 def cfl_limit(state: SimState) -> float:
+    """Step-size limit of `step`: half the least of the radial CFL limit of
+    u_r, the angular CFL limit of the swirl left in the frame of the mean
+    rotation, u_theta - <u_theta>_theta, and the vorticity time
+    1/max|omega|.
+
+    `step` transports by the mean rotation exactly, so the base swirl's
+    own angular CFL limit does not enter.
+    """
     grid = state.grid
-    u_r, u_theta, _ = _velocity(state, state.omega)
+    u_r, u_theta, _ = _velocity(state, np.fft.rfft(state.omega, axis=1))
     dr = np.gradient(grid.r)
     dth = 2.0 * np.pi / (grid.symmetry * grid.ntheta)
+    swirl = u_theta - np.mean(u_theta, axis=1, keepdims=True)
     lim_r = np.min(dr[:, None] / np.maximum(np.abs(u_r), 1e-14))
-    lim_t = np.min(grid.r[:, None] * dth / np.maximum(np.abs(u_theta), 1e-14))
-    return 0.5 * min(lim_r, lim_t)
+    lim_t = np.min(grid.r[:, None] * dth / np.maximum(np.abs(swirl), 1e-14))
+    lim_w = 1.0 / max(np.max(np.abs(state.omega)), 1e-14)
+    return 0.5 * min(lim_r, lim_t, lim_w)
 
 
 def step(state: SimState, dt: float, check_cfl: bool = False) -> SimState:
-    """One explicit RK4 step with per-substage stream solves.
+    """One integrating-factor (Lawson) RK4 step in the frame of the state's
+    mean rotation Omega(r) = <u_theta>_theta / r.
 
-    The stages run in the grid solver's work arrays; the new vorticity is
-    the step's only allocation.
+    With E = exp(-i k Omega dt/2) on the rfft column of full-circle
+    wavenumber k, and N the remainder `_remainder`,
+
+        a = N(w),  b = N(E (w + dt/2 a)),  c = N(E w + dt/2 b),
+        d = N(E^2 w + dt E c),
+        w_new = E^2 w + dt/6 (E^2 a + 2 E (b + c) + d),
+
+    so the mean rotation is integrated exactly and RK4 meets only the
+    remainder.  The stages are combined in spectral space in the grid
+    solver's work arrays; the new vorticity is the step's only allocation.
     """
     if check_cfl:
         lim = cfl_limit(state)
         if dt > lim:
             raise NumericsError(f"dt={dt:g} violates the CFL bound; "
                                 f"use dt <= {lim:g}")
-    sv = state.grid.solver
-    w, stage, acc, k = state.omega, sv._stage, sv._acc, sv._k
-    # acc = k1 + 2 k2 + 2 k3 + k4, summed in that order; stage = w + c dt k
-    _rhs(state, w, acc)
-    np.multiply(acc, 0.5 * dt, out=stage)
-    stage += w
-    for c in (0.5, 1.0):
-        _rhs(state, stage, k)
-        np.multiply(k, c * dt, out=stage)
-        stage += w
-        k *= 2.0
-        acc += k
-    _rhs(state, stage, k)
+    grid = state.grid
+    sv = grid.solver
+    E, stage, acc, k = sv._phase, sv._stage, sv._acc, sv._slope
+    w_hat = np.fft.rfft(state.omega, axis=1, out=sv._what)
+    _remainder(state, w_hat, k, omega=state.omega)             # a
+    # E = exp(-i k Omega dt/2); matmul forms the outer product k Omega
+    # without the full-size buffer of a broadcast ufunc
+    E.real = 0.0
+    np.matmul((sv._mean_swirl / grid.r)[:, None],
+              (-0.5 * dt * grid.wavenumbers)[None, :], out=E.imag)
+    np.exp(E, out=E)
+    np.multiply(k, E, out=acc)                                 # E a
+    np.multiply(k, 0.5 * dt, out=stage)
+    stage += w_hat
+    stage *= E
+    _remainder(state, stage, k)                                # b
+    w_hat *= E                                                 # E w
+    np.multiply(k, 0.5 * dt, out=stage)
+    stage += w_hat
+    k *= 2.0
     acc += k
-    omega = acc * (dt / 6.0)
-    omega += w
+    _remainder(state, stage, k)                                # c
+    np.multiply(k, dt, out=stage)
+    stage += w_hat
+    stage *= E                                      # E^2 w + dt E c
+    k *= 2.0
+    acc += k
+    acc *= dt / 6.0
+    acc += w_hat
+    acc *= E                        # E^2 w + dt/6 (E^2 a + 2 E (b + c))
+    _remainder(state, stage, k)                                # d
+    k *= dt / 6.0
+    acc += k
+    omega = np.fft.irfft(acc, n=grid.ntheta, axis=1)
     return replace(state, omega=omega, time=state.time + dt)
 
 
 def conserved_quantities(state: SimState) -> dict:
     grid = state.grid
-    u_r, u_theta, _ = _velocity(state, state.omega)
+    u_r, u_theta, _ = _velocity(state, np.fft.rfft(state.omega, axis=1))
     # the sector sum times 2 pi/ntheta is the full-circle integral
     dth = 2.0 * np.pi / grid.ntheta
     circ = -float(np.sum(grid.quad_r(u_theta)) * dth) / (2.0 * np.pi)
@@ -351,6 +420,8 @@ class RotationResult:
     phases: list
     conserved_start: dict
     conserved_end: dict
+    dt: float                                    # the step taken
+    nsteps: int
     series: list = field(default_factory=list)   # per-checkpoint dicts
 
 
@@ -358,6 +429,13 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
                     dt: float | None = None, n_checkpoints: int = 16,
                     m: int | None = None) -> RotationResult:
     """Integrate one expected period; fit the pattern's angular speed.
+
+    The step is dt (0.8 `cfl_limit` of the initial state when None),
+    shrunk so that a whole number of steps, and at least n_checkpoints,
+    spans T; the result carries the step and the step count used.  Since
+    `step` moves with the mean rotation, the limit comes from the wave's
+    own radial velocity, residual swirl and vorticity: one desk period
+    takes n_checkpoints = 16 steps.
 
     The rotation rate comes from the phase drift of the m-mode correlation
     against the initial field; the return error is the relative L2 gap
@@ -416,4 +494,4 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
                           times=list(times), phases=list(phases),
                           conserved_start=conserved_quantities(state0),
                           conserved_end=conserved_quantities(state),
-                          series=series)
+                          dt=dt, nsteps=nsteps, series=series)

@@ -129,6 +129,7 @@ def test_simulate_subcommand_tiny(tmp_path):
     proc, out = run_cli(tmp_path, CONFIG_OK, "simulate", "--nr", "96",
                         "--ntheta", "32", "--T", "2.0", "--snapshots")
     assert proc.returncode == 0, proc.stderr
+    assert "time step: dt=" in proc.stdout and " 16 steps" in proc.stdout
     series = (out / "simulate_series.csv").read_text().splitlines()
     assert series[0] == "t,lam_measured,return_error,circulation,energy"
     assert len(series) >= 3

@@ -211,6 +211,52 @@ def reference_step(state, dt):
     return w + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def lawson_reference_step(state, dt):
+    """Reference: the integrating-factor RK4 step with fresh arrays for
+    every stage, each stage's remainder formed on physical fields.
+
+    The frame is Omega = <u_theta>_theta / r of the state; E transports
+    rfft column k by exp(-i k Omega dt/2).  The spectral derivative of
+    the sampled Nyquist mode vanishes, so E leaves that column alone.
+    """
+    grid = state.grid
+    solver = ModalStreamSolver(grid)
+    n = grid.ntheta
+    k = grid.symmetry * np.arange(n // 2 + 1, dtype=float)
+    if n % 2 == 0:
+        k[-1] = 0.0
+    r = grid.r[:, None]
+
+    def velocity(what):
+        psi_hat = solver.solve(what, state.gamma * n)
+        u_r = np.fft.irfft(1j * k * psi_hat, n=n, axis=1) / r
+        u_r[0, :] = 0.0
+        u_r[-1, :] = 0.0
+        return u_r, -grid.d_r(np.fft.irfft(psi_hat, n=n, axis=1))
+
+    w = np.fft.rfft(state.omega, axis=1)
+    Omega = velocity(w)[1].mean(axis=1)[:, None] / r
+
+    def N(what):
+        u_r, u_theta = velocity(what)
+        omega = np.fft.irfft(what, n=n, axis=1)
+        omega_theta = np.fft.irfft(1j * k * what, n=n, axis=1)
+        out = np.fft.rfft(-(u_r * grid.d_r(omega)
+                            + (u_theta / r - Omega) * omega_theta), axis=1)
+        if state.dealias:
+            kmax = out.shape[1] - 1
+            out[:, int(2 * kmax / 3) + 1:] = 0.0
+        return out
+
+    E = np.exp(-1j * k * Omega * dt / 2)
+    a = N(w)
+    b = N(E * (w + dt / 2 * a))
+    c = N(E * w + dt / 2 * b)
+    d = N(E * E * w + dt * E * c)
+    return np.fft.irfft(E * E * w + dt / 6 * (E * E * a + 2 * E * (b + c) + d),
+                        n=n, axis=1)
+
+
 def _wave_state(prof, eig, nr, ntheta, dealias=False):
     from annulus_rotor.nonlinear import LevelSetPerturbation
     f = LevelSetPerturbation.from_kernel(eig, CFG, amplitude=1e-3)
@@ -222,13 +268,47 @@ def test_step_matches_reference_rk4(prof, desk_eig, dealias):
     state = _wave_state(prof, desk_eig, 160, 64, dealias)
     dt = 0.5 * cfl_limit(state)
     s1 = step(state, dt)
-    ref = reference_step(state, dt)
+    ref = lawson_reference_step(state, dt)
     scale = np.max(np.abs(state.omega))
     assert np.max(np.abs(s1.omega - ref)) <= 1e-13 * scale
     # a second step on the same grid reuses the work arrays
     s2 = step(s1, dt)
-    assert np.max(np.abs(s2.omega - reference_step(s1, dt))) <= 1e-13 * scale
+    assert np.max(np.abs(s2.omega - lawson_reference_step(s1, dt))) \
+        <= 1e-13 * scale
     assert s1.omega is not s2.omega and s2.time == pytest.approx(2 * dt)
+
+
+@pytest.mark.parametrize("dealias", [False, True])
+def test_frame_free_step_is_classical_rk4(dealias):
+    # gamma = 0 and a 3-mode vorticity with zero angular mean: no mean
+    # swirl, so Omega = 0, E = 1 and the step is classical RK4
+    grid = SimGrid(cfg=CFG, nr=160, ntheta=64, eps=EPS)
+    bump = np.exp(-((grid.r - 1.4) / 0.15) ** 2)
+    omega = 0.1 * np.outer(bump, np.cos(3 * grid.theta))
+    state = SimState(grid=grid, omega=omega, time=0.0, gamma=0.0,
+                     dealias=dealias)
+    dt = 0.5 * cfl_limit(state)
+    scale = np.max(np.abs(omega))
+    s1 = step(state, dt)
+    assert np.max(np.abs(grid.solver._mean_swirl)) <= 1e-15 * scale
+    assert np.max(np.abs(s1.omega - reference_step(state, dt))) \
+        <= 1e-13 * scale
+
+
+def test_rotation_converges_in_the_step(prof, desk_eig):
+    # the default step against one eight times smaller, over T/6
+    state = _wave_state(prof, desk_eig, 160, 64)
+    lam = desk_eig.lam
+    T = 2.0 * np.pi / (desk_eig.m * lam) / 6.0
+    coarse = verify_rotation(state, lam, T, n_checkpoints=8, m=desk_eig.m)
+    fine = verify_rotation(state, lam, T, dt=coarse.dt / 8, n_checkpoints=8,
+                           m=desk_eig.m)
+    assert fine.nsteps == 8 * coarse.nsteps
+    np.testing.assert_allclose(fine.times, coarse.times, rtol=1e-14)
+    assert fine.lam_measured == pytest.approx(coarse.lam_measured,
+                                              rel=1e-9, abs=0)
+    assert fine.return_error == pytest.approx(coarse.return_error,
+                                              rel=1e-6, abs=0)
 
 
 def test_step_allocates_only_its_result(prof, desk_eig):

@@ -308,3 +308,19 @@ def test_swirl_grid_terms_edge_calls_independent_of_grid(monkeypatch):
         c.swirl2_on_grid(ZGrid(n))
         seen.append(calls["n"])
     assert seen[0] == seen[1]
+
+
+def test_swirl_grid_terms_skip_empty_bands(monkeypatch):
+    # BaseStream.moment evaluates the edge only on a band that holds radii
+    sizes = []
+    edge = TrapezoidProfile.edge
+
+    def counted(self, z):
+        sizes.append(np.size(z))
+        return edge(self, z)
+
+    monkeypatch.setattr(TrapezoidProfile, "edge", counted)
+    c = CoefficientSet(CFG, TrapezoidProfile(CFG, EPS, KAPPA))
+    c.swirl_on_grid(ZGrid(96))
+    c.swirl2_on_grid(ZGrid(96))
+    assert sizes and 0 not in sizes
