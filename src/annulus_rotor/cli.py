@@ -333,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "moves with the mean rotation; default 0.8 of the "
                          "limit set by the radial velocity, the residual "
                          "swirl and 1/max|omega|, shrunk to a whole number "
-                         "of at least --checkpoint-every steps over T")
+                         "of at least --checkpoint-every steps over T; a "
+                         "step above that limit is a numeric failure")
     sp.add_argument("--nr", type=int, default=384)
     sp.add_argument("--ntheta", type=int, default=256,
                     help="full-circle angular points; the m-fold symmetric "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -87,9 +87,6 @@ class RunConfig:
             raise ConfigError("n_theta must be an even integer >= 8")
         if self.nz < 8:
             raise ConfigError("nz must be >= 8")
-
-    def with_(self, **kw) -> "RunConfig":
-        return replace(self, **kw)
 
 
 def parse_config(path: str) -> RunConfig:

@@ -34,8 +34,10 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 from .config import AnnulusConfig
 from .domain import circulation
 from .errors import NumericsError, OutOfDomainError
-from .nonlinear import LevelSetPerturbation
+from .nonlinear import LevelSetPerturbation, vorticity_samples
 from .profile import TrapezoidProfile
+
+_FOCUS = 25.0          # extra radial node density of `SimGrid` at the bands
 
 
 @dataclass
@@ -50,7 +52,6 @@ class SimGrid:
     nr: int
     ntheta: int
     eps: float
-    focus: float = 25.0         # extra node density at the bands
     symmetry: int = 1           # m-fold symmetry order: one 2 pi/m sector
     r: np.ndarray = field(init=False, repr=False)
     r_xi: np.ndarray = field(init=False, repr=False)
@@ -62,7 +63,7 @@ class SimGrid:
         width = 2.5 * self.eps
         dens = np.ones_like(fine)
         for R in (cfg.R1, cfg.R2):
-            dens += self.focus * np.exp(-((fine - R) / width) ** 2)
+            dens += _FOCUS * np.exp(-((fine - R) / width) ** 2)
         G = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                              * np.diff(fine))))
         targets = np.linspace(0.0, G[-1], self.nr)
@@ -107,24 +108,24 @@ class SimGrid:
         return np.fft.irfft(work, n=self.ntheta, axis=1, out=out)
 
     def quad_r(self, F: np.ndarray) -> np.ndarray:
-        """Integral over r (per angular column) via the mapped trapezoid
-        rule with Simpson-level endpoint correction."""
-        from scipy.integrate import simpson
-        return simpson(F * self.r_xi.reshape((-1,) + (1,) * (F.ndim - 1)),
-                       dx=1.0 / (self.nr - 1), axis=0)
+        """Integral over r along axis 0 (per angular column): the total of
+        `_cumint4` in the uniform coordinate xi, with the metric r_xi, the
+        rule the mode-0 stream solve integrates with."""
+        return _cumint4(F * self.r_xi.reshape((-1,) + (1,) * (F.ndim - 1)),
+                        1.0 / (self.nr - 1))[-1]
 
 
 def _cumint4(F: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral on a uniform grid, 4th order (cubic Newton-Cotes
-    per interval with one-sided end corrections)."""
+    """Cumulative integral along axis 0 on a uniform grid, 4th order (cubic
+    Newton-Cotes per interval with one-sided end corrections)."""
     n = len(F)
-    inc = np.empty(n - 1, dtype=F.dtype)
+    inc = np.empty((n - 1,) + F.shape[1:], dtype=F.dtype)
     inc[1:-1] = h / 24.0 * (-F[:-3] + 13 * F[1:-2] + 13 * F[2:-1] - F[3:])
     inc[0] = h / 24.0 * (9 * F[0] + 19 * F[1] - 5 * F[2] + F[3])
     inc[-1] = h / 24.0 * (9 * F[-1] + 19 * F[-2] - 5 * F[-3] + F[-4])
-    out = np.empty(n, dtype=F.dtype)
+    out = np.empty_like(inc, shape=F.shape)
     out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
+    np.cumsum(inc, axis=0, out=out[1:])
     return out
 
 
@@ -263,7 +264,6 @@ def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
         omega = np.tile((2 * cfg.A + profile.value(grid.r))[:, None],
                         (1, ntheta))
     else:
-        from .nonlinear import vorticity_samples
         omega = vorticity_samples(f, profile, grid.r, grid.theta)
     return SimState(grid=grid, omega=omega, time=0.0,
                     gamma=circulation(cfg), dealias=dealias)
@@ -343,7 +343,7 @@ def cfl_limit(state: SimState) -> float:
     return 0.5 * min(lim_r, lim_t, lim_w)
 
 
-def step(state: SimState, dt: float, check_cfl: bool = False) -> SimState:
+def step(state: SimState, dt: float) -> SimState:
     """One integrating-factor (Lawson) RK4 step in the frame of the state's
     mean rotation Omega(r) = <u_theta>_theta / r.
 
@@ -358,11 +358,6 @@ def step(state: SimState, dt: float, check_cfl: bool = False) -> SimState:
     remainder.  The stages are combined in spectral space in the grid
     solver's work arrays; the new vorticity is the step's only allocation.
     """
-    if check_cfl:
-        lim = cfl_limit(state)
-        if dt > lim:
-            raise NumericsError(f"dt={dt:g} violates the CFL bound; "
-                                f"use dt <= {lim:g}")
     grid = state.grid
     sv = grid.solver
     E, stage, acc, k = sv._phase, sv._stage, sv._acc, sv._slope
@@ -432,7 +427,8 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
 
     The step is dt (0.8 `cfl_limit` of the initial state when None),
     shrunk so that a whole number of steps, and at least n_checkpoints,
-    spans T; the result carries the step and the step count used.  Since
+    spans T; the result carries the step and the step count used.  An
+    explicit dt that leaves that step above the limit raises.  Since
     `step` moves with the mean rotation, the limit comes from the wave's
     own radial velocity, residual swirl and vorticity: one desk period
     takes n_checkpoints = 16 steps.
@@ -453,10 +449,13 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     if m is not None and m // sym > grid.ntheta // 2:
         raise OutOfDomainError(f"mode m={m} is above the grid's highest "
                                f"mode {sym * (grid.ntheta // 2)}")
-    if dt is None:
-        dt = 0.8 * cfl_limit(state0)
-    nsteps = max(int(np.ceil(T / dt)), n_checkpoints)
+    lim = cfl_limit(state0)
+    nsteps = max(int(np.ceil(T / (0.8 * lim if dt is None else dt))),
+                 n_checkpoints)
     dt = T / nsteps
+    if dt > lim:
+        raise NumericsError(f"step dt={dt:g} ({nsteps} steps over T={T:g}) "
+                            f"exceeds cfl_limit {lim:g}")
     if m is None:
         spec = np.abs(np.fft.rfft(state0.omega, axis=1)).sum(axis=0)
         m = int(np.argmax(spec[1:]) + 1) * sym
@@ -476,22 +475,18 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
             times.append(state.time)
             phases.append(np.angle(corr))
             q = conserved_quantities(state)
+            # a pattern co-rotating at angular velocity lam shifts the
+            # m-mode correlation phase at rate -m lam
             ph = np.unwrap(np.array(phases))
             lam_est = -np.polyfit(times, ph, 1)[0] / m
             err_t = float(np.sqrt(np.sum(grid.quad_r(
                 (state.omega - state0.omega) ** 2)) / den0))
             series.append({"t": state.time, "lam_est": lam_est,
                            "return_error": err_t, **q})
-    phases = np.unwrap(np.array(phases))
-    times = np.array(times)
-    # a pattern co-rotating at angular velocity lam shifts the m-mode
-    # correlation phase at rate -m lam
-    slope = np.polyfit(times, phases, 1)[0]
-    lam_meas = float(-slope / m)
-    num = np.sum(grid.quad_r((state.omega - state0.omega) ** 2))
-    ret = float(np.sqrt(num / den0))
-    return RotationResult(lam_measured=lam_meas, return_error=ret,
-                          times=list(times), phases=list(phases),
+    # the last step is always a checkpoint: its fit, error and conserved
+    # quantities are the end's
+    return RotationResult(lam_measured=float(lam_est), return_error=err_t,
+                          times=times, phases=list(ph),
                           conserved_start=conserved_quantities(state0),
-                          conserved_end=conserved_quantities(state),
-                          dt=dt, nsteps=nsteps, series=series)
+                          conserved_end=q, dt=dt, nsteps=nsteps,
+                          series=series)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import AnnulusConfig
 from .errors import BracketError, ContractionError, KernelValidationError, NumericsError
-from .linop import CoefficientSet, assemble, assemble_adjoint, p_coeff
+from .linop import CoefficientSet, assemble, p_coeff
 from .profile import TrapezoidProfile
 from .quadrature import ZGrid, geometric_edges, mapped_rule
 
@@ -605,26 +605,27 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
 
 def adjoint_kernel(eig: EigenSolution, cfg: AnnulusConfig,
                    profile: TrapezoidProfile) -> dict:
-    """Null vector of the adjoint operator at the constructed rate.
+    """Null vector of the adjoint operator at the constructed rate: the last
+    left singular vector of the weighted operator, whose transpose is the
+    weighted adjoint (acceptance 3).
 
     Returns band samples (a*, b*) scaled so the outer part matches b0 at
     leading order, together with expansion diagnostics.
     """
     zg = eig.zgrid
-    adj = assemble_adjoint(eig.m, eig.eps, eig.lam, cfg, profile, zg)
-    Mw = adj.weighted_matrix()
-    U, svals, Vt = np.linalg.svd(Mw)
+    op = assemble(eig.m, eig.eps, eig.lam, cfg, profile, zg)
+    U, svals, _ = np.linalg.svd(op.weighted_matrix())
     if svals[-1] / svals[-2] > 1e-3:
         raise KernelValidationError("adjoint kernel dimension is not one")
-    null_w = Vt[-1]
+    null_w = U[:, -1]
     # back to nodal values; a sqrt-weight at rounding level relative to the
     # largest one carries no information, so it counts as a zero weight
-    S = np.concatenate(adj.sqrt_weights)
+    S = np.concatenate(op.sqrt_weights)
     live = S > np.finfo(float).eps * np.max(S)
     star = np.where(live, null_w / np.where(live, S, 1.0), 0.0)
     astar, bstar = star[:zg.n], star[zg.n:]
     # unit weighted norm, then align the outer part with b0
-    nrm = np.sqrt(adj.inner((astar, bstar), (astar, bstar)))
+    nrm = np.sqrt(op.inner((astar, bstar), (astar, bstar)))
     astar, bstar = astar / nrm, bstar / nrm
     sig_out = profile.weight_outer(zg.z)
     C = float(np.dot(zg.w * sig_out, bstar * eig.b0)) \
@@ -637,7 +638,7 @@ def adjoint_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     b_gap = np.sqrt(float(np.dot(zg.w * sig_out, mismatch ** 2)))
     return {"astar": astar, "bstar": bstar, "a_norm_weighted": a_norm,
             "b_gap_weighted": b_gap, "sigma_min": float(svals[-1]),
-            "sigma_second": float(svals[-2]), "scale": C, "operator": adj}
+            "sigma_second": float(svals[-2]), "scale": C}
 
 
 def transversality(eig: EigenSolution, adjoint: dict, cfg: AnnulusConfig,

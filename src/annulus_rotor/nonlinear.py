@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legval
 
 from .config import AnnulusConfig
 from .domain import circulation
@@ -96,12 +97,10 @@ def _kernel_direction(eig: EigenSolution,
 
 
 def _interp_gauss(zgrid: ZGrid, g: np.ndarray, z) -> np.ndarray:
-    from numpy.polynomial.legendre import legval
     return legval(np.asarray(z, dtype=float), zgrid.to_legendre @ g)
 
 
 def _diff_gauss(zgrid: ZGrid, g: np.ndarray) -> np.ndarray:
-    from numpy.polynomial.legendre import legder, legval
     return legval(zgrid.z, legder(zgrid.to_legendre @ g))
 
 
@@ -193,7 +192,6 @@ def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
     be a scalar or an array matching r_targets, so an entire band (all
     columns at once) inverts in one batched sweep.
     """
-    from numpy.polynomial.legendre import legder, legval
     cfg, eps = f.cfg, f.eps
     R = cfg.R1 if band == 1 else cfg.R2
     c = f.zgrid.to_legendre @ (f.g_inner if band == 1 else f.g_outer)
@@ -238,7 +236,9 @@ class ResidualField:
 def functional_F(lam: float, f: LevelSetPerturbation,
                  profile: TrapezoidProfile,
                  n_theta: int = 64) -> ResidualField:
-    """Wave residual on the bands for rotation rate lam."""
+    """Wave residual on the bands for rotation rate lam; psi is read at the
+    displaced radii rho + g cos(m theta) column by column, by the panel
+    grid's barycentric interpolant (spectral in r)."""
     cfg = f.cfg
     field = build_vorticity(f, profile, n_theta=n_theta)
     grid = field.grid
@@ -251,27 +251,11 @@ def functional_F(lam: float, f: LevelSetPerturbation,
     for band, R, g in ((1, cfg.R1, f.g_inner), (2, cfg.R2, f.g_outer)):
         rho = R + f.eps * zg.z
         shift = np.add.outer(rho, np.zeros(len(theta))) + np.outer(g, cosm)
-        psibar = _interp_columns(grid, psi, shift)
+        psibar = grid.interpolate(psi, shift)
         vals = lam * shift ** 2 / 2.0 + psibar
         vals -= vals.mean(axis=1, keepdims=True)
         out[band] = vals
     return ResidualField(theta=theta, inner=out[1], outer=out[2])
-
-
-def _interp_columns(grid: RadialGrid, psi: np.ndarray,
-                    targets: np.ndarray) -> np.ndarray:
-    """Interpolate psi(:, j) at targets(:, j) per column (cubic splines).
-
-    One spline fit covers all columns; each target evaluates only its own
-    column's piece, read from the spline's coefficients c[:, interval, j].
-    """
-    from scipy.interpolate import CubicSpline
-    cs = CubicSpline(grid.r, psi, axis=0)
-    interval = np.clip(np.searchsorted(grid.r, targets, side="right") - 1,
-                       0, grid.n - 2)
-    c = cs.c[:, interval, np.arange(psi.shape[1])]
-    dx = targets - grid.r[interval]
-    return ((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3]
 
 
 def _band_radii(cfg: AnnulusConfig, eps: float, zg: ZGrid) -> np.ndarray:

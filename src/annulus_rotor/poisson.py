@@ -15,6 +15,7 @@ oracle; it shares no code with the Green's route.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -100,10 +101,8 @@ class RadialGrid:
 
     def _diff_matrices(self):
         if not hasattr(self, "_diffs"):
-            mats = []
-            for idx in self.panel_slices:
-                mats.append(_bary_diff_matrix(self.r[idx]))
-            self._diffs = mats
+            self._diffs = [_bary_diff_matrix(self.r[idx])
+                           for idx in self.panel_slices]
         return self._diffs
 
     def derivative(self, fvals: np.ndarray) -> np.ndarray:
@@ -118,35 +117,49 @@ class RadialGrid:
         return out / counts.reshape(shape)
 
     def interpolate(self, fvals: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Barycentric interpolation of nodal data at points x."""
+        """Barycentric interpolation of nodal data at points x (spectral
+        per panel).
+
+        With fvals of shape (n, ncol) and x of shape (k, ncol), column j is
+        read at its own points x[:, j]; otherwise every column of fvals is
+        read at the points x, giving shape x.shape + fvals.shape[1:].
+        """
+        fvals = np.asarray(fvals)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape + fvals.shape[1:], dtype=fvals.dtype)
-        panel_of = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
+        per_column = x.ndim == 2 and fvals.ndim == 2
+        if per_column and x.shape[1] != fvals.shape[1]:
+            raise ValueError(f"per-column points of shape {x.shape} do not "
+                             f"match nodal data of shape {fvals.shape}")
+        cols = fvals.reshape(self.n, -1)
+        pts = x if per_column else x.reshape(-1, 1)
+        out = np.empty((len(pts), cols.shape[1]),
+                       dtype=np.result_type(cols, float))
+        panel_of = np.clip(np.searchsorted(self.edges, pts, side="right") - 1,
                            0, len(self.panel_slices) - 1)
         for p, idx in enumerate(self.panel_slices):
             sel = panel_of == p
-            if not np.any(sel):
+            rows = np.flatnonzero(sel.any(axis=1))
+            if not len(rows):
                 continue
-            out[sel] = _bary_interp(self.r[idx], fvals[idx], x[sel])
-        return out
+            vals = _bary_interp(self.r[idx], cols[idx], pts[rows])
+            out[rows] = np.where(sel[rows], vals, out[rows])
+        return out if per_column else out.reshape(x.shape + fvals.shape[1:])
 
 
-def _bary_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric weights, computed scale-invariantly in log space."""
-    n = len(x)
-    scale = 4.0 / (x[-1] - x[0])
-    logs = np.zeros(n)
-    signs = np.ones(n)
-    for i in range(n):
-        d = scale * (x[i] - np.delete(x, i))
-        logs[i] = -np.sum(np.log(np.abs(d)))
-        signs[i] = np.prod(np.sign(d))
-    logs -= np.max(logs)
-    return signs * np.exp(logs)
+@lru_cache(maxsize=64)
+def _lobatto_bary_weights(n: int) -> np.ndarray:
+    """Barycentric weights (-1)^j sqrt(w_j) of the n-point Lobatto rule.
+
+    An affine map scales all weights by one factor, which the barycentric
+    formulas cancel, so one read-only array serves every n-node panel.
+    """
+    b = (-1.0) ** np.arange(n) * np.sqrt(lobatto_rule(n)[1])
+    b.flags.writeable = False
+    return b
 
 
 def _bary_diff_matrix(x: np.ndarray) -> np.ndarray:
-    b = _bary_weights(x)
+    b = _lobatto_bary_weights(len(x))
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
     D = (b[None, :] / b[:, None]) / dx
@@ -156,18 +169,31 @@ def _bary_diff_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def _bary_interp(xn: np.ndarray, fn: np.ndarray, x: np.ndarray) -> np.ndarray:
-    b = _bary_weights(xn)
-    diff = x[:, None] - xn[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-15)
-    diff[exact] = 1.0
-    wq = b[None, :] / diff
-    num = wq @ fn
-    den = np.sum(wq, axis=1)
-    shape = (-1,) + (1,) * (fn.ndim - 1)
-    out = num / den.reshape(shape)
-    hit_rows, hit_cols = np.nonzero(exact)
-    out[hit_rows] = fn[hit_cols]
-    return out
+    """Interpolant on the Lobatto panel xn of the nodal columns fn (n, ncol)
+    at points x of shape (k, 1), shared by every column, or (k, ncol), one
+    column each.  The sums run node by node, so no temporary outgrows the
+    result; a point within 1e-15 of a node takes the node's value."""
+    b = _lobatto_bary_weights(len(xn))
+    num = np.zeros(np.broadcast_shapes(x.shape, fn.shape[1:]),
+                   dtype=np.result_type(fn, float))
+    term = np.empty_like(num)
+    den = np.zeros(x.shape)
+    q = np.empty(x.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(len(xn)):
+            np.subtract(x, xn[k], out=q)
+            np.divide(b[k], q, out=q)
+            den += q
+            np.multiply(q, fn[k], out=term)
+            num += term
+        num /= den
+    j = np.clip(np.searchsorted(xn, x), 1, len(xn) - 1)
+    near = np.where(x - xn[j - 1] <= xn[j] - x, j - 1, j)
+    hit = np.abs(x - xn[near]) <= 1e-15
+    if np.any(hit):
+        np.copyto(num, np.take_along_axis(fn, near, axis=0),
+                  where=np.broadcast_to(hit, num.shape))
+    return num
 
 
 def solve_mode(n: int | np.ndarray, g: np.ndarray, grid: RadialGrid,

@@ -139,12 +139,6 @@ class TrapezoidProfile:
         out[band2] = self.edge_second((r[band2] - R2) / e) / e
         return out
 
-    # -- band geometry helpers ----------------------------------------------
-
-    def band_edges(self) -> list[float]:
-        R1, R2, e = self.cfg.R1, self.cfg.R2, self.eps
-        return [R1 - e, R1 + e, R2 - e, R2 + e]
-
     def tabulate(self, n: int = 4096) -> np.ndarray:
         """(z, edge, edge') table for CSV export."""
         z = np.linspace(-1.0, 1.0, n)

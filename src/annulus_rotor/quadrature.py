@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import Legendre, leggauss, legvander
 
 
 @lru_cache(maxsize=64)
@@ -104,7 +104,6 @@ def lobatto_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Lobatto-Legendre rule on [-1, 1] (includes both endpoints)."""
     if n < 2:
         raise ValueError("Lobatto rule needs n >= 2")
-    from numpy.polynomial.legendre import Legendre
     inner = Legendre.basis(n - 1).deriv().roots()
     x = np.concatenate(([-1.0], np.real(inner), [1.0]))
     Pnm1 = legvander(x, n - 1)[:, n - 1]

@@ -112,10 +112,59 @@ def test_pure_background_unchanged():
 
 
 def test_cfl_guard(prof):
+    # an explicit dt whose step T/nsteps exceeds the limit is refused
+    # before any step; one just inside it runs
     state = initial_state(CFG, prof, None, nr=96, ntheta=64)
     lim = cfl_limit(state)
-    with pytest.raises(NumericsError):
-        step(state, dt=4.0 * lim, check_cfl=True)
+    with pytest.raises(NumericsError,
+                       match=r"step dt=.* \(25 steps .*cfl_limit"):
+        verify_rotation(state, 1.0, 100.0 * lim, dt=4.0 * lim,
+                        n_checkpoints=4, m=3)
+    out = verify_rotation(state, 1.0, 4.0 * lim, dt=lim, n_checkpoints=4,
+                          m=3)
+    assert out.nsteps == 4 and out.dt == pytest.approx(lim, rel=1e-15)
+
+
+def test_verify_rotation_reuses_the_last_checkpoint(prof, desk_eig,
+                                                    monkeypatch):
+    from annulus_rotor import eulersim
+    calls = []
+
+    def counted(state):
+        calls.append(state.time)
+        return conserved_quantities(state)
+
+    monkeypatch.setattr(eulersim, "conserved_quantities", counted)
+    state = _wave_state(prof, desk_eig, 96, 64)
+    T = 2.0 * np.pi / (3 * desk_eig.lam) / 20.0
+    out = verify_rotation(state, desk_eig.lam, T, n_checkpoints=4, m=3)
+    assert len(out.series) == 4
+    # once per checkpoint and once for the start
+    assert len(calls) == len(out.series) + 1
+    last = out.series[-1]
+    assert last["t"] == out.times[-1] == pytest.approx(T, rel=1e-14)
+    assert out.return_error == last["return_error"]
+    assert out.conserved_end == {k: last[k] for k in out.conserved_start}
+
+
+def test_quad_r_is_the_cumint4_total(prof):
+    from annulus_rotor.eulersim import _cumint4
+    grid = SimGrid(cfg=CFG, nr=384, ntheta=8, eps=EPS)
+    h = 1.0 / (grid.nr - 1)
+    F = np.outer(np.sin(7 * grid.r), np.arange(1, 9)) + np.log(grid.r)[:, None]
+    total = grid.quad_r(F)
+    assert total.shape == (8,)
+    for j in range(8):
+        assert total[j] == _cumint4(F[:, j] * grid.r_xi, h)[-1]
+    # int_{r1}^{r2} sin(7 r) dr and int log r dr in closed form; the metric
+    # r_xi, differenced from interpolated node positions, limits the match
+    # (2.3e-8 here)
+    r1, r2 = CFG.r1, CFG.r2
+    exact = (np.cos(7 * r1) - np.cos(7 * r2)) / 7 * np.arange(1, 9) \
+        + (r2 * np.log(r2) - r2) - (r1 * np.log(r1) - r1)
+    assert np.max(np.abs(total - exact)) <= 1e-7
+    # the 1-D rule of the mode-0 stream solve is unchanged by the axis
+    assert np.array_equal(grid.quad_r(F[:, 0]), total[0])
 
 
 def test_conserved_quantities_at_t0(prof):

@@ -12,7 +12,8 @@ from annulus_rotor.kernel import (KernelBuilder, adjoint_kernel, b0_and_a1,
                                   solve_lambda1, transversality,
                                   validate_kernel, _edge_breaks,
                                   _I_quadrature)
-from annulus_rotor.linop import CoefficientSet, assemble, p_coeff
+from annulus_rotor.linop import (CoefficientSet, assemble, assemble_adjoint,
+                                 p_coeff)
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid, geometric_edges, mapped_rule
 
@@ -301,6 +302,32 @@ def test_adjoint_kernel_expansion(zg):
     K1 = out[1e-2]["b_gap_weighted"] / 1e-2
     K2 = out[5e-3]["b_gap_weighted"] / 5e-3
     assert max(K1, K2) <= 2.5 * min(K1, K2)
+
+
+def test_adjoint_null_vector_is_the_operators_left_singular_vector(
+        zg, monkeypatch):
+    from annulus_rotor import kernel, linop
+    for eps in (1e-2, 5e-3):
+        p = TrapezoidProfile(CFG, eps, 0.1)
+        e = build_eigensolution(CFG, p, M_MODE, zg)
+        # the separately assembled adjoint, as acceptance 3 builds it
+        adj_op = assemble_adjoint(e.m, e.eps, e.lam, CFG, p, zg)
+        ref = np.linalg.svd(adj_op.weighted_matrix())[2][-1]
+        calls = []
+        monkeypatch.setattr(linop, "assemble_adjoint",
+                            lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(kernel, "assemble_adjoint",
+                            lambda *a, **k: calls.append(a), raising=False)
+        adj = adjoint_kernel(e, CFG, p)
+        monkeypatch.undo()
+        assert not calls
+        assert "operator" not in adj
+        # the returned samples back in the weighted frame
+        got = np.concatenate(adj_op.sqrt_weights) \
+            * np.concatenate([adj["astar"], adj["bstar"]])
+        cosine = abs(float(np.dot(got, ref))) \
+            / (np.linalg.norm(got) * np.linalg.norm(ref))
+        assert cosine >= 1.0 - 1e-12
 
 
 def test_adjoint_range_orthogonality(eig):

@@ -123,26 +123,90 @@ def test_newton_inversion_reports_nonconvergence(zg, prof, eig, monkeypatch):
         nonlinear._invert_map(f, 2, r, 1.0)
 
 
-def test_interp_columns_matches_per_column_splines(zg, prof, eig):
-    from scipy.interpolate import CubicSpline
+def _band_targets(f, theta):
+    """The displaced radii rho + g cos(m theta) of both bands' z-nodes, one
+    column per angle, inner band first (the points functional_F reads)."""
+    cosm = np.cos(f.m * theta)
+    return np.concatenate([
+        (R + f.eps * f.zgrid.z)[:, None] + np.outer(g, cosm)
+        for R, g in ((CFG.R1, f.g_inner), (CFG.R2, f.g_outer))])
+
+
+def test_per_column_interpolation_matches_column_by_column(zg, prof, eig):
     from annulus_rotor.domain import circulation
-    from annulus_rotor.nonlinear import _interp_columns
     from annulus_rotor.poisson import solve_full
     f = _pert(eig, 1e-3)
     field = build_vorticity(f, prof, n_theta=32)
     grid = field.grid
     psi = solve_full(field.values, circulation(CFG), grid, CFG)
-    cosm = np.cos(M_MODE * field.theta)
-    targets = np.concatenate([
-        (R + EPS * zg.z)[:, None] + np.outer(g, cosm)
-        for R, g in ((CFG.R1, f.g_inner), (CFG.R2, f.g_outer))])
-    targets[:3] = grid.r[[0, 5, -1]][:, None]      # nodes and walls
-    cs = CubicSpline(grid.r, psi, axis=0)
+    targets = _band_targets(f, field.theta)
+    # walls, nodes (a shared panel end among them) and a node's neighbour
+    targets[:4] = grid.r[[0, 5, 47, -1]][:, None]
+    targets[4, ::2] = grid.r[100]
+    targets[5] = grid.r[[200]] + 1e-16
+    out = grid.interpolate(psi, targets)
+    assert out.shape == targets.shape
     ref = np.empty_like(targets)
     for j in range(psi.shape[1]):
-        ref[:, j] = cs(targets[:, j])[:, j]
-    out = _interp_columns(grid, psi, targets)
-    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(psi))
+        ref[:, j] = grid.interpolate(psi[:, j], targets[:, j])
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(psi))
+    np.testing.assert_array_equal(out[:4], psi[[0, 5, 47, -1]])
+    np.testing.assert_array_equal(out[4, ::2], psi[100, ::2])
+    with pytest.raises(ValueError, match="per-column"):
+        grid.interpolate(psi[:, :8], targets)
+
+
+def _smooth(r, theta):
+    return np.sin(7.0 * r) * np.cos(3.0 * theta) + np.log(r)
+
+
+def test_band_reads_are_spectrally_accurate(zg, prof, eig, monkeypatch):
+    # sin(7 r) cos(3 theta) + log r at both bands' displaced radii: the
+    # interpolant, and functional_F's read (psi replaced by the field, lam
+    # = 0), err at rounding: 2.9e-15 (a cubic spline errs by 1.4e-13)
+    from annulus_rotor import nonlinear
+    f = _pert(eig, 1e-3)
+    field = build_vorticity(f, prof, n_theta=128)
+    grid, theta = field.grid, field.theta
+    smooth = _smooth(grid.r[:, None], theta[None, :])
+    targets = _band_targets(f, theta)
+    exact = _smooth(targets, theta[None, :])
+    assert np.max(np.abs(grid.interpolate(smooth, targets) - exact)) <= 1e-14
+    monkeypatch.setattr(nonlinear, "solve_full",
+                        lambda omega, gamma, grid, cfg:
+                        _smooth(grid.r[:, None], theta[None, :]))
+    res = functional_F(0.0, f, prof, n_theta=128)
+    exact -= exact.mean(axis=1, keepdims=True)
+    got = np.concatenate([res.inner, res.outer])
+    assert np.max(np.abs(got - exact)) <= 1e-14
+
+
+def _spline_F(lam, f, prof, n_theta):
+    """functional_F reading psi by per-column cubic splines, as it did
+    before the barycentric read: the reference F moved from."""
+    from scipy.interpolate import CubicSpline
+    from annulus_rotor.domain import circulation
+    from annulus_rotor.poisson import solve_full
+    field = build_vorticity(f, prof, n_theta=n_theta)
+    grid = field.grid
+    psi = solve_full(field.values, circulation(CFG), grid, CFG)
+    cs = CubicSpline(grid.r, psi, axis=0)
+    targets = _band_targets(f, field.theta)
+    interval = np.clip(np.searchsorted(grid.r, targets, side="right") - 1,
+                       0, grid.n - 2)
+    c = cs.c[:, interval, np.arange(psi.shape[1])]
+    dx = targets - grid.r[interval]
+    vals = lam * targets ** 2 / 2.0 \
+        + (((c[0] * dx + c[1]) * dx + c[2]) * dx + c[3])
+    return vals - vals.mean(axis=1, keepdims=True)
+
+
+def test_F_matches_the_spline_reference(zg, prof, eig):
+    f = _pert(eig, 1e-3)
+    res = functional_F(eig.lam, f, prof, n_theta=128)
+    ref = _spline_F(eig.lam, f, prof, 128)
+    got = np.concatenate([res.inner, res.outer])
+    assert np.max(np.abs(got - ref)) <= 1e-13      # 1.8e-14 measured
 
 
 def test_vorticity_mass_drift_is_second_order(zg, prof, eig):
@@ -395,10 +459,11 @@ def test_continue_branch_nonconvergence_carries_residual(prof, eig,
 def test_continue_branch_divergence_carries_residual(prof, eig, monkeypatch):
     evals = _count_calls(monkeypatch, "functional_F")
     zgb = ZGrid(40)
-    # below rounding no step lowers the residual, so the halvings run out
+    # at rounding level the residual wanders (2e-17 to 5e-17) and a step
+    # lowers it only by chance, so within enough steps the halvings run out
     with pytest.raises(NumericsError, match="diverged after 5 halvings") as err:
         continue_branch(eig, CFG, prof, sigma_target=1e-3, steps=1,
-                        n_theta=32, tol=0.0, zgrid=zgb)
+                        n_theta=32, tol=0.0, max_newton=100, zgrid=zgb)
     accepted = evals[:-5]                   # the last five are the halvings
     rn = _last_residual(eig, prof, zgb, 1e-3, accepted)
     assert f"residual {rn:.3e} > tol 0" in str(err.value)
