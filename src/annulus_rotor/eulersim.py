@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import next_fast_len
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import AnnulusConfig
@@ -245,6 +244,19 @@ class SimState:
     dealias: bool = False
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 2-3-5-smooth length >= n, a fast real FFT length."""
+    n = max(n, 1)
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
                   f: LevelSetPerturbation | None, nr: int, ntheta: int,
                   dealias: bool = False) -> SimState:
@@ -257,7 +269,7 @@ def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
     """
     symmetry = 1 if f is None else f.m
     if symmetry > 1:
-        ntheta = next_fast_len(-(-ntheta // symmetry), real=True)
+        ntheta = _next_fast_len(-(-ntheta // symmetry))
     grid = SimGrid(cfg=cfg, nr=nr, ntheta=ntheta, eps=profile.eps,
                    symmetry=symmetry)
     if f is None:

@@ -26,10 +26,9 @@ class Mollifier:
 
         cdf2(x) = cdf2(e_k) + (x - e_k) cdf(e_k) + int_{e_k}^x (x - t) phi(t) dt,
 
-    whose terms are all non-negative, so nothing cancels.  The CDF
-    saturates by clipping its argument to [-1, 1]; cdf2 takes the closed
-    forms cdf2(x<=-1)=0 and cdf2(x>=1) = cdf2(1) + (x - 1) without
-    quadrature.
+    whose terms are all non-negative, so nothing cancels.  Saturated
+    arguments take closed forms without quadrature: cdf(x<=-1)=0,
+    cdf(x>=1)=1, cdf2(x<=-1)=0 and cdf2(x>=1) = cdf2(1) + (x - 1).
     """
 
     def __init__(self, n_panels: int = 256, n_gauss: int = 16):
@@ -61,9 +60,14 @@ class Mollifier:
         return _bump_raw(u) / self.norm
 
     def cdf(self, x) -> np.ndarray:
+        """CDF of the bump: 0 for x <= -1, 1 for x >= 1."""
         x = np.asarray(x, dtype=float)
-        idx, _, half, pts = self._panel(np.clip(x, -1.0, 1.0))
-        return self._cdf_at_edges[idx] + half * (self.value(pts) @ self._gw)
+        out = np.where(x >= 1.0, 1.0, 0.0)
+        inside = (x > -1.0) & (x < 1.0)
+        idx, _, half, pts = self._panel(x[inside])
+        out[inside] = self._cdf_at_edges[idx] \
+            + half * (self.value(pts) @ self._gw)
+        return out
 
     def cdf2(self, x) -> np.ndarray:
         """Antiderivative of the CDF with cdf2(-1)=0, linear for x > 1."""

@@ -449,3 +449,10 @@ def test_initial_state_sector_length(prof, desk_eig):
         for f in (None, f1):
             grid = initial_state(CFG, prof, f, nr=32, ntheta=ntheta).grid
             assert grid.symmetry == 1 and grid.ntheta == ntheta
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    from annulus_rotor.eulersim import _next_fast_len
+    for n in range(1, 4097):
+        assert _next_fast_len(n) == next_fast_len(n, real=True), n

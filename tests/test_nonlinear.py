@@ -95,7 +95,7 @@ def bisect_map(f, band, r_targets, cos_m, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
-@pytest.mark.parametrize("sigma", [1e-3, 3e-3])
+@pytest.mark.parametrize("sigma", [1e-3, 3e-3, 3.8e-3])   # max_slope to 0.90
 def test_newton_inversion_residual_and_bisection(zg, prof, eig, sigma):
     from annulus_rotor.nonlinear import _invert_map
     f = _pert(eig, sigma)
@@ -121,6 +121,70 @@ def test_newton_inversion_reports_nonconvergence(zg, prof, eig, monkeypatch):
     r = np.array([CFG.R2 + 0.3 * EPS])
     with pytest.raises(NumericsError, match="last step"):
         nonlinear._invert_map(f, 2, r, 1.0)
+
+
+def test_newton_inversion_evaluates_the_full_series_only_at_the_end(
+        zg, prof, eig, monkeypatch):
+    # the warm start: the slope, and the residual until the step is small,
+    # come from the truncated series; the parent evaluated the degree-95
+    # series and its derivative on every step (10 calls per band here)
+    from numpy.polynomial.legendre import legval
+    from annulus_rotor import nonlinear
+    f = _pert(eig, 1e-3)
+    theta = 2.0 * np.pi * np.arange(128) / 128
+    cosm = np.cos(M_MODE * theta)
+    sizes = []
+
+    def counting_legval(x, c):
+        sizes.append(len(c))
+        return legval(x, c)
+
+    monkeypatch.setattr(nonlinear, "legval", counting_legval)
+    for band, R in ((1, CFG.R1), (2, CFG.R2)):
+        lo = R - EPS + f.profile_at(R - EPS, band) * cosm
+        hi = R + EPS + f.profile_at(R + EPS, band) * cosm
+        t = np.linspace(0.0, 1.0, 60)[:, None]
+        r = (lo + t * (hi - lo)).ravel()
+        c = np.broadcast_to(cosm, (60, 128)).ravel()
+        sizes.clear()
+        rho = nonlinear._invert_map(f, band, r, c)
+        assert sum(n >= zg.n - 1 for n in sizes) <= 4
+        assert np.max(np.abs(rho - bisect_map(f, band, r, c))) <= 1e-12
+
+
+def test_vorticity_is_mirrored_bit_for_bit(zg, prof, eig):
+    f = _pert(eig, 1e-3)
+    for n_theta in (16, 33, 64, 128):
+        values = build_vorticity(f, prof, n_theta=n_theta).values
+        for j in range(1, n_theta):
+            np.testing.assert_array_equal(values[:, j], values[:, n_theta - j])
+
+
+def _full_circle_F(lam, f, prof, n_theta):
+    """functional_F sampling the field and reading psi on every column, as
+    it did before the mirrored half circle: the reference F moved from."""
+    from annulus_rotor.domain import circulation
+    from annulus_rotor.nonlinear import _FIELD_NODES, vorticity_samples
+    from annulus_rotor.poisson import RadialGrid, solve_full
+    pad = 1.5 * float(max(np.max(np.abs(f.g_inner)),
+                          np.max(np.abs(f.g_outer)), 1e-12))
+    grid = RadialGrid.for_profile(CFG, f.eps, _FIELD_NODES, pad=pad)
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    omega = vorticity_samples(f, prof, grid.r, theta)
+    psi = solve_full(omega, circulation(CFG), grid, CFG)
+    targets = _band_targets(f, theta)
+    vals = lam * targets ** 2 / 2.0 + grid.interpolate(psi, targets)
+    return vals - vals.mean(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_theta", [32, 33, 128])
+def test_F_matches_the_full_circle_reference(zg, prof, eig, n_theta):
+    # measured: within 1.1e-16 at n_theta 16 to 128, sigma 1e-3 and 3.8e-3
+    f = _pert(eig, 1e-3)
+    res = functional_F(eig.lam, f, prof, n_theta=n_theta)
+    ref = _full_circle_F(eig.lam, f, prof, n_theta)
+    got = np.concatenate([res.inner, res.outer])
+    assert np.max(np.abs(got - ref)) <= 1e-15
 
 
 def _band_targets(f, theta):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_rotor.errors import OutOfDomainError
-from annulus_rotor.mollifier import default_mollifier
+from annulus_rotor.mollifier import Mollifier, default_mollifier
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import mapped_rule
 
@@ -28,6 +28,15 @@ def test_mollifier_cdf_matches_brute_force():
         x, w = mapped_rule(-1.0, xq, 400)
         brute = np.dot(w, moll.value(x))
         assert abs(moll.cdf(xq) - brute) < 1e-13
+    # saturated arguments take the closed forms exactly
+    sat = moll.cdf(np.array([-3.0, -1.0, 1.0, 3.0]))
+    assert sat.tolist() == [0.0, 0.0, 1.0, 1.0]
+    # ... with no bump evaluation: one Gauss rule, for the inner point only
+    spy = Mollifier()
+    sizes = []
+    spy.value = lambda u: sizes.append(np.size(u)) or Mollifier.value(spy, u)
+    spy.cdf(np.array([-3.0, -1.0, 0.2, 1.0, 3.0]))
+    assert sizes == [len(spy._gw)]
 
 
 def nested_cdf2(moll, x):
