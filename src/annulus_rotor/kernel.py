@@ -13,6 +13,8 @@ remainders in eps use analytic delta-derivative kernels integrated by Gauss
 quadrature.  Validation is SVD-based: rank-one deficiency of the discretized
 operator at the constructed rate, null-vector match, isolation at the other
 modes, adjoint kernel expansion, and the transversality pairing.
+The mode-m checks share one assembled operator and one full SVD per
+eigensolution and profile, held by the `EigenSolution` and freed with it.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ def lambda_star(coeffs: CoefficientSet) -> float:
         / cfg.R2 ** 2
 
 
-def _alpha1_out(coeffs: CoefficientSet, z, lam1: float) -> np.ndarray:
-    return coeffs.alpha1(2, z, lam1)
-
-
 def _edge_breaks(kappa: float) -> list[float]:
     pts = [-1.0, 1.0]
     if kappa < 0.5:
@@ -49,6 +47,12 @@ def _edge_breaks(kappa: float) -> list[float]:
 
 # Gauss order of each I(lam1) panel
 _I_GAUSS = 24
+BISECTION_MAX_ITER = 200      # lam1 bisection steps
+PICARD_TOL = 1e-11            # largest weighted Picard step at the stop
+PICARD_MAX_ITER = 200
+SVD_GAP_TOL = 1e-6            # most sigma_min / sigma_second at mode m
+OFFMODE_FLOOR = 1e-3          # least sigma_min / (eps sigma_max), n != m
+TRANSVERSALITY_FLOOR = 0.5    # least |T| / |its leading part|
 
 
 def _I_panels(prof: TrapezoidProfile) -> tuple:
@@ -73,15 +77,14 @@ def _I_quadrature(coeffs: CoefficientSet, m: int, lam1: float) -> float:
     """I(lam1) = p2(m) * int edge'(s) / alpha1_out(s) ds, summed panel by
     panel; the panels and their edge' values are built once per profile."""
     x, w, ep = coeffs.memo("I_panels", lambda: _I_panels(coeffs.profile))
-    q = ep / _alpha1_out(coeffs, x, lam1)
+    q = ep / coeffs.alpha1(2, x, lam1)
     total = 0.0
     for wk, qk in zip(w, q):
         total += float(np.dot(wk, qk))
     return p_coeff(2, m, coeffs.cfg) * total
 
 
-def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10,
-                  max_iter: int = 200) -> dict:
+def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10) -> dict:
     """Unique root of I(lam1) = 1 below lambda_star, by bisection.
 
     I is strictly increasing on (-inf, lambda*), tends to 0 at -inf, and its
@@ -111,9 +114,7 @@ def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10,
     else:
         raise BracketError("could not bracket the rate-slope root from below")
     lo, hi = lam_star - big, lam_star - delta     # I(lo) < 1 < I(hi)
-    lam1 = 0.5 * (lo + hi)
-    resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(BISECTION_MAX_ITER):
         lam1 = 0.5 * (lo + hi)
         val = _I_quadrature(coeffs, m, lam1)
         resid = val - 1.0
@@ -145,7 +146,7 @@ def lambda1_closed_form(m: int, coeffs: CoefficientSet) -> float:
 def b0_and_a1(m: int, lam1: float, coeffs: CoefficientSet,
               zgrid: ZGrid) -> tuple[np.ndarray, float]:
     """Leading outer profile b0 = 1/alpha1_out and the constant inner lead."""
-    alpha1 = _alpha1_out(coeffs, zgrid.z, lam1)
+    alpha1 = coeffs.alpha1(2, zgrid.z, lam1)
     if np.any(alpha1 == 0.0) or np.max(alpha1) * np.min(alpha1) <= 0.0:
         raise KernelValidationError("outer coefficient changes sign on the "
                                     "band; lam1 is outside its valid range")
@@ -176,7 +177,7 @@ def _polish_lambda1_on_grid(m: int, lam1: float, coeffs: CoefficientSet,
     p2 = p_coeff(2, m, cfg)
     ep = coeffs.profile.edge_prime(zgrid.z)
     for _ in range(iters):
-        alpha1 = _alpha1_out(coeffs, zgrid.z, lam1)
+        alpha1 = coeffs.alpha1(2, zgrid.z, lam1)
         g = p2 * float(np.dot(zgrid.w, ep / alpha1)) - 1.0
         dg = -p2 * cfg.R2 ** 2 * float(np.dot(zgrid.w, ep / alpha1 ** 2))
         step = g / dg
@@ -196,7 +197,7 @@ def invert_q2hat(G: np.ndarray, m: int, lam1: float, coeffs: CoefficientSet,
     F = G - (mu R2^2 + beta) b0 orthogonal to b0 edge', and g = F b0.
     """
     cfg = coeffs.cfg
-    ep = coeffs.profile.edge_prime(zgrid.z)
+    ep = -coeffs.slope_weights(zgrid)[2]   # edge' = -sigma_+, kept per grid
     beta_b0 = coeffs.beta_quad(zgrid.z, lam1) * b0
     den = float(np.dot(zgrid.w, b0 ** 2 * ep))
     if abs(den) < 1e-14:
@@ -285,6 +286,8 @@ class EigenSolution:
     zgrid: ZGrid
     mode: str
     diagnostics: dict = field(default_factory=dict)
+    _mode_op: tuple | None = field(default=None, init=False, compare=False,
+                                   repr=False)      # see `_mode_operator`
 
     @property
     def lam(self) -> float:
@@ -456,8 +459,7 @@ class KernelBuilder:
 
 def fixed_point_corrections(builder: KernelBuilder, lam1: float,
                             a1: float, b0: np.ndarray,
-                            mode: str = "exact", tol: float = 1e-11,
-                            max_iter: int = 200) -> dict:
+                            mode: str = "exact") -> dict:
     """Picard-iterate the order-two system for (a2, b1, lam2).
 
     Distances are measured in the slope-weighted L2 norms; three consecutive
@@ -466,15 +468,11 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
     if mode not in ("exact", "asymptotic"):
         raise ValueError("mode must be 'exact' or 'asymptotic'")
     zg = builder.zgrid
-    cfg = builder.cfg
     eps = builder.eps
     sig = builder.coeffs.slope_weights(zg)
     w_in = zg.w * sig[1]
     w_out = zg.w * sig[2]
-    ep = builder.ep_plus
-    beta_b0 = builder.coeffs.beta_quad(zg.z, lam1) * b0
     alpha0_in = builder.coeffs.alpha0(1)
-    den = float(np.dot(zg.w, b0 ** 2 * ep))
 
     A0 = -builder.known_T2(a1, lam1) - builder.remainder_T1(b0)
     B0 = (-builder.known_Q2(a1) - builder.swirl2[2] * b0
@@ -485,22 +483,21 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
     lam2 = 0.0
     dists: list[float] = []
     grow = 0
-    for it in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         A1 = -builder.remainder_T2(b1, a1) - builder.T3(a2, lam2, a1, lam1)
         B1 = -builder.remainder_Q2(b1, lam2, a1, b0, lam1) \
             - builder.Q3(a2, b1, lam2, lam1,
                          include_swirl2=(mode == "exact"))
-        num = float(np.dot(zg.w, (B0 + eps * B1 - beta_b0) * b0 * ep))
-        lam2_new = num / (cfg.R2 ** 2 * den)
-        b1_new = (B0 + eps * B1 - lam2_new * cfg.R2 ** 2 * b0 - beta_b0) * b0
-        contract = float(np.dot(zg.w, ep * b1_new))
+        b1_new, lam2_new = invert_q2hat(B0 + eps * B1, builder.m, lam1,
+                                        builder.coeffs, b0, zg)
+        contract = float(np.dot(zg.w, builder.ep_plus * b1_new))
         a2_new = (A0 + eps * A1 + builder.p1 * contract) / alpha0_in
         d = max(np.sqrt(float(np.dot(w_in, (a2_new - a2) ** 2))),
                 np.sqrt(float(np.dot(w_out, (b1_new - b1) ** 2))),
                 abs(lam2_new - lam2))
         a2, b1, lam2 = a2_new, b1_new, lam2_new
         dists.append(d)
-        if d <= tol:
+        if d <= PICARD_TOL:
             break
         if len(dists) >= 2 and dists[-1] > dists[-2]:
             grow += 1
@@ -520,14 +517,13 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
 
 
 def build_eigensolution(cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
-                        zgrid: ZGrid, mode: str = "exact",
-                        tol: float = 1e-11) -> EigenSolution:
+                        zgrid: ZGrid, mode: str = "exact") -> EigenSolution:
     coeffs = profile.coefficients
     root = solve_lambda1(m, coeffs)
     lam1 = _polish_lambda1_on_grid(m, root["lam1"], coeffs, zgrid)
     b0, a1 = b0_and_a1(m, lam1, coeffs, zgrid)
     builder = KernelBuilder(cfg, profile, m, zgrid, coeffs)
-    fp = fixed_point_corrections(builder, lam1, a1, b0, mode=mode, tol=tol)
+    fp = fixed_point_corrections(builder, lam1, a1, b0, mode=mode)
     diag = {"lambda1_bisection": root, "lam1_grid": lam1,
             "fixed_point": {k: fp[k] for k in ("iterations", "ratio")},
             "distances": fp["distances"]}
@@ -537,20 +533,35 @@ def build_eigensolution(cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
                          zgrid=zgrid, mode=mode, diagnostics=diag)
 
 
+def _mode_operator(eig: EigenSolution, cfg: AnnulusConfig,
+                   profile: TrapezoidProfile) -> tuple:
+    """(operator, singular values, last left and last right singular vector)
+    of mode m at eig.lam, built once per (eigensolution, profile) and kept
+    on the eigensolution."""
+    if eig._mode_op is None or eig._mode_op[0] is not profile:
+        op = assemble(eig.m, eig.eps, eig.lam, cfg, profile, eig.zgrid)
+        U, svals, Vt = np.linalg.svd(op.weighted_matrix())
+        eig._mode_op = (profile, op, svals, U[:, -1].copy(), Vt[-1].copy())
+    return eig._mode_op[1:]
+
+
+def singular_values(n: int, eps: float, lam: float, cfg: AnnulusConfig,
+                    profile: TrapezoidProfile, zgrid: ZGrid) -> np.ndarray:
+    """Singular values (descending) of the weighted mode-n operator at lam."""
+    op = assemble(n, eps, lam, cfg, profile, zgrid)
+    return np.linalg.svd(op.weighted_matrix(), compute_uv=False)
+
+
 def operator_residual(eig: EigenSolution, cfg: AnnulusConfig,
                       profile: TrapezoidProfile) -> float:
     """Weighted norm of the assembled operator applied to the eigenpair,
     relative to the pair's weighted norm."""
-    op = assemble(eig.m, eig.eps, eig.lam, cfg, profile, eig.zgrid)
-    out = op.apply(eig.a, eig.b)
-    denom = op.norm((eig.a, eig.b))
-    return op.norm(out) / denom
+    op = _mode_operator(eig, cfg, profile)[0]
+    return op.norm(op.apply(eig.a, eig.b)) / op.norm((eig.a, eig.b))
 
 
 def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
-                    profile: TrapezoidProfile, M: int = 8,
-                    svd_gap_tol: float = 1e-6,
-                    offmode_floor: float = 1e-3) -> dict:
+                    profile: TrapezoidProfile, M: int = 8) -> dict:
     """SVD-based kernel checks at the constructed rotation rate.
 
     (i) rank-one deficiency of the discretized operator at mode m,
@@ -559,37 +570,30 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     plus an isolation scan in the rate.
     """
     zg = eig.zgrid
-    op = assemble(eig.m, eig.eps, eig.lam, cfg, profile, zg)
-    Mw = op.weighted_matrix()
-    _, svals, Vt = np.linalg.svd(Mw)
+    op, svals, _, null_vec = _mode_operator(eig, cfg, profile)
     sigma_min, sigma_second = svals[-1], svals[-2]
-    null_vec = Vt[-1]
     constructed = op.weighted_vector(eig.a, eig.b)
     cosine = abs(float(np.dot(null_vec, constructed))) \
         / (np.linalg.norm(null_vec) * np.linalg.norm(constructed))
-    out = op.apply(eig.a, eig.b)
-    residual = op.norm(out) / op.norm((eig.a, eig.b))
 
     off = {}
     for n in range(1, M + 1):
         if n == eig.m:
             continue
-        opn = assemble(n, eig.eps, eig.lam, cfg, profile, zg)
-        svn = np.linalg.svd(opn.weighted_matrix(), compute_uv=False)
+        svn = singular_values(n, eig.eps, eig.lam, cfg, profile, zg)
         off[n] = {"sigma_min": float(svn[-1]),
                   "norm": float(svn[0]),
-                  "ok": bool(svn[-1] >= offmode_floor * eig.eps * svn[0])}
+                  "ok": bool(svn[-1] >= OFFMODE_FLOOR * eig.eps * svn[0])}
 
-    op_shift = assemble(eig.m, eig.eps, eig.lam + 0.1, cfg, profile, zg)
-    sv_shift = np.linalg.svd(op_shift.weighted_matrix(), compute_uv=False)
+    sv_shift = singular_values(eig.m, eig.eps, eig.lam + 0.1, cfg, profile, zg)
 
     diag = {
         "sigma_min": float(sigma_min),
         "sigma_second": float(sigma_second),
         "gap_ratio": float(sigma_min / sigma_second),
-        "gap_ok": bool(sigma_min / sigma_second <= svd_gap_tol),
+        "gap_ok": bool(sigma_min / sigma_second <= SVD_GAP_TOL),
         "cosine": float(cosine),
-        "residual": float(residual),
+        "residual": float(operator_residual(eig, cfg, profile)),
         "off_modes": off,
         "shift_jump": float(sv_shift[-1] / max(sigma_min, 1e-300)),
     }
@@ -613,11 +617,9 @@ def adjoint_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     leading order, together with expansion diagnostics.
     """
     zg = eig.zgrid
-    op = assemble(eig.m, eig.eps, eig.lam, cfg, profile, zg)
-    U, svals, _ = np.linalg.svd(op.weighted_matrix())
+    op, svals, null_w, _ = _mode_operator(eig, cfg, profile)
     if svals[-1] / svals[-2] > 1e-3:
         raise KernelValidationError("adjoint kernel dimension is not one")
-    null_w = U[:, -1]
     # back to nodal values; a sqrt-weight at rounding level relative to the
     # largest one carries no information, so it counts as a zero weight
     S = np.concatenate(op.sqrt_weights)
@@ -642,7 +644,7 @@ def adjoint_kernel(eig: EigenSolution, cfg: AnnulusConfig,
 
 
 def transversality(eig: EigenSolution, adjoint: dict, cfg: AnnulusConfig,
-                   profile: TrapezoidProfile, floor: float = 0.5) -> dict:
+                   profile: TrapezoidProfile) -> dict:
     """Pairing that licenses the bifurcation: must stay away from zero.
 
     T = int (R1+eps z) a a* sigma_- dz + int (R2+eps z) b b* sigma_+ dz; the
@@ -658,10 +660,9 @@ def transversality(eig: EigenSolution, adjoint: dict, cfg: AnnulusConfig,
     term_out = float(np.dot(zg.w, r_out * eig.b * adjoint["bstar"] * sig_out))
     leading = float(np.dot(zg.w, r_out * eig.b0 ** 2 * sig_out))
     T = term_in + term_out
-    ok = abs(T) >= floor * abs(leading)
-    if not ok:
+    if not abs(T) >= TRANSVERSALITY_FLOOR * abs(leading):
         raise KernelValidationError(
             f"transversality pairing too small: |T|={abs(T):.3g} < "
-            f"{floor} * {abs(leading):.3g}")
+            f"{TRANSVERSALITY_FLOOR} * {abs(leading):.3g}")
     return {"T": T, "term_inner": term_in, "term_outer": term_out,
             "leading": leading, "sign_matches_leading": bool(T * leading > 0)}

@@ -119,6 +119,22 @@ def test_validate_kernel_subcommand(tmp_path):
     assert (out / "kernel_offmodes.csv").exists()
 
 
+def test_sigma_table_off_modes_match_validate_kernel(tmp_path):
+    # both subcommands take the off-mode singular values from one scan
+    proc, out = run_cli(tmp_path, CONFIG_OK, "find-eigen")
+    assert proc.returncode == 0, proc.stderr
+    table = [row.split(",") for row in
+             (out / "eigen_sigma_table.csv").read_text().splitlines()[1:]]
+    proc, out = run_cli(tmp_path, CONFIG_OK, "validate-kernel")
+    assert proc.returncode == 0, proc.stderr
+    offmodes = [row.split(",") for row in
+                (out / "kernel_offmodes.csv").read_text().splitlines()[1:]]
+    expected = [(mode, smin, smax) for mode, smin, _, smax in table
+                if mode != "3"]
+    assert len(expected) == 7
+    assert [(mode, smin, norm) for mode, smin, norm, _ in offmodes] == expected
+
+
 def test_transversality_subcommand(tmp_path):
     proc, out = run_cli(tmp_path, CONFIG_OK, "transversality")
     assert proc.returncode == 0, proc.stderr

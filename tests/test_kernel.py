@@ -383,11 +383,12 @@ def test_off_default_geometry_with_rotation_constant(zg):
 # -- profile terms are computed once per (profile, grid), not per loop -------
 
 def _count_calls(monkeypatch, owner, name):
-    counts = {"n": 0}
+    counts = {"n": 0, "calls": []}
     orig = getattr(owner, name)
 
     def counted(*args, **kwargs):
         counts["n"] += 1
+        counts["calls"].append((args, kwargs))
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -407,6 +408,41 @@ def test_second_validation_pass_evaluates_no_edge(monkeypatch, zg):
     edge = _count_calls(monkeypatch, TrapezoidProfile, "edge")
     validation_pass()
     assert edge["n"] == 0
+
+
+def test_kernel_checks_share_one_operator_and_svd(monkeypatch, zg):
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    eig = build_eigensolution(CFG, prof, M_MODE, zg)
+    asm = _count_calls(monkeypatch, kernel_mod, "assemble")
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
+
+    def taken():
+        """(mode-m assemblies at eig.lam, SVDs with singular vectors) since
+        the last call."""
+        at_lam = sum(args[0] == eig.m and args[2] == eig.lam
+                     for args, _ in asm["calls"])
+        with_uv = sum(kwargs.get("compute_uv", True)
+                      for _, kwargs in svd["calls"])
+        asm["calls"].clear()
+        svd["calls"].clear()
+        return at_lam, with_uv
+
+    def checks(profile):
+        validate_kernel(eig, CFG, profile)
+        adjoint_kernel(eig, CFG, profile)
+        return operator_residual(eig, CFG, profile)
+
+    first = checks(prof)
+    assert taken() == (1, 1)
+    assert checks(prof) == first
+    assert taken() == (0, 0)
+    # a profile of another kappa rebuilds, and the residual is its own
+    other = TrapezoidProfile(CFG, 1e-2, 0.2)
+    res = operator_residual(eig, CFG, other)
+    assert taken() == (1, 1)
+    op = assemble(eig.m, eig.eps, eig.lam, CFG, other, zg)
+    assert res == op.norm(op.apply(eig.a, eig.b)) / op.norm((eig.a, eig.b))
+    assert res > 1e3 * first
 
 
 def test_lambda1_edge_prime_calls_do_not_grow_with_I_evals(monkeypatch):
