@@ -8,6 +8,12 @@ continuation, Sobolev-distance estimates, and a direct spectral/FD
 simulator that verifies rigid rotation.
 """
 
+# NumPy imports these submodules on first use: fft (the Poisson solves and
+# the simulator), random (`linearization_check`) and ma (reached through
+# np.unique in `kernel`).  Loading them with the package keeps first
+# imports out of the workflows.
+from numpy import fft as _fft, ma as _ma, random as _random  # noqa: F401
+
 from .config import AnnulusConfig, RunConfig, default_run_config, parse_config
 from .domain import circulation, lambda0, u_tc
 from .kernel import (EigenSolution, adjoint_kernel, build_eigensolution,

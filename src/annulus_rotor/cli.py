@@ -369,7 +369,6 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.outdir, exist_ok=True)
-    np.random.seed(run.seed)
     try:
         return _COMMANDS[args.command](run, args.outdir, args)
     except NumericsError as exc:

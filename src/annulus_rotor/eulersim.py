@@ -11,10 +11,11 @@ to the four stages.  The base swirl then no longer sets the step (the
 FARGO idea for differentially rotating discs); the radial velocity, the
 swirl left after the mean rotation and the vorticity do.
 
-The modal Poisson operator is factored once per grid, and each substage
-re-solves the stream function in one LAPACK tridiagonal sweep over all
-angular modes.  The stages are combined in spectral space, in arrays the
-grid's solver owns, so a step allocates only the new vorticity field.
+The modal Poisson operator is reduced once per grid (odd-even cyclic
+reduction), and each substage re-solves the stream function in one NumPy
+sweep over all angular modes.  The stages are combined in spectral space,
+in arrays the grid's solver owns, so a step allocates only the new
+vorticity field.
 
 Euler preserves m-fold symmetry, so a grid of symmetry order m stores one
 sector theta in [0, 2 pi/m) and carries only the angular wavenumbers k m;
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .config import AnnulusConfig
 from .domain import circulation
@@ -149,6 +149,104 @@ def _d_xi(F: np.ndarray, h: float, out: np.ndarray | None = None
     return D
 
 
+class _CyclicReduction:
+    """Odd-even cyclic reduction of a real tridiagonal system.
+
+    Row i of the system reads lower[i] x[i-1] + diag[i] x[i] +
+    upper[i] x[i+1] = f[i]; lower[0] and upper[-1] are ignored.  Each
+    level eliminates the unknowns of its even rows, which leaves a
+    tridiagonal system in its odd rows; the last level has one row.  Every
+    row is scaled once, by 1/diag at the level that eliminates it, so a
+    solve divides by no pivot.  A zero or non-finite reduced diagonal
+    raises `NumericsError`.
+
+    The scales and the reduced coefficients are formed once, at
+    construction, in np.longdouble: formed in double, their rounding
+    dominates the error of the solve.  They are stored complex, so that
+    `solve` multiplies complex by complex without a casting buffer.  A
+    solve runs on the right-hand side only, in one work array per level,
+    owned by the instance; every operand is a one-dimensional slice.  See
+    Hockney, J. ACM 12 (1965); Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 7 (1970).
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray,
+                 upper: np.ndarray):
+        a = np.array(lower, dtype=np.longdouble)
+        b = np.array(diag, dtype=np.longdouble)
+        c = np.array(upper, dtype=np.longdouble)
+        a[0] = 0.0
+        c[-1] = 0.0
+        n = len(b)
+        scale = np.empty(n, dtype=np.longdouble)
+        systems = []
+        stride = 1
+        while True:
+            pivot = np.abs(b)
+            if not np.all(pivot > 0.0) or not np.all(np.isfinite(pivot)):
+                finite = pivot[np.isfinite(pivot)]
+                raise NumericsError(
+                    f"modal Poisson operator is singular: level "
+                    f"{len(systems)} of the cyclic reduction has smallest "
+                    f"|pivot| {np.min(finite, initial=np.inf):.3g} "
+                    f"({pivot.size - finite.size} not finite)")
+            inv_b = 1.0 / b[0::2]
+            scale[stride - 1::2 * stride] = inv_b
+            ne, no = len(inv_b), len(b) // 2
+            if no == 0:
+                break
+            systems.append((stride, a, c, inv_b))
+            # the odd rows once the even rows' unknowns are eliminated
+            left = a[1::2] * inv_b[:no]
+            right = c[1::2][:ne - 1] * inv_b[1:]
+            b_odd = b[1::2] - left * c[0::2][:no]
+            b_odd[:ne - 1] -= right * a[0::2][1:]
+            c_odd = np.zeros_like(b_odd)
+            c_odd[:ne - 1] = -right * c[0::2][1:]
+            a, b, c = -left * a[0::2][:no], b_odd, c_odd
+            stride *= 2
+        self._scale = scale.astype(complex)
+        self.work = np.empty(n, dtype=complex)
+        tmp = np.empty(max(n // 2, 1), dtype=complex)
+        self._levels = []
+        here = self.work
+        for stride, a, c, inv_b in systems:
+            even, odd = here[0::2], here[1::2]
+            ne, no = len(even), len(odd)
+            below = np.empty(no, dtype=complex)
+            s_odd = scale[2 * stride - 1::2 * stride]
+            # forward: below = f_odd - lower f_even(left) - upper
+            # f_even(right), on scaled rows; back: x_even = f_even -
+            # (lower/b) x_odd(left) - (upper/b) x_odd(right)
+            self._levels.append((
+                even[:no], even[1:], odd, below, below[:ne - 1], tmp[:no],
+                tmp[:ne - 1], (s_odd * a[1::2]).astype(complex),
+                (s_odd[:ne - 1] * c[1::2][:ne - 1]).astype(complex),
+                (a[0::2][1:] * inv_b[1:]).astype(complex),
+                (c[0::2][:no] * inv_b[:no]).astype(complex)))
+            here = below
+
+    def solve(self) -> np.ndarray:
+        """Overwrite `work`, which holds the right-hand side, with the
+        solution."""
+        work = self.work
+        work *= self._scale
+        for (even_lo, even_hi, odd, below, below_hi, t_lo, t_hi,
+             a_odd, c_odd, _, _) in self._levels:
+            np.multiply(a_odd, even_lo, out=below)
+            np.subtract(odd, below, out=below)
+            np.multiply(c_odd, even_hi, out=t_hi)
+            below_hi -= t_hi
+        for (even_lo, even_hi, odd, below, below_hi, t_lo, t_hi,
+             _, _, a_even, c_even) in reversed(self._levels):
+            np.multiply(c_even, below, out=t_lo)
+            even_lo -= t_lo
+            np.multiply(a_even, below_hi, out=t_hi)
+            even_hi -= t_hi
+            np.copyto(odd, below)
+        return work
+
+
 class ModalStreamSolver:
     """Tridiagonal modal solver on the mapped radial grid.
 
@@ -156,12 +254,12 @@ class ModalStreamSolver:
     values (0, gamma delta_{n0}); second order in the mapped coordinate,
     cross-validated against the Green's-function solver in the tests.
     On a grid of symmetry order m the stored modes are the wavenumbers
-    n = k m.  The tridiagonals of modes k m, k = 1..ntheta//2, are stacked
-    into one block-diagonal tridiagonal (zero coupling between blocks) and
-    -A is LU-factored once at construction (LAPACK gttrf); each solve is
-    then one gttrs sweep over all modes.  The solver also owns the work
-    arrays of the time step (`_velocity`, `_remainder`, `step`);
-    `SimGrid.solver` holds one per grid.
+    n = k m.  The tridiagonals of -A for modes k m, k = 1..ntheta//2, are
+    stacked into one tridiagonal with zero coupling between modes, reduced
+    once at construction (`_CyclicReduction`); each solve then runs on the
+    right-hand sides only, in arrays the reduction owns.  The solver also
+    owns the work arrays of the time step (`_velocity`, `_remainder`,
+    `step`); `SimGrid.solver` holds one per grid.
     """
 
     def __init__(self, grid: SimGrid):
@@ -180,20 +278,17 @@ class ModalStreamSolver:
         a_di = -2.0 / (h * h * r_xi[i] ** 2)
         nk = grid.ntheta // 2
         k = grid.symmetry * np.arange(1, nk + 1)[:, None]
-        # rows of -A, one mode per row; the last column of dl/du is the
-        # zero entry joining two blocks
-        dl = np.zeros((nk, nr - 2), dtype=complex)
-        du = np.zeros((nk, nr - 2), dtype=complex)
-        dl[:, :-1] = -a_lo[1:]
-        du[:, :-1] = -a_hi[:-1]
-        d = -(a_di - (k / r[i]) ** 2).astype(complex)
-        *lu, info = zgttrf(dl.ravel()[:-1], d.ravel(), du.ravel()[:-1])
-        if info != 0:
-            raise NumericsError(f"modal Poisson operator is singular "
-                                f"(gttrf info={info})")
-        self._lu = lu
+        # -A for modes k m, k = 1..nk, stacked mode after mode into one
+        # tridiagonal that couples no two modes
+        lower = np.tile(-a_lo, (nk, 1))
+        upper = np.tile(-a_hi, (nk, 1))
+        lower[:, 0] = 0.0
+        upper[:, -1] = 0.0
+        self._cr = _CyclicReduction(lower.ravel(),
+                                    -(a_di - (k / r[i]) ** 2).ravel(),
+                                    upper.ravel())
+        self._modal = self._cr.work.reshape(nk, nr - 2)
         self._shape = (nr, nk + 1)
-        self._modal = np.empty((nk, nr - 2), dtype=complex)      # gttrs rhs
         # step work arrays, spectral: the state's modes, the phase E, the
         # stage, accumulator and slope, the stream modes and the i k
         # product; physical: four fields and the frame's mean swirl
@@ -212,7 +307,7 @@ class ModalStreamSolver:
         if omega_hat.shape != self._shape:
             raise OutOfDomainError(f"omega_hat has shape {omega_hat.shape}; "
                                    f"the solver is factored for {self._shape}")
-        nr, nk = omega_hat.shape
+        nr = omega_hat.shape[0]
         psi = np.empty_like(omega_hat) if out is None else out
         # mode zero carries the O(1) flow: closed-form double integral on
         # the mapped grid (4th-order cumulative quadrature)
@@ -224,14 +319,12 @@ class ModalStreamSolver:
         logr = np.log(grid.r[-1] / grid.r[0])
         C = (gamma_hat + U[-1]) / logr
         psi[:, 0] = C * np.log(grid.r / grid.r[0]) - U
-        # -A psi = omega on the mode-major stack of interior values; gttrs
-        # overwrites the stack in place
-        modal = self._modal
-        np.copyto(modal, omega_hat[1:-1, 1:].T)
-        inner, _ = zgttrs(*self._lu, modal.reshape(-1), overwrite_b=1)
+        # -A psi = omega at the interior nodes, every mode at once
         psi[0, 1:] = 0.0
         psi[-1, 1:] = 0.0
-        psi[1:-1, 1:] = inner.reshape(nk - 1, nr - 2).T
+        np.copyto(self._modal, omega_hat[1:-1, 1:].T)
+        self._cr.solve()
+        psi[1:-1, 1:] = self._modal.T
         return psi
 
 

@@ -151,8 +151,8 @@ def b0_and_a1(m: int, lam1: float, coeffs: CoefficientSet,
         raise KernelValidationError("outer coefficient changes sign on the "
                                     "band; lam1 is outside its valid range")
     b0 = 1.0 / alpha1
-    prof = coeffs.profile
-    contraction = float(np.dot(zgrid.w, prof.edge_prime(zgrid.z) * b0))
+    ep = -coeffs.slope_weights(zgrid)[2]   # edge' = -sigma_+, kept per grid
+    contraction = float(np.dot(zgrid.w, ep * b0))
     a1 = p_coeff(1, m, coeffs.cfg) * contraction / coeffs.alpha0(1)
     return b0, a1
 
@@ -175,7 +175,7 @@ def _polish_lambda1_on_grid(m: int, lam1: float, coeffs: CoefficientSet,
     machine-exact (keeps the discrete construction residual at rounding)."""
     cfg = coeffs.cfg
     p2 = p_coeff(2, m, cfg)
-    ep = coeffs.profile.edge_prime(zgrid.z)
+    ep = -coeffs.slope_weights(zgrid)[2]   # edge' = -sigma_+, kept per grid
     for _ in range(iters):
         alpha1 = coeffs.alpha1(2, zgrid.z, lam1)
         g = p2 * float(np.dot(zgrid.w, ep / alpha1)) - 1.0
@@ -318,14 +318,14 @@ class KernelBuilder:
         self.coeffs = coeffs if coeffs is not None else profile.coefficients
         self.kern = _DeltaKernels(cfg, m)
         self.eps = profile.eps
-        z = zgrid.z
-        self.ep_plus = profile.edge_prime(z)       # edge'(z)
-        self.ep_minus = profile.edge_prime(-z)     # edge'(-z)
+        sig = self.coeffs.slope_weights(zgrid)
+        self.ep_plus = -sig[2]                     # edge'(z)
+        self.ep_minus = -sig[1]                    # edge'(-z)
         self.p1 = p_coeff(1, m, cfg)
         self.p2 = p_coeff(2, m, cfg)
         self.dx, self.dw = mapped_rule(0.0, self.eps, N_DELTA)
-        self.x1 = cfg.R1 + self.eps * z
-        self.x2 = cfg.R2 + self.eps * z
+        self.x1 = cfg.R1 + self.eps * zgrid.z
+        self.x2 = cfg.R2 + self.eps * zgrid.z
         self.swirl2 = self.coeffs.swirl2_on_grid(zgrid)
         self._averages: dict[str, np.ndarray] = {}
 
@@ -629,13 +629,14 @@ def adjoint_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     # unit weighted norm, then align the outer part with b0
     nrm = np.sqrt(op.inner((astar, bstar), (astar, bstar)))
     astar, bstar = astar / nrm, bstar / nrm
-    sig_out = profile.weight_outer(zg.z)
+    sig = profile.coefficients.slope_weights(zg)
+    sig_out = sig[2]
     C = float(np.dot(zg.w * sig_out, bstar * eig.b0)) \
         / float(np.dot(zg.w * sig_out, eig.b0 ** 2))
     if C == 0.0:
         raise KernelValidationError("adjoint outer profile orthogonal to b0")
     astar, bstar = astar / C, bstar / C
-    a_norm = np.sqrt(float(np.dot(zg.w * profile.weight_inner(zg.z), astar ** 2)))
+    a_norm = np.sqrt(float(np.dot(zg.w * sig[1], astar ** 2)))
     mismatch = bstar - eig.b0
     b_gap = np.sqrt(float(np.dot(zg.w * sig_out, mismatch ** 2)))
     return {"astar": astar, "bstar": bstar, "a_norm_weighted": a_norm,
@@ -652,8 +653,8 @@ def transversality(eig: EigenSolution, adjoint: dict, cfg: AnnulusConfig,
     """
     zg = eig.zgrid
     z = zg.z
-    sig_in = profile.weight_inner(z)
-    sig_out = profile.weight_outer(z)
+    sig = profile.coefficients.slope_weights(zg)
+    sig_in, sig_out = sig[1], sig[2]
     r_in = cfg.R1 + eig.eps * z
     r_out = cfg.R2 + eig.eps * z
     term_in = float(np.dot(zg.w, r_in * eig.a * adjoint["astar"] * sig_in))

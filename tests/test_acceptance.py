@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import DESK_CFG as CFG, DESK_EPS, DESK_KAPPA, DESK_M, eigensolution
+from fd_oracle import fd_bvp_solve
 
 from annulus_rotor.config import AnnulusConfig
 from annulus_rotor.domain import circulation, lambda0, u_tc
@@ -21,8 +22,7 @@ from annulus_rotor.linop import CoefficientSet, assemble, assemble_adjoint
 from annulus_rotor.nonlinear import (LevelSetPerturbation, _kernel_direction,
                                      continue_branch, h2_band_bound,
                                      linearization_check, sobolev_distance)
-from annulus_rotor.poisson import (RadialGrid, axisymmetric_prime,
-                                   fd_bvp_solve, solve_mode)
+from annulus_rotor.poisson import RadialGrid, axisymmetric_prime, solve_mode
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid
 

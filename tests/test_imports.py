@@ -4,25 +4,36 @@ import sys
 import textwrap
 
 
-def test_wave_and_rotation_load_only_scipy_linalg():
-    # one functional_F and a short verify_rotation, in a fresh interpreter
+def test_package_and_workflows_load_no_scipy():
+    # the package and the simulator imported, then one eigensolution with
+    # its kernel checks, one F, the linearization check and a short
+    # rotation, in a fresh interpreter: no SciPy module is ever loaded, and
+    # no NumPy submodule first loads inside the workflows
     script = textwrap.dedent("""
         import sys
-        sys.path.insert(0, "tests")
-        import numpy as np
-        from conftest import DESK_CFG, eigensolution
-        from annulus_rotor.eulersim import initial_state, verify_rotation
-        from annulus_rotor.nonlinear import LevelSetPerturbation, functional_F
-        from annulus_rotor.profile import TrapezoidProfile
+        import annulus_rotor
+        import annulus_rotor.eulersim
+        imported = set(sys.modules)
 
-        eig = eigensolution(1e-2, nz=48)
-        prof = TrapezoidProfile(DESK_CFG, 1e-2, 0.1)
-        f = LevelSetPerturbation.from_kernel(eig, DESK_CFG, amplitude=1e-3)
+        from annulus_rotor import (AnnulusConfig, LevelSetPerturbation,
+                                   TrapezoidProfile, ZGrid,
+                                   build_eigensolution, functional_F,
+                                   linearization_check, validate_kernel)
+        from annulus_rotor.eulersim import initial_state, verify_rotation
+
+        cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=0.15)
+        prof = TrapezoidProfile(cfg, 1e-2, 0.1)
+        eig = build_eigensolution(cfg, prof, 3, ZGrid(48))
+        validate_kernel(eig, cfg, prof)
+        f = LevelSetPerturbation.from_kernel(eig, cfg, amplitude=1e-3)
         functional_F(eig.lam, f, prof, n_theta=32)
-        state = initial_state(DESK_CFG, prof, f, nr=64, ntheta=32)
+        linearization_check(eig, cfg, prof, seed=0)
+        state = initial_state(cfg, prof, f, nr=64, ntheta=32)
         verify_rotation(state, eig.lam, 0.5, n_checkpoints=2, m=3)
-        print(" ".join(sorted(m for m in sys.modules
-                              if m.startswith("scipy."))))
+        print("SCIPY", *sorted(m for m in sys.modules
+                               if m.split(".")[0] == "scipy"))
+        print("LATE", *sorted(m for m in set(sys.modules) - imported
+                              if m.split(".")[0] == "numpy"))
     """)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
@@ -32,8 +43,7 @@ def test_wave_and_rotation_load_only_scipy_linalg():
     proc = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "scipy.linalg" in loaded
-    for name in ("scipy.fft", "scipy.interpolate", "scipy.integrate",
-                 "scipy.optimize"):
-        assert name not in loaded
+    lines = dict(line.split(" ", 1) if " " in line else (line, "")
+                 for line in proc.stdout.splitlines())
+    assert lines["SCIPY"] == ""
+    assert lines["LATE"] == ""

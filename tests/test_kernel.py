@@ -410,6 +410,19 @@ def test_second_validation_pass_evaluates_no_edge(monkeypatch, zg):
     assert edge["n"] == 0
 
 
+def test_case_evaluates_edge_prime_three_times(monkeypatch, zg):
+    # one case of build and checks: edge' once on the I(lambda1) panels and
+    # once each at z and -z for the slope-weight memo every reader shares
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    edge_prime = _count_calls(monkeypatch, TrapezoidProfile, "edge_prime")
+    eig = build_eigensolution(CFG, prof, M_MODE, zg)
+    validate_kernel(eig, CFG, prof)
+    adj = adjoint_kernel(eig, CFG, prof)
+    transversality(eig, adj, CFG, prof)
+    operator_residual(eig, CFG, prof)
+    assert edge_prime["n"] <= 3
+
+
 def test_kernel_checks_share_one_operator_and_svd(monkeypatch, zg):
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
     eig = build_eigensolution(CFG, prof, M_MODE, zg)

@@ -3,11 +3,12 @@ import pytest
 
 from annulus_rotor.domain import circulation, u_tc
 from annulus_rotor.linop import _green
-from annulus_rotor.poisson import (RadialGrid, axisymmetric_prime, fd_bvp_solve,
+from annulus_rotor.poisson import (RadialGrid, axisymmetric_prime,
                                    solve_axisymmetric, solve_full, solve_mode)
 from annulus_rotor.profile import TrapezoidProfile
 
 from conftest import DESK_CFG as CFG
+from fd_oracle import fd_bvp_solve
 
 
 def make_grid(nodes=(64, 128, 64, 128, 64), eps=1e-2):
