@@ -102,7 +102,7 @@ def cmd_find_eigen(run: RunConfig, outdir: str, args) -> int:
     write_csv(os.path.join(outdir, "eigen_sigma_table.csv"),
               ["mode", "sigma_min", "sigma_second", "sigma_max"], rows)
     adj = adjoint_kernel(eig, cfg, profile)
-    lam_star = eig.diagnostics["lambda1_bisection"]["lambda_star"]
+    lam_star = eig.diagnostics["lambda1_root"]["lambda_star"]
     write_csv(os.path.join(outdir, "eigen_kernel.csv"),
               ["z", "a", "b", "a_star", "b_star"],
               zip(zgrid.z, eig.a, eig.b, adj["astar"], adj["bstar"]))

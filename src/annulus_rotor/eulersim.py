@@ -289,6 +289,10 @@ class ModalStreamSolver:
                                     upper.ravel())
         self._modal = self._cr.work.reshape(nk, nr - 2)
         self._shape = (nr, nk + 1)
+        # mode zero's grid constants: psi_0 = C log(r/r1) - U
+        self._h = h
+        self._log_r = np.log(r / r[0])
+        self._log_span = np.log(r[-1] / r[0])
         # step work arrays, spectral: the state's modes, the phase E, the
         # stage, accumulator and slope, the stream modes and the i k
         # product; physical: four fields and the frame's mean swirl
@@ -307,18 +311,16 @@ class ModalStreamSolver:
         if omega_hat.shape != self._shape:
             raise OutOfDomainError(f"omega_hat has shape {omega_hat.shape}; "
                                    f"the solver is factored for {self._shape}")
-        nr = omega_hat.shape[0]
         psi = np.empty_like(omega_hat) if out is None else out
         # mode zero carries the O(1) flow: closed-form double integral on
         # the mapped grid (4th-order cumulative quadrature)
         grid = self.grid
-        h = 1.0 / (nr - 1)
+        h = self._h
         w0 = omega_hat[:, 0]
         V = _cumint4(grid.r * w0 * grid.r_xi, h)
         U = _cumint4(V / grid.r * grid.r_xi, h)
-        logr = np.log(grid.r[-1] / grid.r[0])
-        C = (gamma_hat + U[-1]) / logr
-        psi[:, 0] = C * np.log(grid.r / grid.r[0]) - U
+        C = (gamma_hat + U[-1]) / self._log_span
+        psi[:, 0] = C * self._log_r - U
         # -A psi = omega at the interior nodes, every mode at once
         psi[0, 1:] = 0.0
         psi[-1, 1:] = 0.0

@@ -7,12 +7,14 @@ The rotation rate and band profiles are expanded in the band half-width:
     b   = b0(z) + eps b1(z),         (outer band)
 
 lam0 comes from the geometry, lam1 is the unique root of a scalar integral
-equation (found by bisection), (b0, a1) are explicit, and the order-two
-corrections (a2, b1, lam2) solve a small fixed-point system whose Taylor
-remainders in eps use analytic delta-derivative kernels integrated by Gauss
-quadrature.  Validation is SVD-based: rank-one deficiency of the discretized
-operator at the constructed rate, null-vector match, isolation at the other
-modes, adjoint kernel expansion, and the transversality pairing.
+equation (found by a safeguarded Newton iteration on its analytic slope),
+(b0, a1) are explicit, and the order-two corrections (a2, b1, lam2) solve a
+small fixed-point system.  Its Taylor remainders in eps are delta-averages
+of the two band coupling kernels, taken as their exact difference quotients
+(Phi(eps) - Phi(0))/eps.  Validation is SVD-based: rank-one deficiency of
+the discretized operator at the constructed rate, null-vector match,
+isolation at the other modes, adjoint kernel expansion, and the
+transversality pairing.
 The mode-m checks share one assembled operator and one full SVD per
 eigensolution and profile, held by the `EigenSolution` and freed with it.
 """
@@ -47,7 +49,7 @@ def _edge_breaks(kappa: float) -> list[float]:
 
 # Gauss order of each I(lam1) panel
 _I_GAUSS = 24
-BISECTION_MAX_ITER = 200      # lam1 bisection steps
+LAMBDA1_MAX_ITER = 200        # lam1 Newton (or bisection fallback) steps
 PICARD_TOL = 1e-11            # largest weighted Picard step at the stop
 PICARD_MAX_ITER = 200
 SVD_GAP_TOL = 1e-6            # most sigma_min / sigma_second at mode m
@@ -73,34 +75,44 @@ def _I_panels(prof: TrapezoidProfile) -> tuple:
     return x, w, prof.edge_prime(x)
 
 
-def _I_quadrature(coeffs: CoefficientSet, m: int, lam1: float) -> float:
-    """I(lam1) = p2(m) * int edge'(s) / alpha1_out(s) ds, summed panel by
-    panel; the panels and their edge' values are built once per profile."""
+def _I_quadrature(coeffs: CoefficientSet, m: int,
+                  lam1: float) -> tuple[float, float]:
+    """I(lam1) = p2(m) * int edge'(s) / alpha1_out(s) ds and its slope
+    dI/dlam1 = -p2 R2^2 int edge' / alpha1_out^2 from one evaluation of
+    alpha1 on all panel nodes; I is summed panel by panel.  The panels and
+    their edge' values are built once per profile."""
     x, w, ep = coeffs.memo("I_panels", lambda: _I_panels(coeffs.profile))
-    q = ep / coeffs.alpha1(2, x, lam1)
+    alpha1 = coeffs.alpha1(2, x, lam1)
+    q = ep / alpha1
     total = 0.0
     for wk, qk in zip(w, q):
         total += float(np.dot(wk, qk))
-    return p_coeff(2, m, coeffs.cfg) * total
+    p2 = p_coeff(2, m, coeffs.cfg)
+    slope = -p2 * coeffs.cfg.R2 ** 2 * float(np.sum(w * q / alpha1))
+    return p2 * total, slope
 
 
 def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10) -> dict:
-    """Unique root of I(lam1) = 1 below lambda_star, by bisection.
+    """Unique root of I(lam1) = 1 below lambda_star.
 
     I is strictly increasing on (-inf, lambda*), tends to 0 at -inf, and its
     (finite) limit at lambda* must exceed 1 for a root to exist; otherwise
     the config/kappa pair is out of range and a BracketError is raised.
+    Inside the bracket the root is found by Newton's method on the analytic
+    slope, started at the bracket's upper end; a step that leaves the
+    bracket is replaced by bisection.
     """
     lam_star = lambda_star(coeffs)
     scale = max(abs(lam_star), 1.0)
     # shrink delta until I > 1 just below lambda*
     delta = 1e-3 * scale
     for _ in range(80):
-        if _I_quadrature(coeffs, m, lam_star - delta) > 1.0:
+        val, slope = _I_quadrature(coeffs, m, lam_star - delta)
+        if val > 1.0:
             break
         delta /= 4.0
         if delta < 1e-15 * scale:
-            val = _I_quadrature(coeffs, m, lam_star - 1e-12 * scale)
+            val = _I_quadrature(coeffs, m, lam_star - 1e-12 * scale)[0]
             raise BracketError(
                 f"no rate-slope root below lambda*={lam_star:.6g}: "
                 f"I(lambda*^-) = {val:.6g} <= 1. The config is invalid or "
@@ -108,15 +120,14 @@ def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10) -> dict:
     # grow Delta until I < 1 far below lambda*
     big = max(4.0 * delta, scale)
     for _ in range(200):
-        if _I_quadrature(coeffs, m, lam_star - big) < 1.0:
+        if _I_quadrature(coeffs, m, lam_star - big)[0] < 1.0:
             break
         big *= 4.0
     else:
         raise BracketError("could not bracket the rate-slope root from below")
     lo, hi = lam_star - big, lam_star - delta     # I(lo) < 1 < I(hi)
-    for _ in range(BISECTION_MAX_ITER):
-        lam1 = 0.5 * (lo + hi)
-        val = _I_quadrature(coeffs, m, lam1)
+    lam1 = hi
+    for _ in range(LAMBDA1_MAX_ITER):
         resid = val - 1.0
         if abs(resid) <= tol:
             break
@@ -124,8 +135,13 @@ def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10) -> dict:
             hi = lam1
         else:
             lo = lam1
+        lam1 = lam1 - resid / slope
+        if not lo < lam1 < hi:
+            lam1 = 0.5 * (lo + hi)
+        val, slope = _I_quadrature(coeffs, m, lam1)
+    resid = val - 1.0
     if abs(resid) > tol:
-        raise NumericsError(f"rate-slope bisection stalled: |I-1|={abs(resid):.3g}")
+        raise NumericsError(f"rate-slope root stalled: |I-1|={abs(resid):.3g}")
     return {"lam1": float(lam1), "residual": float(resid),
             "lambda_star": float(lam_star)}
 
@@ -133,8 +149,8 @@ def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10) -> dict:
 def lambda1_closed_form(m: int, coeffs: CoefficientSet) -> float:
     """Closed form of the rate slope with the kappa-correction dropped.
 
-    Exact for the sharp-edge limit of the profile; the gap to the bisection
-    root shrinks linearly in kappa.
+    Exact for the sharp-edge limit of the profile; the gap to the root of
+    I(lam1) = 1 shrinks linearly in kappa.
     """
     cfg = coeffs.cfg
     lam_star = lambda_star(coeffs)
@@ -160,7 +176,7 @@ def b0_and_a1(m: int, lam1: float, coeffs: CoefficientSet,
 def grid_lambda1(m: int, coeffs: CoefficientSet, zgrid: ZGrid) -> float:
     """Rate slope satisfying the root equation under the *grid* quadrature.
 
-    The bisection root uses an adaptive panel quadrature; the grid Gauss rule
+    `solve_lambda1` uses an adaptive panel quadrature; the grid Gauss rule
     differs from it at the mollifier's approximation floor (~1e-6 at 96
     nodes), so the discrete eigenpair construction re-solves the root
     equation in the grid's own quadrature and lands at rounding level.
@@ -207,68 +223,6 @@ def invert_q2hat(G: np.ndarray, m: int, lam1: float, coeffs: CoefficientSet,
     return g, mu
 
 
-class _DeltaKernels:
-    """Analytic delta-derivatives of the band coupling kernels.
-
-    Each Phi(delta, z, s) is a product of band radii and hyperbolic factors;
-    their delta-derivatives are coded directly and integrated by Gauss
-    quadrature over delta in [0, eps].
-    """
-
-    def __init__(self, cfg: AnnulusConfig, m: int):
-        self.cfg = cfg
-        self.m = m
-        self._ls = np.log(cfg.r2 / cfg.r1)
-        self.S_full = np.sinh(m * self._ls)
-
-    def _S(self, x):
-        return np.sinh(self.m * np.log(x))
-
-    def _C(self, x):
-        return np.cosh(self.m * np.log(x))
-
-    def _pair_rank(self, Rz, Rs, d, z, s):
-        """d/d delta of (Rz+dz)(Rs+ds) S((Rz+dz)/r1) S(r2/(Rs+ds))."""
-        m, r1, r2 = self.m, self.cfg.r1, self.cfg.r2
-        xz = Rz + d * z
-        xs = Rs + d * s
-        t1 = z * xs * self._S(r2 / xs) * (self._S(xz / r1) + m * self._C(xz / r1))
-        t2 = s * xz * self._S(xz / r1) * (self._S(r2 / xs) - m * self._C(r2 / xs))
-        return t1 + t2
-
-    def _pair_volterra(self, Rz, Rs, d, z, s):
-        """d/d delta of (Rz+dz)(Rs+ds) S((Rz+dz)/(Rs+ds))."""
-        m = self.m
-        xz = Rz + d * z
-        xs = Rs + d * s
-        ratio = xz / xs
-        return ((z * xs + s * xz) * self._S(ratio)
-                + self._C(ratio) * m * (z * Rs - s * Rz))
-
-    # kernels of the Taylor remainders; the order-two remainders reuse the
-    # order-one kernels (R1, R2) and (R2, R2)
-    def dT1(self, d, z, s):
-        return self._pair_rank(self.cfg.R1, self.cfg.R2, d, z, s)
-
-    def dQ1_rank(self, d, z, s):
-        return self._pair_rank(self.cfg.R2, self.cfg.R2, d, z, s)
-
-    def dQ1_volterra(self, d, z, s):
-        return self._pair_volterra(self.cfg.R2, self.cfg.R2, d, z, s)
-
-    def dT2_inner_rank(self, d, z, s):
-        return self._pair_rank(self.cfg.R1, self.cfg.R1, d, z, s)
-
-    def dT2_volterra(self, d, z, s):
-        return self._pair_volterra(self.cfg.R1, self.cfg.R1, d, z, s)
-
-    def dQ2_cross_rank(self, d, z, s):
-        return self._pair_rank(self.cfg.R2, self.cfg.R1, d, z, s)
-
-    def dQ2_cross_full(self, d, z, s):
-        return self._pair_volterra(self.cfg.R2, self.cfg.R1, d, z, s)
-
-
 @dataclass
 class EigenSolution:
     """Constructed eigenpair with expansion pieces and diagnostics."""
@@ -302,12 +256,22 @@ class EigenSolution:
         return self.b0 + self.eps * self.b1
 
 
-# Gauss nodes of the delta averages in the Taylor remainders
-N_DELTA = 12
-
-
 class KernelBuilder:
-    """Shared machinery for the order-two fixed point at one (m, eps)."""
+    """Shared machinery for the order-two fixed point at one (m, eps).
+
+    The Taylor remainders in eps are delta-averages (1/eps) int_0^eps of the
+    delta-derivatives of two coupling kernels of the band radii
+    x = R + delta z (S(x) = sinh(m log x)):
+
+        Phi_rank(delta)     = x_z x_s S(x_z/r1) S(r2/x_s),
+        Phi_volterra(delta) = x_z x_s S(x_z/x_s),
+
+    so each average is the exact difference quotient
+    (Phi(eps) - Phi(0))/eps.  The rank kernel is an outer product, and its
+    average applies as two dot products.  The Volterra kernels at delta =
+    eps, quadrature weights included, are built once per band pair and
+    also give the order-three terms.
+    """
 
     def __init__(self, cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
                  zgrid: ZGrid, coeffs: CoefficientSet | None = None):
@@ -316,18 +280,28 @@ class KernelBuilder:
         self.m = m
         self.zgrid = zgrid
         self.coeffs = coeffs if coeffs is not None else profile.coefficients
-        self.kern = _DeltaKernels(cfg, m)
         self.eps = profile.eps
         sig = self.coeffs.slope_weights(zgrid)
         self.ep_plus = -sig[2]                     # edge'(z)
         self.ep_minus = -sig[1]                    # edge'(-z)
         self.p1 = p_coeff(1, m, cfg)
         self.p2 = p_coeff(2, m, cfg)
-        self.dx, self.dw = mapped_rule(0.0, self.eps, N_DELTA)
-        self.x1 = cfg.R1 + self.eps * zgrid.z
-        self.x2 = cfg.R2 + self.eps * zgrid.z
+        self.S_full = self._S(cfg.r2 / cfg.r1)
+        self.R = {1: cfg.R1, 2: cfg.R2}
+        self.x = {band: R + self.eps * zgrid.z for band, R in self.R.items()}
+        # factors of the rank kernel per band, at delta = eps and delta = 0:
+        # x S(x/r1) on the target side, x S(r2/x) on the source side
+        self._target = {band: (x * self._S(x / cfg.r1),
+                               self.R[band] * self._S(self.R[band] / cfg.r1))
+                        for band, x in self.x.items()}
+        self._source = {band: (x * self._S(cfg.r2 / x),
+                               self.R[band] * self._S(cfg.r2 / self.R[band]))
+                        for band, x in self.x.items()}
+        self._volterra: dict[tuple[int, int], np.ndarray] = {}
         self.swirl2 = self.coeffs.swirl2_on_grid(zgrid)
-        self._averages: dict[str, np.ndarray] = {}
+
+    def _S(self, x):
+        return np.sinh(self.m * np.log(x))
 
     def _alpha2(self, band: int, lam1: float, lam2: float,
                 include_swirl2: bool) -> np.ndarray:
@@ -337,102 +311,91 @@ class KernelBuilder:
                                  include_swirl2=False)
         return out + self.swirl2[band] if include_swirl2 else out
 
-    # -- Taylor-remainder averages (1/eps) int_0^eps dPhi ------------------
+    # -- the coupling kernels and their delta-averages ---------------------
 
-    def _averaged(self, kernel) -> np.ndarray:
-        """(1/eps) int_0^eps kernel(delta, z, s) d delta on the grid.
+    def _phi_volterra(self, i: int, j: int) -> np.ndarray:
+        """Phi_volterra(eps) of the band pair (R_i, R_j) times its quadrature
+        weights: w_left (s < z) within a band, w from the outer band to the
+        inner one.  It depends only on (m, eps, grid), so each pair is built
+        once per builder and reused by every Picard iteration."""
+        if (i, j) not in self._volterra:
+            xz, xs = self.x[i][:, None], self.x[j][None, :]
+            weights = self.zgrid.w_left if i == j else self.zgrid.w[None, :]
+            self._volterra[i, j] = xz * xs * self._S(xz / xs) * weights
+        return self._volterra[i, j]
 
-        The average depends only on (m, eps, grid), so each kernel's matrix
-        is built once per builder and reused by every Picard iteration.
-        """
-        name = kernel.__name__
-        if name not in self._averages:
-            z = self.zgrid.z[:, None]
-            s = self.zgrid.z[None, :]
-            acc = np.zeros((self.zgrid.n, self.zgrid.n))
-            for d, wd in zip(self.dx, self.dw):
-                acc += wd * kernel(d, z, s)
-            acc /= self.eps
-            self._averages[name] = acc
-        return self._averages[name]
+    def _avg_rank(self, i: int, j: int, weight_vec: np.ndarray) -> np.ndarray:
+        """(1/eps) int_0^eps of the (R_i, R_j) rank term with source
+        weight_vec."""
+        (t, t0), (u, u0) = self._target[i], self._source[j]
+        src = self.zgrid.w * weight_vec
+        return (t * float(np.dot(u, src)) - t0 * u0 * float(np.sum(src))) \
+            / self.eps
 
-    def _avg_rank(self, kernel, weight_vec) -> np.ndarray:
-        """(1/eps) int_0^eps of a rank-one term with source weight_vec."""
-        return self._averaged(kernel) @ (self.zgrid.w * weight_vec)
-
-    def _avg_volterra(self, kernel, weight_vec) -> np.ndarray:
-        """(1/eps) int_0^eps of a Volterra term (integral over s < z)."""
-        return (self._averaged(kernel) * self.zgrid.w_left) @ weight_vec
+    def _avg_volterra(self, i: int, j: int,
+                      weight_vec: np.ndarray) -> np.ndarray:
+        """(1/eps) int_0^eps of the (R_i, R_j) Volterra term with source
+        weight_vec; Phi_volterra(0) = R_i R_j S(R_i/R_j) is 0 within a band."""
+        out = self._phi_volterra(i, j) @ weight_vec
+        if i != j:
+            Ri, Rj = self.R[i], self.R[j]
+            out = out - Ri * Rj * self._S(Ri / Rj) \
+                * float(np.dot(self.zgrid.w, weight_vec))
+        return out / self.eps
 
     def remainder_T1(self, b0: np.ndarray) -> np.ndarray:
-        pref = -1.0 / (self.m * self.kern.S_full)
-        return pref * self._avg_rank(self.kern.dT1, self.ep_plus * b0)
+        pref = -1.0 / (self.m * self.S_full)
+        return pref * self._avg_rank(1, 2, self.ep_plus * b0)
 
     def remainder_Q1(self, b0: np.ndarray) -> np.ndarray:
-        pref = -1.0 / (self.m * self.kern.S_full)
-        rank = pref * self._avg_rank(self.kern.dQ1_rank, self.ep_plus * b0)
-        volt = self._avg_volterra(self.kern.dQ1_volterra,
-                                  self.ep_plus * b0) / self.m
+        pref = -1.0 / (self.m * self.S_full)
+        rank = pref * self._avg_rank(2, 2, self.ep_plus * b0)
+        volt = self._avg_volterra(2, 2, self.ep_plus * b0) / self.m
         return rank + volt
 
     def remainder_T2(self, b1: np.ndarray, a1: float) -> np.ndarray:
-        m, Sf = self.m, self.kern.S_full
-        t_in = self._avg_rank(self.kern.dT2_inner_rank, self.ep_minus) * a1 / (m * Sf)
-        t_cross = -self._avg_rank(self.kern.dT1, self.ep_plus * b1) / (m * Sf)
-        t_vol = -self._avg_volterra(self.kern.dT2_volterra,
-                                    self.ep_minus) * a1 / m
+        m, Sf = self.m, self.S_full
+        t_in = self._avg_rank(1, 1, self.ep_minus) * a1 / (m * Sf)
+        t_cross = -self._avg_rank(1, 2, self.ep_plus * b1) / (m * Sf)
+        t_vol = -self._avg_volterra(1, 1, self.ep_minus) * a1 / m
         return t_in + t_cross + t_vol
 
     def remainder_Q2(self, b1: np.ndarray, lam2: float, a1: float,
                      b0: np.ndarray, lam1: float = 0.0) -> np.ndarray:
-        m, Sf = self.m, self.kern.S_full
+        m, Sf = self.m, self.S_full
         # delta-average of the polynomial coefficient's derivative: the
         # lam1 z^2 and lam2 tails both live at this order
         R2 = self.cfg.R2
         z = self.zgrid.z
         avg_alpha = lam1 * z ** 2 + 2.0 * z * lam2 * (R2 + 0.5 * self.eps * z)
         out = avg_alpha * b0
-        out = out + self._avg_rank(self.kern.dQ2_cross_rank,
-                                   self.ep_minus) * a1 / (m * Sf)
-        out = out - self._avg_rank(self.kern.dQ1_rank,
-                                   self.ep_plus * b1) / (m * Sf)
-        out = out - self._avg_rank(self.kern.dQ2_cross_full,
-                                   self.ep_minus) * a1 / m
-        out = out + self._avg_volterra(self.kern.dQ1_volterra,
-                                       self.ep_plus * b1) / m
+        out = out + self._avg_rank(2, 1, self.ep_minus) * a1 / (m * Sf)
+        out = out - self._avg_rank(2, 2, self.ep_plus * b1) / (m * Sf)
+        out = out - self._avg_volterra(2, 1, self.ep_minus) * a1 / m
+        out = out + self._avg_volterra(2, 2, self.ep_plus * b1) / m
         return out
 
     # -- full-eps order-three terms ----------------------------------------
 
-    def _rank_full(self, Rz_band: int, w_vec: np.ndarray) -> np.ndarray:
+    def _rank_full(self, band: int, w_vec: np.ndarray) -> np.ndarray:
         """x_band(z) S(x_band(z)/r1)/S_full * (1/m) int w(s) x1(s) S(r2/x1(s))."""
-        cfg, m = self.cfg, self.m
-        xz = self.x1 if Rz_band == 1 else self.x2
-        xs = self.x1
-        integral = float(np.dot(self.zgrid.w,
-                                w_vec * xs * self.kern._S(cfg.r2 / xs)))
-        return xz * self.kern._S(xz / cfg.r1) / self.kern.S_full * integral / m
+        integral = float(np.dot(self.zgrid.w, w_vec * self._source[1][0]))
+        return self._target[band][0] / self.S_full * integral / self.m
 
     def T3(self, a2: np.ndarray, lam2: float, a1: float, lam1: float) -> np.ndarray:
-        cfg, m = self.cfg, self.m
         z = self.zgrid.z
         out = self.coeffs.alpha1(1, z, lam1) * a2
         out = out + self._alpha2(1, lam1, lam2, include_swirl2=True) \
             * (a1 + self.eps * a2)
         out = out + self._rank_full(1, self.ep_minus * a2)
-        K = self.kern._S(self.x1[:, None] / self.x1[None, :])
-        volt = (self.x1[:, None] * K * self.zgrid.w_left) \
-            @ (self.ep_minus * self.x1 * a2) / m
+        volt = self._phi_volterra(1, 1) @ (self.ep_minus * a2) / self.m
         return out - volt
 
     def Q3(self, a2: np.ndarray, b1: np.ndarray, lam2: float, lam1: float,
            include_swirl2: bool) -> np.ndarray:
-        m = self.m
         out = self._alpha2(2, lam1, lam2, include_swirl2) * b1
         out = out + self._rank_full(2, self.ep_minus * a2)
-        K = self.kern._S(self.x2[:, None] / self.x1[None, :])
-        full = (self.x2[:, None] * K * self.zgrid.w[None, :]) \
-            @ (self.ep_minus * self.x1 * a2) / m
+        full = self._phi_volterra(2, 1) @ (self.ep_minus * a2) / self.m
         return out - full
 
     # -- known order-two sources -------------------------------------------
@@ -441,19 +404,19 @@ class KernelBuilder:
         """z-dependent part of the order-two inner source fixed by (a1, b0)."""
         cfg, m = self.cfg, self.m
         z = self.zgrid.z
-        S = self.kern._S
+        S = self._S
         edge_sum = float(np.dot(self.zgrid.w, self.ep_minus))
         const = (cfg.R1 ** 2 * S(cfg.R1 / cfg.r1) * S(cfg.r2 / cfg.R1)
-                 / self.kern.S_full / m * edge_sum * a1)
+                 / self.S_full / m * edge_sum * a1)
         return self.coeffs.alpha1(1, z, lam1) * a1 + const
 
     def known_Q2(self, a1: float) -> float:
         cfg, m = self.cfg, self.m
-        S = self.kern._S
+        S = self._S
         edge_sum = float(np.dot(self.zgrid.w, self.ep_minus))
         factor = cfg.R1 * cfg.R2 * (S(cfg.R2 / cfg.r1) * S(cfg.r2 / cfg.R1)
-                                    - S(cfg.R2 / cfg.R1) * self.kern.S_full) \
-            / self.kern.S_full
+                                    - S(cfg.R2 / cfg.R1) * self.S_full) \
+            / self.S_full
         return factor / m * edge_sum * a1
 
 
@@ -524,7 +487,7 @@ def build_eigensolution(cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
     b0, a1 = b0_and_a1(m, lam1, coeffs, zgrid)
     builder = KernelBuilder(cfg, profile, m, zgrid, coeffs)
     fp = fixed_point_corrections(builder, lam1, a1, b0, mode=mode)
-    diag = {"lambda1_bisection": root, "lam1_grid": lam1,
+    diag = {"lambda1_root": root, "lam1_grid": lam1,
             "fixed_point": {k: fp[k] for k in ("iterations", "ratio")},
             "distances": fp["distances"]}
     return EigenSolution(m=m, eps=profile.eps, kappa=profile.kappa,

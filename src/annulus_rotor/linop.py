@@ -289,20 +289,18 @@ def _operator_parts(n: int, eps: float, lam: float, cfg: AnnulusConfig,
     swirl = coeffs.swirl_on_grid(zgrid)
     radii = {1: cfg.R1 + eps * z, 2: cfg.R2 + eps * z}
     lam_diag = {band: lam * radii[band] ** 2 + swirl[band] for band in (1, 2)}
-    core = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            if i == j:
-                gl = _green(n, radii[i][:, None], radii[j][None, :],
-                            cfg.r1, cfg.r2, "left")
-                gr = _green(n, radii[i][:, None], radii[j][None, :],
+    # the kernel is symmetric: a band's 'left' branch is its 'right' branch
+    # transposed, and block (2, 1) is block (1, 2) transposed
+    right = {(i, j): _green(n, radii[i][:, None], radii[j][None, :],
                             cfg.r1, cfg.r2, "right")
-                K = gl * zgrid.w_left + gr * zgrid.w_right
-            else:
-                branch = "left" if j < i else "right"
-                K = _green(n, radii[i][:, None], radii[j][None, :],
-                           cfg.r1, cfg.r2, branch) * zgrid.w[None, :]
-            core[i, j] = (eps * radii[i])[:, None] * K
+             for i, j in ((1, 1), (2, 2), (1, 2))}
+    K = {(1, 2): right[1, 2] * zgrid.w[None, :],
+         (2, 1): right[1, 2].T * zgrid.w[None, :]}
+    for band in (1, 2):
+        K[band, band] = right[band, band].T * zgrid.w_left \
+            + right[band, band] * zgrid.w_right
+    core = {(i, j): (eps * radii[i])[:, None] * K[i, j]
+            for i in (1, 2) for j in (1, 2)}
     return sig, radii, lam_diag, core
 
 

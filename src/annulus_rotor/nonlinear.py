@@ -27,7 +27,7 @@ from .kernel import EigenSolution
 from .linop import assemble
 from .poisson import RadialGrid, solve_full
 from .profile import TrapezoidProfile
-from .quadrature import ZGrid
+from .quadrature import ZGrid, gauss_edges_and_slopes
 
 
 @dataclass
@@ -68,6 +68,12 @@ class LevelSetPerturbation:
     def __call__(self, r, theta, band: int) -> np.ndarray:
         return self.profile_at(r, band) * np.cos(self.m * np.asarray(theta))
 
+    def edge_values(self, band: int) -> tuple[float, float]:
+        """g at the band's edges z = -1 and z = 1."""
+        ends = gauss_edges_and_slopes(self.zgrid.n)[0]
+        lo, hi = ends @ (self.g_inner if band == 1 else self.g_outer)
+        return float(lo), float(hi)
+
     def max_slope(self) -> float:
         d_in = _diff_gauss(self.zgrid, self.g_inner) / self.eps
         d_out = _diff_gauss(self.zgrid, self.g_outer) / self.eps
@@ -101,7 +107,7 @@ def _interp_gauss(zgrid: ZGrid, g: np.ndarray, z) -> np.ndarray:
 
 
 def _diff_gauss(zgrid: ZGrid, g: np.ndarray) -> np.ndarray:
-    return legval(zgrid.z, legder(zgrid.to_legendre @ g))
+    return gauss_edges_and_slopes(zgrid.n)[1] @ g
 
 
 @dataclass
@@ -143,12 +149,11 @@ def vorticity_samples(f: LevelSetPerturbation, profile: TrapezoidProfile,
         raise NumericsError(
             f"level sets fold over: max |d f/d r| = {slope:.3f} >= 1")
 
+    edges = {band: f.edge_values(band) for band in (1, 2)}
     for band, R in ((1, cfg.R1), (2, cfg.R2)):
-        lo_edge, hi_edge = R - eps, R + eps
-        g_lo = float(f.profile_at(lo_edge, band))
-        g_hi = float(f.profile_at(hi_edge, band))
-        r_lo = lo_edge + g_lo * cosm
-        r_hi = hi_edge + g_hi * cosm
+        g_lo, g_hi = edges[band]
+        r_lo = R - eps + g_lo * cosm
+        r_hi = R + eps + g_hi * cosm
         mask = (radii[:, None] >= r_lo[None, :]) &                (radii[:, None] <= r_hi[None, :])
         ii, jj = np.nonzero(mask)
         if len(ii):
@@ -156,10 +161,8 @@ def vorticity_samples(f: LevelSetPerturbation, profile: TrapezoidProfile,
             values[ii, jj] = background + profile.value(rho)
 
     # plateau between the deformed band edges
-    g_in_hi = f.profile_at(cfg.R1 + eps, 1)
-    g_out_lo = f.profile_at(cfg.R2 - eps, 2)
-    lo = cfg.R1 + eps + g_in_hi * cosm
-    hi = cfg.R2 - eps + g_out_lo * cosm
+    lo = cfg.R1 + eps + edges[1][1] * cosm
+    hi = cfg.R2 - eps + edges[2][0] * cosm
     plateau = (radii[:, None] > lo[None, :]) & (radii[:, None] < hi[None, :])
     values[plateau] = background + profile.eps
     return values

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import Legendre, leggauss, legvander
+from numpy.polynomial.legendre import (Legendre, legder, leggauss, legval,
+                                      legvander)
 
 
 @lru_cache(maxsize=64)
@@ -72,6 +73,23 @@ def indefinite_weights(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     of f from -1 to z_j.
     """
     return _legendre_integrals(z) @ _legendre_analysis(z, w)
+
+
+@lru_cache(maxsize=64)
+def gauss_edges_and_slopes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the n-point Gauss grid: the rows E with E @ f the degree n-1
+    interpolant of f at z = -1 and z = 1 (P_k(+-1) = (+-1)^k, so they are
+    the signed sums of the analysis matrix's rows), and the matrix D with
+    D @ f its derivative at the nodes.  Built once per n and shared, so
+    both are read-only."""
+    z, w = gauss_rule(n)
+    to_legendre = _legendre_analysis(z, w)
+    ends = np.stack([(-1.0) ** np.arange(n) @ to_legendre,
+                     np.ones(n) @ to_legendre])
+    slopes = legval(z, legder(to_legendre)).T
+    for a in (ends, slopes):
+        a.flags.writeable = False
+    return ends, slopes
 
 
 @dataclass(frozen=True)

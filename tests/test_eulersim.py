@@ -153,6 +153,21 @@ def test_cyclic_reduction_rejects_a_singular_tridiagonal():
                          np.zeros(3))
 
 
+def test_mode_zero_solve_bit_identical_to_per_call_constants():
+    # the grid constants of the mode-zero block are formed once per solver;
+    # reference: the same products, each constant formed on every call
+    from annulus_rotor.eulersim import _cumint4
+    grid = SimGrid(cfg=CFG, nr=384, ntheta=90, eps=EPS, symmetry=3)
+    rng = np.random.default_rng(1)
+    what = rng.standard_normal((384, 46)) + 1j * rng.standard_normal((384, 46))
+    psi = grid.solver.solve(what, 0.7 + 0.0j)
+    h = 1.0 / (grid.nr - 1)
+    V = _cumint4(grid.r * what[:, 0] * grid.r_xi, h)
+    U = _cumint4(V / grid.r * grid.r_xi, h)
+    C = (0.7 + 0.0j + U[-1]) / np.log(grid.r[-1] / grid.r[0])
+    assert np.array_equal(psi[:, 0], C * np.log(grid.r / grid.r[0]) - U)
+
+
 def test_modal_solver_rejects_wrong_mode_count():
     grid = SimGrid(cfg=CFG, nr=64, ntheta=32, eps=EPS)
     solver = ModalStreamSolver(grid)

@@ -51,10 +51,10 @@ def test_lambda_star_definition(coeffs, zg):
 
 def test_I_monotone_and_limit(coeffs):
     ls = lambda_star(coeffs)
-    vals = [_I_quadrature(coeffs, M_MODE, ls - d)
+    vals = [_I_quadrature(coeffs, M_MODE, ls - d)[0]
             for d in (0.5, 0.2, 0.1, 0.05, 0.01)]
     assert all(a < b for a, b in zip(vals[:-1], vals[1:]))
-    assert _I_quadrature(coeffs, M_MODE, ls - 1e3) < 0.01
+    assert _I_quadrature(coeffs, M_MODE, ls - 1e3)[0] < 0.01
 
 
 def test_solve_lambda1_residual_and_range(coeffs):
@@ -158,45 +158,124 @@ def test_reduced_inversion_orthogonal_source(coeffs, zg):
     np.testing.assert_allclose(lhs, F, atol=1e-10)
 
 
+class _DeltaKernels:
+    """Analytic delta-derivatives of the band coupling kernels, the oracle
+    for the builder's difference quotients.
+
+    Each Phi(delta, z, s) is a product of band radii and hyperbolic factors;
+    their delta-derivatives are coded directly.
+    """
+
+    def __init__(self, cfg, m):
+        self.cfg = cfg
+        self.m = m
+        self.S_full = np.sinh(m * np.log(cfg.r2 / cfg.r1))
+
+    def _S(self, x):
+        return np.sinh(self.m * np.log(x))
+
+    def _C(self, x):
+        return np.cosh(self.m * np.log(x))
+
+    def _pair_rank(self, Rz, Rs, d, z, s):
+        """d/d delta of (Rz+dz)(Rs+ds) S((Rz+dz)/r1) S(r2/(Rs+ds))."""
+        m, r1, r2 = self.m, self.cfg.r1, self.cfg.r2
+        xz = Rz + d * z
+        xs = Rs + d * s
+        t1 = z * xs * self._S(r2 / xs) * (self._S(xz / r1) + m * self._C(xz / r1))
+        t2 = s * xz * self._S(xz / r1) * (self._S(r2 / xs) - m * self._C(r2 / xs))
+        return t1 + t2
+
+    def _pair_volterra(self, Rz, Rs, d, z, s):
+        """d/d delta of (Rz+dz)(Rs+ds) S((Rz+dz)/(Rs+ds))."""
+        m = self.m
+        xz = Rz + d * z
+        xs = Rs + d * s
+        ratio = xz / xs
+        return ((z * xs + s * xz) * self._S(ratio)
+                + self._C(ratio) * m * (z * Rs - s * Rz))
+
+    def average(self, kind, i, j, eps, zgrid, n_delta=12):
+        """(1/eps) int_0^eps of the (R_i, R_j) kernel's delta-derivative on
+        the grid, by an n_delta-node Gauss rule in delta."""
+        pair = self._pair_rank if kind == "rank" else self._pair_volterra
+        R = {1: self.cfg.R1, 2: self.cfg.R2}
+        z, s = zgrid.z[:, None], zgrid.z[None, :]
+        acc = np.zeros((zgrid.n, zgrid.n))
+        for d, wd in zip(*mapped_rule(0.0, eps, n_delta)):
+            acc += wd * pair(R[i], R[j], d, z, s)
+        return acc / eps
+
+
+# the seven (kernel, target band, source band) averages of the remainders
+_DELTA_AVERAGES = (("rank", 1, 2), ("rank", 2, 2), ("volterra", 2, 2),
+                   ("rank", 1, 1), ("volterra", 1, 1), ("rank", 2, 1),
+                   ("volterra", 2, 1))
+
+
 def test_delta_remainders_match_difference_quotients(coeffs, zg):
-    # (1/eps) int_0^eps dT1 == (T1_eps - T1_0)/eps exactly (both computed
-    # with the same grid quadrature); same for the order-one outer term
+    # the oracle's (1/eps) int_0^eps dT1 == (T1_eps - T1_0)/eps exactly
+    # (both with the same grid quadrature); same for the order-one outer term
     prof = coeffs.profile
-    builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
     root = solve_lambda1(M_MODE, coeffs)
     b0, _ = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
     eps = prof.eps
     m = M_MODE
     z, w = zg.z, zg.w
     ep_plus = prof.edge_prime(z)
-    Sf = builder.kern.S_full
+    oracle = _DeltaKernels(CFG, m)
+    Sf = oracle.S_full
 
     def T1_coupling(delta):
         x1 = CFG.R1 + delta * z
         x2 = CFG.R2 + delta * z
         K = (x1[:, None] * x2[None, :]
-             * builder.kern._S(x1[:, None] / CFG.r1)
-             * builder.kern._S(CFG.r2 / x2[None, :]))
+             * oracle._S(x1[:, None] / CFG.r1)
+             * oracle._S(CFG.r2 / x2[None, :]))
         return -(K @ (w * ep_plus * b0)) / (m * Sf)
 
     fd = (T1_coupling(eps) - T1_coupling(0.0)) / eps
-    np.testing.assert_allclose(builder.remainder_T1(b0), fd,
+    avg_T1 = -(oracle.average("rank", 1, 2, eps, zg) @ (w * ep_plus * b0)) \
+        / (m * Sf)
+    np.testing.assert_allclose(avg_T1, fd,
                                atol=1e-12 * max(1, np.max(np.abs(fd))))
 
     def Q1_coupling(delta):
         x2 = CFG.R2 + delta * z
         Kr = (x2[:, None] * x2[None, :]
-              * builder.kern._S(x2[:, None] / CFG.r1)
-              * builder.kern._S(CFG.r2 / x2[None, :]))
+              * oracle._S(x2[:, None] / CFG.r1)
+              * oracle._S(CFG.r2 / x2[None, :]))
         rank = -(Kr @ (w * ep_plus * b0)) / (m * Sf)
         Kv = (x2[:, None] * x2[None, :]
-              * builder.kern._S(x2[:, None] / x2[None, :]))
+              * oracle._S(x2[:, None] / x2[None, :]))
         volt = ((Kv * zg.w_left) @ (ep_plus * b0)) / m
         return rank + volt
 
     fd = (Q1_coupling(eps) - Q1_coupling(0.0)) / eps
-    np.testing.assert_allclose(builder.remainder_Q1(b0), fd,
+    avg_Q1 = (-(oracle.average("rank", 2, 2, eps, zg) @ (w * ep_plus * b0))
+              / (m * Sf)
+              + ((oracle.average("volterra", 2, 2, eps, zg) * zg.w_left)
+                 @ (ep_plus * b0)) / m)
+    np.testing.assert_allclose(avg_Q1, fd,
                                atol=1e-12 * max(1, np.max(np.abs(fd))))
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("eps", [1e-2, 5e-3, 1e-3])
+def test_builder_delta_averages_match_analytic_oracle(zg, m, eps):
+    # each average as the builder applies it, quadrature weights included,
+    # against the oracle's Gauss average of the analytic delta-derivative;
+    # the difference quotient loses about eps_machine/eps to cancellation
+    builder = KernelBuilder(CFG, TrapezoidProfile(CFG, eps, 0.1), m, zg)
+    oracle = _DeltaKernels(CFG, m)
+    eye = np.eye(zg.n)
+    for kind, i, j in _DELTA_AVERAGES:
+        apply = builder._avg_rank if kind == "rank" else builder._avg_volterra
+        got = np.column_stack([apply(i, j, e) for e in eye])
+        weights = zg.w_left if (kind, i) == ("volterra", j) else zg.w[None, :]
+        ref = oracle.average(kind, i, j, eps, zg) * weights
+        err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-15 / eps, (kind, i, j, err)
 
 
 def test_fixed_point_contracts_and_bounds(zg):
@@ -213,12 +292,12 @@ def test_fixed_point_contracts_and_bounds(zg):
 
 
 class _RebuiltPerCall(KernelBuilder):
-    """Reference: every delta average rebuilt on every use, as each Picard
+    """Reference: every Volterra kernel rebuilt on every use, as each Picard
     iteration once did."""
 
-    def _averaged(self, kernel):
-        self._averages.clear()
-        return super()._averaged(kernel)
+    def _phi_volterra(self, i, j):
+        self._volterra.clear()
+        return super()._phi_volterra(i, j)
 
 
 def test_fixed_point_reuses_delta_averages_bit_identically(zg):
@@ -235,15 +314,16 @@ def test_fixed_point_reuses_delta_averages_bit_identically(zg):
 
 
 def test_builder_builds_each_distinct_average_once(zg):
-    # the order-two remainders share the order-one (R1, R2) rank, (R2, R2)
-    # rank and (R2, R2) Volterra kernels: seven distinct averages, not ten
+    # the remainders and the order-three terms share the Volterra kernels of
+    # the band pairs (R1, R1), (R2, R2) and (R2, R1); the rank kernels are
+    # outer products of per-band vectors and need no matrix
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
     coeffs = CoefficientSet(CFG, prof)
     root = solve_lambda1(M_MODE, coeffs)
     b0, a1 = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
     builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
     fixed_point_corrections(builder, root["lam1"], a1, b0)
-    assert len(builder._averages) == 7
+    assert sorted(builder._volterra) == [(1, 1), (2, 1), (2, 2)]
 
 
 def test_fixed_point_ratio_halves_with_eps(zg):
@@ -472,6 +552,49 @@ def test_lambda1_edge_prime_calls_do_not_grow_with_I_evals(monkeypatch):
     assert calls_tight == calls_loose
 
 
+def _lambda1_by_bisection(m, coeffs, tol=1e-10):
+    """Reference: the root of I(lam1) = 1 by bisection, as the solver once
+    found it."""
+    ls = lambda_star(coeffs)
+    scale = max(abs(ls), 1.0)
+    I = lambda lam1: _I_quadrature(coeffs, m, lam1)[0]
+    delta = 1e-3 * scale
+    while I(ls - delta) <= 1.0:
+        delta /= 4.0
+    big = max(4.0 * delta, scale)
+    while I(ls - big) >= 1.0:
+        big *= 4.0
+    lo, hi = ls - big, ls - delta
+    for _ in range(200):
+        lam1 = 0.5 * (lo + hi)
+        val = I(lam1)
+        if abs(val - 1.0) <= tol:
+            return lam1
+        lo, hi = (lo, lam1) if val > 1.0 else (lam1, hi)
+    raise AssertionError("reference bisection stalled")
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_lambda1_newton_matches_bisection_in_few_evaluations(monkeypatch,
+                                                             m, eps):
+    coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, eps, 0.1))
+    evals = _count_calls(monkeypatch, kernel_mod, "_I_quadrature")
+    root = solve_lambda1(m, coeffs)
+    assert evals["n"] <= 12
+    monkeypatch.undo()
+    ref = _lambda1_by_bisection(m, coeffs)
+    val, slope = _I_quadrature(coeffs, m, ref)
+    # both roots have |I - 1| <= 1e-10 and I is monotone between them
+    assert abs(root["residual"]) <= 1e-10
+    assert abs(root["lam1"] - ref) <= 2.5e-10 / slope
+    # the analytic slope is I's derivative
+    h = 1e-6 * abs(ref)
+    fd = (_I_quadrature(coeffs, m, ref + h)[0]
+          - _I_quadrature(coeffs, m, ref - h)[0]) / (2.0 * h)
+    assert abs(slope - fd) <= 1e-6 * slope
+
+
 def _I_reference(coeffs, m, lam1, n_gauss=24):
     """I(lam1) with edge' evaluated panel by panel on every call."""
     prof = coeffs.profile
@@ -494,5 +617,5 @@ def test_I_quadrature_bit_identical_to_per_panel_reference():
     coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, 1e-2, 0.1))
     ls = lambda_star(coeffs)
     for lam1 in (ls - 1e-3, ls - 0.1, ls - 10.0):
-        assert _I_quadrature(coeffs, M_MODE, lam1) \
+        assert _I_quadrature(coeffs, M_MODE, lam1)[0] \
             == _I_reference(coeffs, M_MODE, lam1)

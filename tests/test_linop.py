@@ -324,3 +324,41 @@ def test_swirl_grid_terms_skip_empty_bands(monkeypatch):
     c.swirl_on_grid(ZGrid(96))
     c.swirl2_on_grid(ZGrid(96))
     assert sizes and 0 not in sizes
+
+
+def _blocks_from_six_greens(n, eps, lam, cfg, prof, zg):
+    """Reference: `assemble`'s blocks with every Green's branch evaluated
+    separately (both branches of each diagonal block, and block (2, 1)
+    from its own 'left' branch)."""
+    coeffs = prof.coefficients
+    sig = coeffs.slope_weights(zg)
+    swirl = coeffs.swirl_on_grid(zg)
+    radii = {1: cfg.R1 + eps * zg.z, 2: cfg.R2 + eps * zg.z}
+    slope = {1: sig[1], 2: -sig[2]}
+    blocks = [[None, None], [None, None]]
+    for i in (1, 2):
+        for j in (1, 2):
+            x, y = radii[i][:, None], radii[j][None, :]
+            if i == j:
+                K = (_green(n, x, y, cfg.r1, cfg.r2, "left") * zg.w_left
+                     + _green(n, x, y, cfg.r1, cfg.r2, "right") * zg.w_right)
+            else:
+                branch = "left" if j < i else "right"
+                K = _green(n, x, y, cfg.r1, cfg.r2, branch) * zg.w[None, :]
+            block = (eps * radii[i])[:, None] * K \
+                * (radii[j] * slope[j])[None, :]
+            if i == j:
+                block[np.arange(zg.n), np.arange(zg.n)] += \
+                    lam * radii[i] ** 2 + swirl[i]
+            blocks[i - 1][j - 1] = block
+    return blocks
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_symmetric_green_blocks_bit_identical_to_six_branches(setup, n):
+    prof, _, zg = setup
+    op = assemble(n, EPS, 0.066, CFG, prof, zg)
+    ref = _blocks_from_six_greens(n, EPS, 0.066, CFG, prof, zg)
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(op.blocks[i][j], ref[i][j])

@@ -537,3 +537,36 @@ def test_build_vorticity_rejects_folding(zg, prof, eig):
     f = _pert(eig, 1.0)    # huge amplitude folds the level sets
     with pytest.raises(NumericsError):
         build_vorticity(f, prof, n_theta=8)
+
+
+def _edges_by_legval(self, band):
+    """Reference: the band-edge values read by one-point Legendre sums at
+    R -+ eps, as `vorticity_samples` once did."""
+    R = CFG.R1 if band == 1 else CFG.R2
+    return (float(self.profile_at(R - self.eps, band)),
+            float(self.profile_at(R + self.eps, band)))
+
+
+def _slopes_by_legder(zgrid, g):
+    """Reference: node slopes from the differentiated Legendre series."""
+    from numpy.polynomial.legendre import legder, legval
+    return legval(zgrid.z, legder(zgrid.to_legendre @ g))
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 3.8e-3])
+def test_F_from_edge_rows_matches_legendre_sums(zg, prof, eig, sigma,
+                                               monkeypatch):
+    from annulus_rotor import nonlinear
+    f = _pert(eig, sigma)
+    new = [functional_F(eig.lam, f, prof, n_theta=n) for n in (32, 64, 128)]
+    slope = f.max_slope()
+    monkeypatch.setattr(LevelSetPerturbation, "edge_values", _edges_by_legval)
+    monkeypatch.setattr(nonlinear, "_diff_gauss", _slopes_by_legder)
+    ref = [functional_F(eig.lam, f, prof, n_theta=n) for n in (32, 64, 128)]
+    for a, b in zip(new, ref):
+        assert np.max(np.abs(a.inner - b.inner)) <= 1e-16
+        assert np.max(np.abs(a.outer - b.outer)) <= 1e-16
+    # differentiating a degree-95 series amplifies rounding: on smooth test
+    # functions both readings err by about 1e-8 at 96 nodes and differ by
+    # about 3e-10, so they agree well inside their common floor
+    assert abs(slope - f.max_slope()) <= 1e-9 * slope
