@@ -37,6 +37,12 @@ class AnnulusConfig:
             raise ConfigError("base swirl must not vanish at R2 (u(R2)=0 "
                               "would give a zero leading rotation rate)")
 
+    @property
+    def eps_max(self) -> float:
+        """Bound on the band half-width: both bands inside, disjoint."""
+        return min(self.R1 - self.r1, (self.R2 - self.R1) / 2.0,
+                   self.r2 - self.R2)
+
 
 _DEFAULTS = {
     "eps": 1e-2,
@@ -71,8 +77,7 @@ class RunConfig:
     seed: int = _DEFAULTS["seed"]
 
     def __post_init__(self):
-        a = self.annulus
-        eps_max = min(a.R1 - a.r1, (a.R2 - a.R1) / 2.0, a.r2 - a.R2)
+        eps_max = self.annulus.eps_max
         if not (0.0 < self.eps < eps_max):
             raise ConfigError(f"eps must lie in (0, {eps_max}): got {self.eps}")
         if not (0.0 < self.kappa < 1.0):

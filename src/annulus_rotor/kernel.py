@@ -28,6 +28,7 @@ import numpy as np
 from .config import AnnulusConfig
 from .errors import BracketError, ContractionError, KernelValidationError, NumericsError
 from .linop import CoefficientSet, assemble, p_coeff
+from .poisson import mode_sinh
 from .profile import TrapezoidProfile
 from .quadrature import ZGrid, geometric_edges, mapped_rule
 
@@ -301,7 +302,7 @@ class KernelBuilder:
         self.swirl2 = self.coeffs.swirl2_on_grid(zgrid)
 
     def _S(self, x):
-        return np.sinh(self.m * np.log(x))
+        return mode_sinh(self.m, np.log(x))
 
     def _alpha2(self, band: int, lam1: float, lam2: float,
                 include_swirl2: bool) -> np.ndarray:

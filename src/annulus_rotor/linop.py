@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import AnnulusConfig
 from .domain import N_GAUSS, BaseStream, band_moment, circulation, lambda0
-from .poisson import _log_sn
+from .poisson import mode_sinh
 from .profile import TrapezoidProfile
 from .quadrature import ZGrid, mapped_rule
 
@@ -36,10 +36,7 @@ def p_coeff(i: int, m: int, cfg: AnnulusConfig) -> float:
     if m < 1:
         raise ValueError("mode must satisfy m >= 1")
     Ri = cfg.R1 if i == 1 else cfg.R2
-    la, _ = _log_sn(m, np.log(np.array(Ri / cfg.r1)))
-    lb, _ = _log_sn(m, np.log(np.array(cfg.r2 / cfg.R2)))
-    lc, _ = _log_sn(m, np.log(np.array(cfg.r2 / cfg.r1)))
-    return Ri * cfg.R2 * np.exp(la + lb - lc) / m
+    return -Ri * cfg.R2 * _green(m, Ri, cfg.R2, cfg.r1, cfg.r2, "right")
 
 
 def _green(n: int, x: np.ndarray, y: np.ndarray, r1: float, r2: float,
@@ -51,10 +48,8 @@ def _green(n: int, x: np.ndarray, y: np.ndarray, r1: float, r2: float,
         lo, hi = x, y
     else:
         raise ValueError("branch must be 'left' or 'right'")
-    la, _ = _log_sn(n, np.log(lo / r1))
-    lb, _ = _log_sn(n, np.log(r2 / hi))
-    lc, _ = _log_sn(n, np.log(np.asarray(r2 / r1)))
-    return -np.exp(la + lb - lc) / n
+    return -(mode_sinh(n, np.log(lo / r1)) * mode_sinh(n, np.log(r2 / hi))
+             / (n * mode_sinh(n, np.log(r2 / r1))))
 
 
 @dataclass
@@ -277,11 +272,12 @@ def _operator_parts(n: int, eps: float, lam: float, cfg: AnnulusConfig,
     blocks core[i, j] = eps r_i(z) K_ij(z, s) of mode n, quadrature weights
     included; the source factor r_j sigma_j(s) is left to the callers.
     The profile terms come from `coeffs` when it belongs to the profile,
-    otherwise from the profile's shared set."""
+    otherwise from the profile's shared set; eps must be the profile's."""
     if n < 1:
         raise ValueError("band operator is defined for modes n >= 1")
     if abs(profile.eps - eps) > 1e-15:
-        profile = TrapezoidProfile(cfg, eps, profile.kappa, profile.moll)
+        raise ValueError(f"eps {eps!r} differs from the profile's eps "
+                         f"{profile.eps!r}")
     if coeffs is None or coeffs.profile is not profile:
         coeffs = profile.coefficients
     z = zgrid.z

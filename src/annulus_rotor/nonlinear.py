@@ -27,7 +27,7 @@ from .kernel import EigenSolution
 from .linop import assemble
 from .poisson import RadialGrid, solve_full
 from .profile import TrapezoidProfile
-from .quadrature import ZGrid, gauss_edges_and_slopes
+from .quadrature import ZGrid, bary_interp, gauss_bary_weights
 
 
 @dataclass
@@ -70,14 +70,12 @@ class LevelSetPerturbation:
 
     def edge_values(self, band: int) -> tuple[float, float]:
         """g at the band's edges z = -1 and z = 1."""
-        ends = gauss_edges_and_slopes(self.zgrid.n)[0]
-        lo, hi = ends @ (self.g_inner if band == 1 else self.g_outer)
+        lo, hi = self.zgrid.ends @ (self.g_inner if band == 1 else self.g_outer)
         return float(lo), float(hi)
 
     def max_slope(self) -> float:
-        d_in = _diff_gauss(self.zgrid, self.g_inner) / self.eps
-        d_out = _diff_gauss(self.zgrid, self.g_outer) / self.eps
-        return float(max(np.max(np.abs(d_in)), np.max(np.abs(d_out))))
+        slopes = self.zgrid.diff @ np.stack([self.g_inner, self.g_outer], 1)
+        return float(np.max(np.abs(slopes))) / self.eps
 
 
 def normalized_kernel(eig: EigenSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +101,10 @@ def _kernel_direction(eig: EigenSolution,
 
 
 def _interp_gauss(zgrid: ZGrid, g: np.ndarray, z) -> np.ndarray:
-    return legval(np.asarray(z, dtype=float), zgrid.to_legendre @ g)
-
-
-def _diff_gauss(zgrid: ZGrid, g: np.ndarray) -> np.ndarray:
-    return gauss_edges_and_slopes(zgrid.n)[1] @ g
+    """The grid interpolant of the nodal values g at the points z."""
+    z = np.asarray(z, dtype=float)
+    return bary_interp(zgrid.z, g[:, None], z.reshape(-1, 1),
+                       gauss_bary_weights(zgrid.n)).reshape(z.shape)
 
 
 @dataclass
@@ -229,6 +226,12 @@ def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
     of a full-series residual is at most tol.  cos_m may be a scalar or an
     array matching r_targets, so an entire band (all columns at once)
     inverts in one batched sweep.
+
+    Only here is g read through its Legendre series, not the grid's
+    barycentric formulas, because only a series truncates to a cheap warm
+    start: on the desk kernel at sigma 1e-3 a barycentric Newton inversion
+    took 3.6-5.5x this one's time (over 3x with a piecewise-linear warm
+    phase), and inversion is about 30% of a branch pass.
     """
     cfg, eps = f.cfg, f.eps
     R = cfg.R1 if band == 1 else cfg.R2
@@ -392,12 +395,15 @@ def sobolev_distance(profile: TrapezoidProfile, s: float,
     varpi = profile.value(grid.r)
     l2 = np.sqrt(2.0 * np.pi * float(np.dot(grid.w, varpi ** 2)))
 
+    # the background (f = None) is the zero displacement on one column
     if f is None:
-        theta = np.zeros(1)
-        ang_w = np.array([2.0 * np.pi])
+        m, theta, ang_w = 1, np.zeros(1), np.array([2.0 * np.pi])
     else:
+        m = f.m
         theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
         ang_w = np.full(n_theta, 2.0 * np.pi / n_theta)
+    cosm = np.cos(m * theta)
+    sinm = np.sin(m * theta)
 
     h1_sq = 0.0
     h2_sq = 0.0
@@ -407,21 +413,10 @@ def sobolev_distance(profile: TrapezoidProfile, s: float,
         rho = R + e * zg.z
         dp = profile.derivative(rho)[:, None]
         dpp = profile.second_derivative(rho)[:, None]
-        if f is None:
-            gv = np.zeros(zg.n)
-            gz = np.zeros(zg.n)
-            gzz = np.zeros(zg.n)
-            cosm = np.ones(1)
-            sinm = np.zeros(1)
-            m = 1
-        else:
-            g = f.g_inner if band == 1 else f.g_outer
-            gv = _interp_gauss(f.zgrid, g, zg.z)
-            gz = _diff_gauss(zg, gv)
-            gzz = _diff_gauss(zg, gz)
-            cosm = np.cos(f.m * theta)
-            sinm = np.sin(f.m * theta)
-            m = f.m
+        gv = np.zeros(zg.n) if f is None else _interp_gauss(
+            f.zgrid, f.g_inner if band == 1 else f.g_outer, zg.z)
+        gz = zg.diff @ gv
+        gzz = zg.diff @ gz
         fr = np.outer(gz / e, cosm)
         frr = np.outer(gzz / e ** 2, cosm)
         ft = -m * np.outer(gv, sinm)

@@ -7,7 +7,8 @@ closed form; modes n >= 1 use the explicit annulus Green's kernel
     G_n(r, s) = - S_n(min/r1) S_n(r2/max) / (n S_n(r2/r1)),
     S_n(x) = sinh(n log x),
 
-evaluated in log space so arbitrary mode numbers stay finite.  The tests
+evaluated by `mode_sinh`, which every Green's-kernel user shares and which
+refuses modes with n log(r2/r1) > 600, where sinh nears overflow.  The tests
 check the Green's route against an independent second-order
 finite-difference boundary-value solver, which shares no code with it.
 """
@@ -15,24 +16,26 @@ finite-difference boundary-value solver, which shares no code with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .config import AnnulusConfig
 from .errors import NumericsError
-from .quadrature import lobatto_indefinite_weights, lobatto_rule
+from .quadrature import (bary_diff_matrix, bary_interp,
+                         lobatto_bary_weights, lobatto_indefinite_weights,
+                         lobatto_rule)
 
 
-def _log_sn(n: int, logx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log |S_n| and sign for S_n = sinh(n logx), stable for any n."""
-    y = n * logx
-    ay = np.abs(y)
-    small = ay < 30.0
-    out = np.empty_like(ay)
-    out[small] = np.log(np.abs(np.sinh(ay[small])) + 1e-300)
-    out[~small] = ay[~small] - np.log(2.0) + np.log1p(-np.exp(-2 * ay[~small]))
-    return out, np.sign(y)
+def mode_sinh(n, logx) -> np.ndarray:
+    """S_n(x) = sinh(n log x) from log x, for one mode n or an array of
+    modes broadcasting against logx.  Every caller evaluates S_n(r2/r1), so
+    refusing |n log x| > 600 (sinh 600 = 2e260) refuses exactly the modes
+    with n log(r2/r1) > 600."""
+    y = np.multiply(n, logx)
+    if np.max(np.abs(y), initial=0.0) > 600.0:
+        raise NumericsError(f"mode {np.max(n)} exceeds the stable range of "
+                            "the Green solve; scale r2/r1 or cap modes")
+    return np.sinh(y)
 
 
 @dataclass
@@ -98,22 +101,15 @@ class RadialGrid:
             offset = out[idx][-1]      # wl[-1] integrates to the panel edge
         return out
 
-    def _diff_matrices(self):
-        if not hasattr(self, "_diffs"):
-            self._diffs = [_bary_diff_matrix(self.r[idx])
-                           for idx in self.panel_slices]
-        return self._diffs
-
     def derivative(self, fvals: np.ndarray) -> np.ndarray:
         """Spectral radial derivative (per panel, averaged at shared nodes)."""
         fvals = np.asarray(fvals, dtype=float)
-        out = np.zeros(fvals.shape, dtype=float)
-        counts = np.zeros(len(self.r))
-        for idx, D in zip(self.panel_slices, self._diff_matrices()):
+        out = np.zeros(fvals.shape)
+        for idx in self.panel_slices:
+            D = bary_diff_matrix(self.r[idx], lobatto_bary_weights(len(idx)))
             out[idx] += D @ fvals[idx]
-            counts[idx] += 1
-        shape = (-1,) + (1,) * (fvals.ndim - 1)
-        return out / counts.reshape(shape)
+        out[[idx[0] for idx in self.panel_slices[1:]]] /= 2.0
+        return out
 
     def interpolate(self, fvals: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Barycentric interpolation of nodal data at points x (spectral
@@ -140,59 +136,10 @@ class RadialGrid:
             rows = np.flatnonzero(sel.any(axis=1))
             if not len(rows):
                 continue
-            vals = _bary_interp(self.r[idx], cols[idx], pts[rows])
+            vals = bary_interp(self.r[idx], cols[idx], pts[rows],
+                               lobatto_bary_weights(len(idx)))
             out[rows] = np.where(sel[rows], vals, out[rows])
         return out if per_column else out.reshape(x.shape + fvals.shape[1:])
-
-
-@lru_cache(maxsize=64)
-def _lobatto_bary_weights(n: int) -> np.ndarray:
-    """Barycentric weights (-1)^j sqrt(w_j) of the n-point Lobatto rule.
-
-    An affine map scales all weights by one factor, which the barycentric
-    formulas cancel, so one read-only array serves every n-node panel.
-    """
-    b = (-1.0) ** np.arange(n) * np.sqrt(lobatto_rule(n)[1])
-    b.flags.writeable = False
-    return b
-
-
-def _bary_diff_matrix(x: np.ndarray) -> np.ndarray:
-    b = _lobatto_bary_weights(len(x))
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    D = (b[None, :] / b[:, None]) / dx
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -np.sum(D, axis=1))
-    return D
-
-
-def _bary_interp(xn: np.ndarray, fn: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Interpolant on the Lobatto panel xn of the nodal columns fn (n, ncol)
-    at points x of shape (k, 1), shared by every column, or (k, ncol), one
-    column each.  The sums run node by node, so no temporary outgrows the
-    result; a point within 1e-15 of a node takes the node's value."""
-    b = _lobatto_bary_weights(len(xn))
-    num = np.zeros(np.broadcast_shapes(x.shape, fn.shape[1:]),
-                   dtype=np.result_type(fn, float))
-    term = np.empty_like(num)
-    den = np.zeros(x.shape)
-    q = np.empty(x.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(len(xn)):
-            np.subtract(x, xn[k], out=q)
-            np.divide(b[k], q, out=q)
-            den += q
-            np.multiply(q, fn[k], out=term)
-            num += term
-        num /= den
-    j = np.clip(np.searchsorted(xn, x), 1, len(xn) - 1)
-    near = np.where(x - xn[j - 1] <= xn[j] - x, j - 1, j)
-    hit = np.abs(x - xn[near]) <= 1e-15
-    if np.any(hit):
-        np.copyto(num, np.take_along_axis(fn, near, axis=0),
-                  where=np.broadcast_to(hit, num.shape))
-    return num
 
 
 def solve_mode(n: int | np.ndarray, g: np.ndarray, grid: RadialGrid,
@@ -215,16 +162,12 @@ def solve_mode(n: int | np.ndarray, g: np.ndarray, grid: RadialGrid,
     if gv.shape != grid.r.shape + n.shape:
         raise NumericsError("modal field shape does not match the grid")
     full = float(np.log(r2 / r1))
-    n_top = np.max(n, initial=0)
-    if n_top * full > 600.0:
-        raise NumericsError(f"mode {n_top} exceeds the stable range of the "
-                            "Green solve; scale the ratio r2/r1 or cap modes")
+    sn_full = mode_sinh(n, full)
     col = (-1,) + (1,) * n.ndim             # broadcast radial data over modes
     r = grid.r.reshape(col)
     logx = np.log(r / r1)
-    sn_lo = np.sinh(n * logx)                  # S_n(r/r1)
-    sn_hi = np.sinh(n * (full - logx))         # S_n(r2/r)
-    sn_full = np.sinh(n * full)
+    sn_lo = mode_sinh(n, logx)                 # S_n(r/r1)
+    sn_hi = mode_sinh(n, full - logx)          # S_n(r2/r)
     A = sn_lo * r * gv                         # integrand of L
     B = sn_hi * r * gv                         # integrand of R
     L = np.empty_like(A)

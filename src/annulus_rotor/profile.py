@@ -28,9 +28,9 @@ class TrapezoidProfile:
 
     def __init__(self, cfg: AnnulusConfig, eps: float, kappa: float,
                  moll: Mollifier | None = None):
-        eps_max = min(cfg.R1 - cfg.r1, (cfg.R2 - cfg.R1) / 2.0, cfg.r2 - cfg.R2)
-        if not 0.0 < eps < eps_max:
-            raise OutOfDomainError(f"eps must lie in (0, {eps_max}); got {eps}")
+        if not 0.0 < eps < cfg.eps_max:
+            raise OutOfDomainError(
+                f"eps must lie in (0, {cfg.eps_max}); got {eps}")
         if not 0.0 < kappa < 1.0:
             raise OutOfDomainError(f"kappa must lie in (0, 1); got {kappa}")
         self.cfg = cfg

@@ -1,4 +1,7 @@
-"""Gauss-Legendre panel quadrature, indefinite integration weights, z-grids."""
+"""Gauss-Legendre panel quadrature, indefinite integration weights, z-grids,
+and the barycentric formulas (Berrut & Trefethen, SIAM Rev. 46 (2004)) by
+which the Gauss z-grid and the Lobatto radial panels interpolate and
+differentiate."""
 
 from __future__ import annotations
 
@@ -6,8 +9,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import (Legendre, legder, leggauss, legval,
-                                      legvander)
+from numpy.polynomial.legendre import Legendre, leggauss, legvander
 
 
 @lru_cache(maxsize=64)
@@ -75,23 +77,6 @@ def indefinite_weights(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _legendre_integrals(z) @ _legendre_analysis(z, w)
 
 
-@lru_cache(maxsize=64)
-def gauss_edges_and_slopes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the n-point Gauss grid: the rows E with E @ f the degree n-1
-    interpolant of f at z = -1 and z = 1 (P_k(+-1) = (+-1)^k, so they are
-    the signed sums of the analysis matrix's rows), and the matrix D with
-    D @ f its derivative at the nodes.  Built once per n and shared, so
-    both are read-only."""
-    z, w = gauss_rule(n)
-    to_legendre = _legendre_analysis(z, w)
-    ends = np.stack([(-1.0) ** np.arange(n) @ to_legendre,
-                     np.ones(n) @ to_legendre])
-    slopes = legval(z, legder(to_legendre)).T
-    for a in (ends, slopes):
-        a.flags.writeable = False
-    return ends, slopes
-
-
 @dataclass(frozen=True)
 class ZGrid:
     """Gauss-Legendre collocation grid on [-1, 1] for the band operators."""
@@ -102,16 +87,22 @@ class ZGrid:
     w_left: np.ndarray = field(init=False, repr=False)   # int_{-1}^{z_j}
     w_right: np.ndarray = field(init=False, repr=False)  # int_{z_j}^{1}
     to_legendre: np.ndarray = field(init=False, repr=False)  # f -> Legendre coeffs
+    diff: np.ndarray = field(init=False, repr=False)     # f -> f' at the nodes
+    ends: np.ndarray = field(init=False, repr=False)     # f -> f(-1), f(1)
 
     def __post_init__(self):
         z, w = gauss_rule(self.n)
         to_legendre = _legendre_analysis(z, w)
         wl = _legendre_integrals(z) @ to_legendre
+        b = gauss_bary_weights(self.n)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "w_left", wl)
         object.__setattr__(self, "w_right", w[None, :] - wl)
         object.__setattr__(self, "to_legendre", to_legendre)
+        object.__setattr__(self, "diff", bary_diff_matrix(z, b))
+        object.__setattr__(self, "ends", bary_interp(
+            z, np.eye(self.n), np.array([[-1.0], [1.0]]), b))
 
     def integrate(self, fvals: np.ndarray) -> float:
         return float(np.dot(self.w, fvals))
@@ -138,3 +129,68 @@ def lobatto_indefinite_weights(n: int) -> np.ndarray:
     W = indefinite_weights(*lobatto_rule(n))
     W.flags.writeable = False
     return W
+
+
+def _signed_roots(v: np.ndarray) -> np.ndarray:
+    b = (-1.0) ** np.arange(len(v)) * np.sqrt(v)
+    b.flags.writeable = False
+    return b
+
+
+@lru_cache(maxsize=64)
+def lobatto_bary_weights(n: int) -> np.ndarray:
+    """Barycentric weights (-1)^j sqrt(w_j) of the n-point Lobatto rule.
+
+    An affine map scales all weights by one factor, which the barycentric
+    formulas cancel, so one read-only array serves every n-node panel.
+    """
+    return _signed_roots(lobatto_rule(n)[1])
+
+
+@lru_cache(maxsize=64)
+def gauss_bary_weights(n: int) -> np.ndarray:
+    """Barycentric weights (-1)^j sqrt((1 - z_j^2) w_j) of the n-point
+    Gauss rule, read-only and shared like `lobatto_bary_weights`."""
+    z, w = gauss_rule(n)
+    return _signed_roots((1.0 - z ** 2) * w)
+
+
+def bary_diff_matrix(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix D with D @ f the derivative at the nodes x of the interpolant
+    of f, from the nodes' barycentric weights b; each diagonal entry is
+    minus its row's off-diagonal sum, so D differentiates constants to 0."""
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    D = (b[None, :] / b[:, None]) / dx
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -np.sum(D, axis=1))
+    return D
+
+
+def bary_interp(xn: np.ndarray, fn: np.ndarray, x: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """Interpolant on the sorted nodes xn, with barycentric weights b, of
+    the nodal columns fn (n, ncol) at points x of shape (k, 1), shared by
+    every column, or (k, ncol), one column each.  The sums run node by
+    node, so no temporary outgrows the result; a point within 1e-15 of a
+    node takes the node's value."""
+    num = np.zeros(np.broadcast_shapes(x.shape, fn.shape[1:]),
+                   dtype=np.result_type(fn, float))
+    term = np.empty_like(num)
+    den = np.zeros(x.shape)
+    q = np.empty(x.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(len(xn)):
+            np.subtract(x, xn[k], out=q)
+            np.divide(b[k], q, out=q)
+            den += q
+            np.multiply(q, fn[k], out=term)
+            num += term
+        num /= den
+    j = np.clip(np.searchsorted(xn, x), 1, len(xn) - 1)
+    near = np.where(x - xn[j - 1] <= xn[j] - x, j - 1, j)
+    hit = np.abs(x - xn[near]) <= 1e-15
+    if np.any(hit):
+        np.copyto(num, np.take_along_axis(fn, near, axis=0),
+                  where=np.broadcast_to(hit, num.shape))
+    return num

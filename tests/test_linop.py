@@ -6,6 +6,7 @@ import pytest
 
 from annulus_rotor.config import AnnulusConfig
 from annulus_rotor.domain import N_GAUSS
+from annulus_rotor.errors import NumericsError
 from annulus_rotor.linop import (CoefficientSet, assemble,
                                  assemble_adjoint, p_coeff, _green)
 from annulus_rotor.profile import TrapezoidProfile
@@ -42,6 +43,24 @@ def test_p_ratio_formula():
         s = lambda x: np.sinh(m * np.log(x))
         rhs = CFG.R1 * s(CFG.R1 / CFG.r1) / (CFG.R2 * s(CFG.R2 / CFG.r1))
         assert abs(lhs - rhs) < 1e-12 * abs(rhs)
+
+
+def test_green_and_p_coeff_refuse_modes_past_the_sinh_guard():
+    # log(r2/r1) = log 2: n log 2 passes 600 between n = 865 and 866
+    x, y = np.array([CFG.R1]), np.array([CFG.R2])
+    assert np.isfinite(_green(865, x, y, CFG.r1, CFG.r2, "right")).all()
+    assert np.isfinite(p_coeff(1, 865, CFG))
+    with pytest.raises(NumericsError, match="mode 866"):
+        _green(866, x, y, CFG.r1, CFG.r2, "right")
+    with pytest.raises(NumericsError, match="mode 866"):
+        p_coeff(1, 866, CFG)
+
+
+@pytest.mark.parametrize("build", [assemble, assemble_adjoint])
+def test_operator_refuses_eps_other_than_the_profiles(setup, build):
+    prof, _, zg = setup
+    with pytest.raises(ValueError, match=r"0\.02.*0\.01"):
+        build(3, 2e-2, 0.066, CFG, prof, zg)
 
 
 def test_swirl0_closed_form(setup):

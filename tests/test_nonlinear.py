@@ -31,17 +31,22 @@ def eig(zg, prof):
     return build_eigensolution(CFG, prof, M_MODE, zg)
 
 
-def test_interp_gauss_uses_the_grid_analysis_matrix_bit_for_bit():
-    from numpy.polynomial.legendre import legval, legvander
-    for n in (48, 96):
-        zgn = ZGrid(n)
-        # the analysis matrix as formed apart from the grid
-        scale = (2.0 * np.arange(n) + 1.0) / 2.0
-        analysis = scale[:, None] * (legvander(zgn.z, n - 1).T * zgn.w[None, :])
-        g = np.cos(3.0 * zgn.z) + zgn.z ** 5
-        zt = np.linspace(-1.0, 1.0, 101)
-        assert np.array_equal(_interp_gauss(zgn, g, zt),
-                              legval(zt, analysis @ g))
+@pytest.mark.parametrize("n", [48, 64, 96])
+def test_gauss_grid_toolkit_reads_exact_values(n):
+    """Interpolation, node derivatives and edge rows of the Gauss grid
+    against the exact values of cos 3z + z^5."""
+    zgn = ZGrid(n)
+    z = zgn.z
+    g = np.cos(3.0 * z) + z ** 5
+    zt = np.linspace(-1.0, 1.0, 101)
+    assert np.max(np.abs(_interp_gauss(zgn, g, zt)
+                         - (np.cos(3.0 * zt) + zt ** 5))) <= 1e-13
+    assert np.max(np.abs(zgn.diff @ g
+                         - (-3.0 * np.sin(3.0 * z) + 5.0 * z ** 4))) <= 5e-11
+    assert np.max(np.abs(zgn.diff @ (zgn.diff @ g)
+                         - (-9.0 * np.cos(3.0 * z) + 20.0 * z ** 3))) <= 2e-7
+    ends = np.array([np.cos(3.0) - 1.0, np.cos(3.0) + 1.0])
+    assert np.max(np.abs(zgn.ends @ g - ends)) <= 1e-13
 
 
 def _pert(eig, sigma):
@@ -541,32 +546,29 @@ def test_build_vorticity_rejects_folding(zg, prof, eig):
 
 def _edges_by_legval(self, band):
     """Reference: the band-edge values read by one-point Legendre sums at
-    R -+ eps, as `vorticity_samples` once did."""
-    R = CFG.R1 if band == 1 else CFG.R2
-    return (float(self.profile_at(R - self.eps, band)),
-            float(self.profile_at(R + self.eps, band)))
+    z = -1 and z = 1, as `vorticity_samples` once did."""
+    from numpy.polynomial.legendre import legval
+    c = self.zgrid.to_legendre @ (self.g_inner if band == 1 else self.g_outer)
+    return float(legval(-1.0, c)), float(legval(1.0, c))
 
 
-def _slopes_by_legder(zgrid, g):
-    """Reference: node slopes from the differentiated Legendre series."""
+def _slope_by_legder(self):
+    """Reference: the fold check's slope from the differentiated Legendre
+    series, as `max_slope` once read it."""
     from numpy.polynomial.legendre import legder, legval
-    return legval(zgrid.z, legder(zgrid.to_legendre @ g))
+    slopes = [legval(self.zgrid.z, legder(self.zgrid.to_legendre @ g))
+              for g in (self.g_inner, self.g_outer)]
+    return float(np.max(np.abs(slopes))) / self.eps
 
 
 @pytest.mark.parametrize("sigma", [1e-3, 3.8e-3])
 def test_F_from_edge_rows_matches_legendre_sums(zg, prof, eig, sigma,
                                                monkeypatch):
-    from annulus_rotor import nonlinear
     f = _pert(eig, sigma)
     new = [functional_F(eig.lam, f, prof, n_theta=n) for n in (32, 64, 128)]
-    slope = f.max_slope()
     monkeypatch.setattr(LevelSetPerturbation, "edge_values", _edges_by_legval)
-    monkeypatch.setattr(nonlinear, "_diff_gauss", _slopes_by_legder)
+    monkeypatch.setattr(LevelSetPerturbation, "max_slope", _slope_by_legder)
     ref = [functional_F(eig.lam, f, prof, n_theta=n) for n in (32, 64, 128)]
     for a, b in zip(new, ref):
         assert np.max(np.abs(a.inner - b.inner)) <= 1e-16
         assert np.max(np.abs(a.outer - b.outer)) <= 1e-16
-    # differentiating a degree-95 series amplifies rounding: on smooth test
-    # functions both readings err by about 1e-8 at 96 nodes and differ by
-    # about 3e-10, so they agree well inside their common floor
-    assert abs(slope - f.max_slope()) <= 1e-9 * slope

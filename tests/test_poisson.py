@@ -214,26 +214,39 @@ def test_greens_vs_oracle_converge_on_refinement():
 
 
 def test_barycentric_weights_built_once_per_node_count():
-    from annulus_rotor.poisson import _lobatto_bary_weights
+    from annulus_rotor.nonlinear import _interp_gauss
+    from annulus_rotor.quadrature import (ZGrid, gauss_bary_weights,
+                                          lobatto_bary_weights)
     nodes = (17, 33, 17, 33, 17)
     grid = make_grid(nodes)
-    for idx in grid.panel_slices:
-        # 1 / prod_{k != j} (x_j - x_k) on the mapped panel, which an affine
-        # map scales by one factor (up to the nodes' rounding, 1e-12 here)
-        x = grid.r[idx]
-        d = 4.0 * (x[:, None] - x[None, :]) / (x[-1] - x[0])
-        np.fill_diagonal(d, 1.0)
-        ratio = (1.0 / np.prod(d, axis=1)) / _lobatto_bary_weights(len(idx))
-        assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-11
+    rules = {lobatto_bary_weights: [grid.r[idx] for idx in grid.panel_slices],
+             gauss_bary_weights: [ZGrid(n).z for n in (17, 33)]}
+    for weights, panels in rules.items():
+        for x in panels:
+            # 1 / prod_{k != j} (x_j - x_k) on the (mapped) panel, which an
+            # affine map scales by one factor (up to the nodes' rounding,
+            # 1e-12 here)
+            d = 4.0 * (x[:, None] - x[None, :]) / (x[-1] - x[0])
+            np.fill_diagonal(d, 1.0)
+            ratio = (1.0 / np.prod(d, axis=1)) / weights(len(x))
+            assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-11
     f = np.sin(3 * grid.r)
     grid.interpolate(f, [1.3])
     grid.derivative(f)
-    built = _lobatto_bary_weights.cache_info().misses
-    # a second grid with the same node counts builds no weights
+    built = {weights: weights.cache_info().misses for weights in rules}
+    # second grids with the same node counts build no weights
     other = make_grid(nodes, eps=2e-2)
     x = np.linspace(CFG.r1, CFG.r2, 7)
     np.testing.assert_allclose(other.interpolate(np.sin(3 * other.r), x),
                                np.sin(3 * x), rtol=0, atol=1e-12)
     np.testing.assert_allclose(other.derivative(np.sin(3 * other.r)),
                                3 * np.cos(3 * other.r), rtol=0, atol=1e-9)
-    assert _lobatto_bary_weights.cache_info().misses == built
+    z = np.linspace(-1.0, 1.0, 7)
+    for n in (17, 33):
+        zg = ZGrid(n)
+        np.testing.assert_allclose(_interp_gauss(zg, np.exp(zg.z), z),
+                                   np.exp(z), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(zg.diff @ np.exp(zg.z), np.exp(zg.z),
+                                   rtol=0, atol=1e-9)
+    assert {weights: weights.cache_info().misses
+            for weights in rules} == built

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from annulus_rotor.errors import OutOfDomainError
+from annulus_rotor.config import AnnulusConfig, RunConfig
+from annulus_rotor.errors import ConfigError, OutOfDomainError
 from annulus_rotor.mollifier import Mollifier, default_mollifier
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import mapped_rule
@@ -182,6 +183,18 @@ def test_out_of_domain_raises():
         p.edge(1.5)
     with pytest.raises(OutOfDomainError):
         p.value(0.5)
+
+
+def test_profile_and_run_config_share_the_annulus_eps_bound():
+    cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.3, R2=1.9, A=0.0, B=0.15)
+    assert cfg.eps_max == min(1.3 - 1.0, (1.9 - 1.3) / 2.0, 2.0 - 1.9)
+    below = 0.999 * cfg.eps_max
+    assert TrapezoidProfile(cfg, below, 0.1).eps == below
+    assert RunConfig(annulus=cfg, eps=below).eps == below
+    with pytest.raises(OutOfDomainError):
+        TrapezoidProfile(cfg, cfg.eps_max, 0.1)
+    with pytest.raises(ConfigError):
+        RunConfig(annulus=cfg, eps=cfg.eps_max)
 
 
 def test_tabulate_shape():
