@@ -501,19 +501,24 @@ def _mode_operator(eig: EigenSolution, cfg: AnnulusConfig,
                    profile: TrapezoidProfile) -> tuple:
     """(operator, singular values, last left and last right singular vector)
     of mode m at eig.lam, built once per (eigensolution, profile) and kept
-    on the eigensolution."""
+    on the eigensolution.  The weighted matrix is J times a symmetric one,
+    so its SVD is a Hermitian one and its left vectors are J U."""
     if eig._mode_op is None or eig._mode_op[0] is not profile:
         op = assemble(eig.m, eig.eps, eig.lam, cfg, profile, eig.zgrid)
-        U, svals, Vt = np.linalg.svd(op.weighted_matrix())
-        eig._mode_op = (profile, op, svals, U[:, -1].copy(), Vt[-1].copy())
+        U, svals, Vt = np.linalg.svd(op.symmetric_matrix(), hermitian=True)
+        left = U[:, -1].copy()
+        left[eig.zgrid.n:] *= -1.0
+        eig._mode_op = (profile, op, svals, left, Vt[-1].copy())
     return eig._mode_op[1:]
 
 
 def singular_values(n: int, eps: float, lam: float, cfg: AnnulusConfig,
                     profile: TrapezoidProfile, zgrid: ZGrid) -> np.ndarray:
-    """Singular values (descending) of the weighted mode-n operator at lam."""
+    """Singular values (descending) of the weighted mode-n operator at lam,
+    the eigenvalue moduli of its symmetric form."""
     op = assemble(n, eps, lam, cfg, profile, zgrid)
-    return np.linalg.svd(op.weighted_matrix(), compute_uv=False)
+    return np.linalg.svd(op.symmetric_matrix(), compute_uv=False,
+                         hermitian=True)
 
 
 def operator_residual(eig: EigenSolution, cfg: AnnulusConfig,
@@ -531,7 +536,9 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     (i) rank-one deficiency of the discretized operator at mode m,
     (ii) null-vector match against the constructed pair,
     (iii) no kernel at the other modes n <= M,
-    plus an isolation scan in the rate.
+    plus an isolation scan in the rate.  Every SVD is a Hermitian one of the
+    J-symmetric form J Mw of the weighted operator (J = +1 on the inner
+    band, -1 on the outer one), whose singular values are Mw's.
     """
     zg = eig.zgrid
     op, svals, _, null_vec = _mode_operator(eig, cfg, profile)

@@ -14,7 +14,11 @@ within-band kernel kink handled by per-target indefinite integration weights.
 The adjoint in the slope-weighted L2 pair is built from the operator's own
 kernel blocks: the Gauss weights and their indefinite weights W satisfy the
 summation-by-parts identity w_j W[j, i] + w_i W[i, j] = w_i w_j, so its
-weighted matrix is the transpose of the operator's.
+weighted matrix is the transpose of the operator's.  The same identity makes
+the weighted matrix Mw J-symmetric: with J = +1 on the inner band and -1 on
+the outer one, J Mw is symmetric, so the singular values of Mw are the
+moduli of the eigenvalues of J Mw, and its SVD is a symmetric eigensolve
+(`BandOperator.symmetric_matrix`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .config import AnnulusConfig
 from .domain import N_GAUSS, BaseStream, band_moment, circulation, lambda0
+from .errors import NumericsError
 from .poisson import mode_sinh
 from .profile import TrapezoidProfile
 from .quadrature import ZGrid, mapped_rule
@@ -216,6 +221,9 @@ class CoefficientSet:
         return out
 
 
+SYMMETRY_TOL = 1e-13     # most |J Mw - (J Mw)^T| / max |J Mw|
+
+
 @dataclass
 class BandOperator:
     """Dense two-band operator blocks on a shared Gauss grid."""
@@ -251,6 +259,24 @@ class BandOperator:
         Mw[:, S == 0.0] = 0.0
         Mw[np.arange(2 * N), np.arange(2 * N)] = diag
         return Mw
+
+    def symmetric_matrix(self) -> np.ndarray:
+        """J times the weighted matrix: its outer-band rows negated.
+
+        Symmetric by summation by parts, so `np.linalg.svd(...,
+        hermitian=True)` gives the weighted matrix's singular values and
+        right singular vectors, and J times its left ones.  The Hermitian
+        path reads one triangle only, so an asymmetry above SYMMETRY_TOL of
+        the largest entry raises a NumericsError carrying it.
+        """
+        A = self.weighted_matrix()
+        A[self.zgrid.n:] *= -1.0
+        asym = np.max(np.abs(A - A.T)) / np.max(np.abs(A))
+        if not asym <= SYMMETRY_TOL:
+            raise NumericsError(f"J times the weighted operator is not "
+                                f"symmetric: asymmetry {asym:.3g} of its "
+                                f"largest entry > {SYMMETRY_TOL:g}")
+        return A
 
     def weighted_vector(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         s1, s2 = self.sqrt_weights

@@ -16,6 +16,7 @@ the nontrivial branch in the amplitude with a bordered Newton iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
@@ -374,6 +375,12 @@ def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
     return results
 
 
+@cache
+def _distance_grid() -> ZGrid:
+    """The z-grid of `sobolev_distance`, built once per process."""
+    return ZGrid(64)
+
+
 def sobolev_distance(profile: TrapezoidProfile, s: float,
                      f: LevelSetPerturbation | None = None) -> dict:
     """Band-quadrature Sobolev seminorms of the vorticity deviation.
@@ -387,7 +394,7 @@ def sobolev_distance(profile: TrapezoidProfile, s: float,
         raise ValueError("Sobolev exponent must lie in [0, 3/2)")
     cfg = profile.cfg
     e = profile.eps
-    zg = ZGrid(64)
+    zg = _distance_grid()
     n_theta = 64
 
     # L2 of the deviation from the constant background

@@ -77,9 +77,11 @@ def indefinite_weights(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _legendre_integrals(z) @ _legendre_analysis(z, w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZGrid:
-    """Gauss-Legendre collocation grid on [-1, 1] for the band operators."""
+    """Gauss-Legendre collocation grid on [-1, 1] for the band operators.
+
+    Grids hash and compare by identity, so a grid can key a memo."""
 
     n: int = 96
     z: np.ndarray = field(init=False, repr=False)
@@ -101,8 +103,11 @@ class ZGrid:
         object.__setattr__(self, "w_right", w[None, :] - wl)
         object.__setattr__(self, "to_legendre", to_legendre)
         object.__setattr__(self, "diff", bary_diff_matrix(z, b))
-        object.__setattr__(self, "ends", bary_interp(
-            z, np.eye(self.n), np.array([[-1.0], [1.0]]), b))
+        # barycentric rows at z = -1, 1, where no Gauss node lies; summed
+        # node by node, as `bary_interp` sums, so the rows are its rows
+        rows = b / (np.array([[-1.0], [1.0]]) - z)
+        object.__setattr__(self, "ends",
+                           rows / np.cumsum(rows, axis=1)[:, -1:])
 
     def integrate(self, fvals: np.ndarray) -> float:
         return float(np.dot(self.w, fvals))

@@ -102,14 +102,18 @@ def test_find_eigen_outputs(tmp_path):
 
 
 def test_determinism_byte_identical(tmp_path):
-    proc1, out1 = run_cli(tmp_path, CONFIG_OK, "find-eigen")
-    body1 = (out1 / "eigen_kernel.csv").read_bytes()
     import shutil
-    shutil.rmtree(out1)
-    proc2, out2 = run_cli(tmp_path, CONFIG_OK, "find-eigen")
-    body2 = (out2 / "eigen_kernel.csv").read_bytes()
-    assert proc1.returncode == proc2.returncode == 0
-    assert body1 == body2
+    for command, artifact in (("find-eigen", "eigen_kernel.csv"),
+                              ("validate-kernel", "kernel_offmodes.csv"),
+                              ("adjoint", "adjoint_kernel.csv")):
+        proc1, out1 = run_cli(tmp_path, CONFIG_OK, command)
+        body1 = (out1 / artifact).read_bytes()
+        shutil.rmtree(out1)
+        proc2, out2 = run_cli(tmp_path, CONFIG_OK, command)
+        body2 = (out2 / artifact).read_bytes()
+        shutil.rmtree(out2)
+        assert proc1.returncode == proc2.returncode == 0, command
+        assert body1 == body2, artifact
 
 
 def test_validate_kernel_subcommand(tmp_path):

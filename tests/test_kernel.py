@@ -9,9 +9,10 @@ from annulus_rotor.kernel import (KernelBuilder, adjoint_kernel, b0_and_a1,
                                   fixed_point_corrections, grid_lambda1,
                                   invert_q2hat, lambda1_closed_form,
                                   lambda_star, operator_residual,
-                                  solve_lambda1, transversality,
-                                  validate_kernel, _edge_breaks,
-                                  _I_quadrature)
+                                  singular_values, solve_lambda1,
+                                  transversality, validate_kernel,
+                                  _edge_breaks, _I_quadrature,
+                                  _mode_operator)
 from annulus_rotor.linop import (CoefficientSet, assemble, assemble_adjoint,
                                  p_coeff)
 from annulus_rotor.profile import TrapezoidProfile
@@ -410,6 +411,33 @@ def test_adjoint_null_vector_is_the_operators_left_singular_vector(
         assert cosine >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_adjoint_kernel_is_the_kernel_with_outer_band_negated(zg, m, eps):
+    # J Mw symmetric means J v spans the left null space when v spans the
+    # right one: (a*, b*) is (a, -b) up to scale
+    p = TrapezoidProfile(CFG, eps, 0.1)
+    e = build_eigensolution(CFG, p, m, zg)
+    adj = adjoint_kernel(e, CFG, p)
+    op = _mode_operator(e, CFG, p)[0]
+    star, flipped = (adj["astar"], adj["bstar"]), (e.a, -e.b)
+    cosine = abs(op.inner(star, flipped)) / (op.norm(star) * op.norm(flipped))
+    assert 1.0 - cosine <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_hermitian_singular_values_match_general_svd(zg, eps):
+    p = TrapezoidProfile(CFG, eps, 0.1)
+    lam = build_eigensolution(CFG, p, M_MODE, zg).lam
+    for n in range(1, 10):
+        got = singular_values(n, eps, lam, CFG, p, zg)
+        ref = np.linalg.svd(assemble(n, eps, lam, CFG, p, zg)
+                            .weighted_matrix(), compute_uv=False)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * ref[0]
+        if n != M_MODE:
+            assert abs(got[-1] - ref[-1]) <= 1e-10 * ref[-1]
+
+
 def test_adjoint_range_orthogonality(eig):
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
     adj = adjoint_kernel(eig, CFG, prof)
@@ -511,7 +539,8 @@ def test_kernel_checks_share_one_operator_and_svd(monkeypatch, zg):
 
     def taken():
         """(mode-m assemblies at eig.lam, SVDs with singular vectors) since
-        the last call."""
+        the last call; every SVD is a Hermitian one."""
+        assert all(kwargs.get("hermitian") for _, kwargs in svd["calls"])
         at_lam = sum(args[0] == eig.m and args[2] == eig.lam
                      for args, _ in asm["calls"])
         with_uv = sum(kwargs.get("compute_uv", True)

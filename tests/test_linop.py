@@ -7,7 +7,7 @@ import pytest
 from annulus_rotor.config import AnnulusConfig
 from annulus_rotor.domain import N_GAUSS
 from annulus_rotor.errors import NumericsError
-from annulus_rotor.linop import (CoefficientSet, assemble,
+from annulus_rotor.linop import (BandOperator, CoefficientSet, assemble,
                                  assemble_adjoint, p_coeff, _green)
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid, mapped_rule
@@ -222,6 +222,48 @@ def test_weighted_matrix_consistent_with_blocks(setup):
     out = op.apply(a, b)
     rhs = op.weighted_vector(*out)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.max(np.abs(rhs))))
+
+
+def _j_asymmetry(op):
+    A = op.weighted_matrix()
+    A[op.zgrid.n:] *= -1.0
+    return np.max(np.abs(A - A.T)) / np.max(np.abs(A))
+
+
+def test_weighted_matrix_is_j_symmetric():
+    # summation by parts: J Mw is symmetric, J = +1 inner band, -1 outer
+    from annulus_rotor.kernel import build_eigensolution
+    worst = 0.0
+    for nz in (48, 96, 128):
+        zg = ZGrid(nz)
+        for eps in (1e-2, 5e-3, 1e-3):
+            for kappa in (0.1, 0.3):
+                prof = TrapezoidProfile(CFG, eps, kappa)
+                lam = build_eigensolution(CFG, prof, 3, zg).lam
+                for n in range(1, 10):
+                    for rate in (lam, lam + 0.1):
+                        op = assemble(n, eps, rate, CFG, prof, zg)
+                        worst = max(worst, _j_asymmetry(op))
+                Mw = op.weighted_matrix()
+                Mw[nz:] *= -1.0
+                assert np.array_equal(op.symmetric_matrix(), Mw)
+    assert worst <= 1e-15
+
+
+def test_symmetric_matrix_refuses_an_asymmetric_operator(setup):
+    prof, coeffs, zg = setup
+    op = assemble(3, EPS, 0.07, CFG, prof, zg, coeffs)
+    S1, S2 = op.sqrt_weights
+    i, j = int(np.argmax(S1)), int(np.argmax(S2))
+    # move the weighted entry (i, N + j) by 1e-8 of the largest entry
+    delta = 1e-8 * np.max(np.abs(op.weighted_matrix()))
+    blocks = [[blk.copy() for blk in row] for row in op.blocks]
+    blocks[0][1][i, j] += delta * S2[j] / S1[i]
+    bad = BandOperator(n=op.n, eps=op.eps, lam=op.lam, zgrid=zg,
+                       blocks=blocks, sqrt_weights=op.sqrt_weights)
+    assert abs(_j_asymmetry(bad) - 1e-8) <= 1e-10
+    with pytest.raises(NumericsError, match="asymmetry 1e-08"):
+        bad.symmetric_matrix()
 
 
 def test_quadrature_gauss_convergence_on_analytic_integrand():

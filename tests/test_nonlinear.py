@@ -10,7 +10,7 @@ from annulus_rotor.nonlinear import (LevelSetPerturbation, _band_radii,
                                      functional_F, h2_band_bound,
                                      linearization_check, sobolev_distance)
 from annulus_rotor.profile import TrapezoidProfile
-from annulus_rotor.quadrature import ZGrid
+from annulus_rotor.quadrature import ZGrid, bary_interp, gauss_bary_weights
 
 from conftest import DESK_CFG as CFG
 EPS, KAPPA, M_MODE = 1e-2, 0.1, 3
@@ -384,6 +384,17 @@ def test_sobolev_with_perturbation_close_to_unperturbed(prof, eig):
     assert abs(pert["h1"] - base["h1"]) < 0.05 * base["h1"]
 
 
+def test_sobolev_distance_reuses_one_grid(prof, eig, monkeypatch):
+    from annulus_rotor import nonlinear
+    sobolev_distance(prof, 1.0)
+    built = []
+    monkeypatch.setattr(nonlinear, "ZGrid",
+                        lambda *a, **k: built.append(a) or ZGrid(*a, **k))
+    sobolev_distance(prof, 1.0)
+    sobolev_distance(prof, 1.0, f=_pert(eig, 1e-3))
+    assert not built
+
+
 def test_continue_branch_small_amplitude(zg, prof, eig):
     zgb = ZGrid(40)
     pts = continue_branch(eig, CFG, prof, sigma_target=2e-4, steps=2,
@@ -542,6 +553,23 @@ def test_build_vorticity_rejects_folding(zg, prof, eig):
     f = _pert(eig, 1.0)    # huge amplitude folds the level sets
     with pytest.raises(NumericsError):
         build_vorticity(f, prof, n_theta=8)
+
+
+def test_F_unchanged_by_interpolated_edge_rows(zg, prof, eig):
+    # F at sigma 1e-3 with `ZGrid.ends` against the same grid whose edge
+    # rows come from `bary_interp` over the columns of the identity
+    f = _pert(eig, 1e-3)
+    ref_grid = ZGrid(zg.n)
+    object.__setattr__(ref_grid, "ends", bary_interp(
+        zg.z, np.eye(zg.n), np.array([[-1.0], [1.0]]),
+        gauss_bary_weights(zg.n)))
+    f_ref = LevelSetPerturbation(m=f.m, zgrid=ref_grid, g_inner=f.g_inner,
+                                 g_outer=f.g_outer, cfg=CFG, eps=EPS)
+    new = functional_F(eig.lam, f, prof, n_theta=64)
+    ref = functional_F(eig.lam, f_ref, prof, n_theta=64)
+    scale = ref.sup()
+    assert np.max(np.abs(new.inner - ref.inner)) <= 1e-15 * scale
+    assert np.max(np.abs(new.outer - ref.outer)) <= 1e-15 * scale
 
 
 def _edges_by_legval(self, band):

@@ -1,8 +1,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from annulus_rotor.quadrature import (ZGrid, gauss_rule, geometric_edges,
-                                      indefinite_weights,
+from annulus_rotor.quadrature import (ZGrid, bary_interp,
+                                      gauss_bary_weights, gauss_rule,
+                                      geometric_edges, indefinite_weights,
                                       lobatto_indefinite_weights,
                                       lobatto_rule, mapped_rule)
 
@@ -31,6 +32,22 @@ def test_indefinite_weights_exact_for_polynomials():
         vals = W @ (x ** k)
         exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
         assert np.max(np.abs(vals - exact)) < 1e-13
+
+
+def test_zgrid_hashes_and_compares_by_identity():
+    a, b = ZGrid(8), ZGrid(8)
+    assert hash(a) == hash(a)
+    assert a == a and a != b
+    memo = {a: "a", b: "b"}
+    assert memo[a] == "a" and memo[b] == "b"
+
+
+def test_zgrid_ends_are_the_interpolants_edge_rows():
+    for n in (8, 48, 96, 128):
+        zg = ZGrid(n)
+        rows = bary_interp(zg.z, np.eye(n), np.array([[-1.0], [1.0]]),
+                           gauss_bary_weights(n))
+        assert np.max(np.abs(zg.ends - rows)) <= 1e-15
 
 
 def test_zgrid_left_right_split():
