@@ -13,9 +13,9 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .errors import ConfigError, NumericsError
-from .kernel import (SVD_GAP_TOL, adjoint_kernel, build_eigensolution,
-                     operator_residual, singular_values, transversality,
-                     validate_kernel)
+from .kernel import (RATE_GAP_FLOOR, SVD_GAP_TOL, adjoint_kernel,
+                     build_eigensolution, operator_residual, singular_values,
+                     transversality, validate_kernel)
 from .nonlinear import (LevelSetPerturbation, continue_branch, functional_F,
                         linearization_check, sobolev_distance)
 from .poisson import RadialGrid, solve_mode
@@ -124,19 +124,20 @@ def cmd_validate_kernel(run: RunConfig, outdir: str, args) -> int:
     profile, zgrid = _setup(run)
     eig = build_eigensolution(cfg, profile, run.m, zgrid)
     diag = validate_kernel(eig, cfg, profile, M=run.M)
-    rows = [(n, v["sigma_min"], v["norm"], int(v["ok"]))
+    rows = [(n, v["rung"], v["gap"], int(v["ok"]))
             for n, v in diag["off_modes"].items()]
     write_csv(os.path.join(outdir, "kernel_offmodes.csv"),
-              ["mode", "sigma_min", "operator_norm", "ok"], rows)
+              ["mode", "rung", "gap", "ok"], rows)
     _report(outdir, "validate-kernel", [
         f"sigma_min={_fmt(diag['sigma_min'])}",
         f"sigma_second={_fmt(diag['sigma_second'])}",
         f"gap ratio={_fmt(diag['gap_ratio'])} (tol {SVD_GAP_TOL:g})",
         f"null-vector cosine={_fmt(diag['cosine'])}",
-        f"rate-shift sigma jump={_fmt(diag['shift_jump'])}x",
-        "all off-mode floors satisfied" if all(v['ok'] for v in
-                                               diag['off_modes'].values())
-        else "OFF-MODE FLOOR VIOLATION",
+        f"last mode with a rate below the continuum edge: n*={diag['n_star']}",
+        f"least rate-slope gap to another mode={_fmt(diag['least_gap'])}",
+        f"least rate-slope gap to a mode km={_fmt(diag['least_gap_km'])}",
+        f"rate-slope gap to the continuum edge={_fmt(diag['edge_gap'])}",
+        f"all off-mode gaps above {RATE_GAP_FLOOR:g} eps",
     ])
     return 0
 

@@ -11,12 +11,18 @@ equation (found by a safeguarded Newton iteration on its analytic slope),
 (b0, a1) are explicit, and the order-two corrections (a2, b1, lam2) solve a
 small fixed-point system.  Its Taylor remainders in eps are delta-averages
 of the two band coupling kernels, taken as their exact difference quotients
-(Phi(eps) - Phi(0))/eps.  Validation is SVD-based: rank-one deficiency of
-the discretized operator at the constructed rate, null-vector match,
-isolation at the other modes, adjoint kernel expansion, and the
-transversality pairing.
-The mode-m checks share one assembled operator and one full SVD per
-eigensolution and profile, held by the `EigenSolution` and freed with it.
+(Phi(eps) - Phi(0))/eps.  Validation at mode m is SVD-based: rank-one
+deficiency of the discretized operator at the constructed rate, null-vector
+match, adjoint kernel expansion, and the transversality pairing.  These
+checks share one assembled operator and one full SVD per eigensolution and
+profile, held by the `EigenSolution` and freed with it.
+
+The other modes are checked by the rate ladder instead.  The root equation
+is p2(n) J(lam1) = 1, and J = int edge'/alpha1_out does not depend on n, so
+one monotone inversion of J gives the rate slope lam1(n) of every mode with
+a root (`rate_ladder`); the modes past the last one, n*, have no rate below
+the continuum edge lam0 + eps lambda*.  Mode m is isolated when its rung
+lam1(m) keeps a distance from every other rung and from lambda*.
 """
 
 from __future__ import annotations
@@ -54,7 +60,8 @@ LAMBDA1_MAX_ITER = 200        # lam1 Newton (or bisection fallback) steps
 PICARD_TOL = 1e-11            # largest weighted Picard step at the stop
 PICARD_MAX_ITER = 200
 SVD_GAP_TOL = 1e-6            # most sigma_min / sigma_second at mode m
-OFFMODE_FLOOR = 1e-3          # least sigma_min / (eps sigma_max), n != m
+RATE_GAP_FLOOR = 0.25         # least |lam1(n) - lam1(m)| / eps, n != m
+LADDER_TOL = 1e-13            # largest |p2(n) J(lam1) - 1| on the ladder
 TRANSVERSALITY_FLOOR = 0.5    # least |T| / |its leading part|
 
 
@@ -145,6 +152,71 @@ def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10) -> dict:
         raise NumericsError(f"rate-slope root stalled: |I-1|={abs(resid):.3g}")
     return {"lam1": float(lam1), "residual": float(resid),
             "lambda_star": float(lam_star)}
+
+
+def _J(coeffs: CoefficientSet, lam1: np.ndarray) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """J(lam1) = int edge'(s) / alpha1_out(s) ds and its slope
+    dJ/dlam1 = -R2^2 int edge' / alpha1_out^2 at every entry of lam1, on the
+    panels of `_I_quadrature`."""
+    x, w, ep = coeffs.memo("I_panels", lambda: _I_panels(coeffs.profile))
+    alpha1 = coeffs.alpha1(2, x, lam1[:, None, None])
+    q = w * ep / alpha1
+    return (np.sum(q, axis=(1, 2)),
+            -coeffs.cfg.R2 ** 2 * np.sum(q / alpha1, axis=(1, 2)))
+
+
+def rate_ladder(coeffs: CoefficientSet) -> dict:
+    """Rate slopes lam1(n) of the modes n = 1..n* at once.
+
+    Mode n's root equation is p2(n) J(lam1) = 1, where J is strictly
+    increasing below lambda* and does not depend on n.  p2(n) falls strictly
+    in n, so the modes with a root are n = 1..n*, the last with
+    p2(n) J(lambda*^-) > 1 (at the probe where `solve_lambda1` gives up),
+    and lam1(n) rises with n.  All rungs are found together by the
+    safeguarded Newton iteration of `solve_lambda1`, vectorised over the
+    modes: each starts at lambda*^-, a step that leaves its bracket is
+    replaced by bisection, and a converged rung stays put.
+    """
+    cfg = coeffs.cfg
+    lam_star = lambda_star(coeffs)
+    scale = max(abs(lam_star), 1.0)
+    edge = lam_star - 1e-12 * scale
+    J_edge = _J(coeffs, np.array([edge]))[0][0]
+    p2: list[float] = []
+    while (p := p_coeff(2, len(p2) + 1, cfg)) * J_edge > 1.0:
+        p2.append(p)
+    n_star = len(p2)
+    if not n_star:
+        return {"lam1": np.empty(0), "n_star": 0, "lambda_star": lam_star}
+    p2 = np.array(p2)
+    # mode 1 has the largest p2: once I_1 < 1, every I_n < 1
+    big = scale
+    for _ in range(200):
+        if p2[0] * _J(coeffs, np.array([lam_star - big]))[0][0] < 1.0:
+            break
+        big *= 4.0
+    else:
+        raise BracketError("could not bracket the rate ladder from below")
+    lo = np.full(n_star, lam_star - big)
+    hi = np.full(n_star, edge)
+    lam1 = hi.copy()
+    for _ in range(LAMBDA1_MAX_ITER):
+        J, dJ = _J(coeffs, lam1)
+        resid = p2 * J - 1.0
+        move = np.abs(resid) > LADDER_TOL      # converged rungs stay put
+        if not move.any():
+            break
+        above = resid > 0.0
+        hi = np.where(above, lam1, hi)
+        lo = np.where(above, lo, lam1)
+        step = lam1 - resid / (p2 * dJ)
+        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        lam1 = np.where(move, step, lam1)
+    else:
+        raise NumericsError(f"rate ladder stalled: largest |I-1| = "
+                            f"{np.max(np.abs(resid)):.3g}")
+    return {"lam1": lam1, "n_star": n_star, "lambda_star": lam_star}
 
 
 def lambda1_closed_form(m: int, coeffs: CoefficientSet) -> float:
@@ -531,32 +603,49 @@ def operator_residual(eig: EigenSolution, cfg: AnnulusConfig,
 
 def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
                     profile: TrapezoidProfile, M: int = 8) -> dict:
-    """SVD-based kernel checks at the constructed rotation rate.
+    """Kernel checks at the constructed rotation rate.
 
-    (i) rank-one deficiency of the discretized operator at mode m,
-    (ii) null-vector match against the constructed pair,
-    (iii) no kernel at the other modes n <= M,
-    plus an isolation scan in the rate.  Every SVD is a Hermitian one of the
-    J-symmetric form J Mw of the weighted operator (J = +1 on the inner
-    band, -1 on the outer one), whose singular values are Mw's.
+    At mode m, on the shared operator and its Hermitian SVD (`_mode_operator`):
+    (i) rank-one deficiency of the discretized operator, (ii) null-vector
+    match against the constructed pair, and the operator residual.
+    (iii) No other mode has a kernel at the rate: on the rate ladder
+    (`rate_ladder`), every rung lam1(n), n != m, and the continuum edge
+    lambda*, where the rates of the modes past n* start, keep a distance of
+    at least RATE_GAP_FLOOR eps from lam1(m).  A rung lam0 + eps lam1(n)
+    misses mode n's least discrete rate by eps^2 lam2(n), so a gap errs from
+    |rate_n - lam|/eps by eps |lam2(n) - lam2(m)|, at most 0.165 eps on
+    desk.  The floor lies above that error.  On desk sigma_min / sigma_max
+    of mode n's weighted operator at lam is 41 |rate_n - lam|, so a pass
+    implies the discrete check sigma_min >= 1e-3 eps sigma_max for
+    eps >= 3e-4.
+
+    `off_modes` lists the modes n != m up to max(M, n* + 1).
     """
-    zg = eig.zgrid
     op, svals, _, null_vec = _mode_operator(eig, cfg, profile)
     sigma_min, sigma_second = svals[-1], svals[-2]
     constructed = op.weighted_vector(eig.a, eig.b)
     cosine = abs(float(np.dot(null_vec, constructed))) \
         / (np.linalg.norm(null_vec) * np.linalg.norm(constructed))
 
+    coeffs = profile.coefficients
+    ladder = coeffs.memo("rate_ladder", lambda: rate_ladder(coeffs))
+    lam1, n_star = ladder["lam1"], ladder["n_star"]
+    m = eig.m
+    if m > n_star:
+        raise KernelValidationError(f"mode {m} has no rate below the "
+                                    f"continuum edge (last mode n* = {n_star})")
+    edge_gap = ladder["lambda_star"] - lam1[m - 1]
+    # the modes past n* start at the continuum edge
+    rungs = np.append(lam1, ladder["lambda_star"])
+    gaps = np.append(np.abs(lam1 - lam1[m - 1]), edge_gap)
+    floor = RATE_GAP_FLOOR * eig.eps
     off = {}
-    for n in range(1, M + 1):
-        if n == eig.m:
-            continue
-        svn = singular_values(n, eig.eps, eig.lam, cfg, profile, zg)
-        off[n] = {"sigma_min": float(svn[-1]),
-                  "norm": float(svn[0]),
-                  "ok": bool(svn[-1] >= OFFMODE_FLOOR * eig.eps * svn[0])}
-
-    sv_shift = singular_values(eig.m, eig.eps, eig.lam + 0.1, cfg, profile, zg)
+    for n in range(1, max(M, n_star + 1) + 1):
+        if n != m:
+            k = min(n, n_star + 1) - 1
+            off[n] = {"rung": float(coeffs.lam0 + eig.eps * rungs[k]),
+                      "gap": float(gaps[k]), "ok": bool(gaps[k] >= floor)}
+    km = np.arange(2 * m, n_star + 1, m)
 
     diag = {
         "sigma_min": float(sigma_min),
@@ -565,16 +654,21 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
         "gap_ok": bool(sigma_min / sigma_second <= SVD_GAP_TOL),
         "cosine": float(cosine),
         "residual": float(operator_residual(eig, cfg, profile)),
+        "n_star": n_star,
+        "least_gap": float(min(v["gap"] for v in off.values())),
+        "least_gap_km": float(np.min(gaps[km - 1], initial=edge_gap)),
+        "edge_gap": float(edge_gap),
         "off_modes": off,
-        "shift_jump": float(sv_shift[-1] / max(sigma_min, 1e-300)),
     }
     if not diag["gap_ok"]:
         raise KernelValidationError(
             f"no clear rank-one deficiency: sigma_min/sigma_second = "
             f"{diag['gap_ratio']:.3g}")
-    if any(not v["ok"] for v in off.values()):
-        bad = [n for n, v in off.items() if not v["ok"]]
-        raise KernelValidationError(f"spurious near-kernel at modes {bad}")
+    bad = [n for n, v in off.items() if not v["ok"]]
+    if bad:
+        raise KernelValidationError(
+            f"modes {bad} have a rate within {floor:.3g} of mode {m}'s in "
+            f"lam1 (least gap {diag['least_gap']:.3g})")
     return diag
 
 

@@ -246,18 +246,23 @@ class BandOperator:
     def weighted_matrix(self) -> np.ndarray:
         """Similarity transform into the weighted-L2 frame (no divisions by
         vanishing weights: the kernel columns carry the weight factor)."""
-        s1, s2 = self.sqrt_weights
-        S = np.concatenate([s1, s2])
-        M = self.matrix().copy()
+        # scale rows by S and columns by 1/S where S > 0, block by block into
+        # the result: (S_i / S_j) M_ij, and S_i / S_i is exactly 1, so the
+        # diagonal passes unchanged where S > 0; zero-weight columns have
+        # analytically zero kernel entries in the weighted frame
         N = self.zgrid.n
-        diag = np.diag(M).copy()
-        M[np.arange(2 * N), np.arange(2 * N)] = 0.0
-        # scale rows by S and columns by 1/S where S > 0; zero-weight columns
-        # have analytically zero kernel entries in the weighted frame
+        S = np.concatenate(self.sqrt_weights)
         safe = np.where(S > 0.0, S, 1.0)
-        Mw = (S[:, None] / safe[None, :]) * M
-        Mw[:, S == 0.0] = 0.0
-        Mw[np.arange(2 * N), np.arange(2 * N)] = diag
+        Mw = np.empty((2 * N, 2 * N))
+        for i, rows in enumerate((slice(0, N), slice(N, 2 * N))):
+            for j, cols in enumerate((slice(0, N), slice(N, 2 * N))):
+                out = Mw[rows, cols]
+                np.divide(S[rows, None], safe[None, cols], out=out)
+                out *= self.blocks[i][j]
+        dead = np.flatnonzero(S == 0.0)
+        Mw[:, dead] = 0.0
+        Mw[dead, dead] = np.concatenate([self.blocks[0][0].diagonal(),
+                                         self.blocks[1][1].diagonal()])[dead]
         return Mw
 
     def symmetric_matrix(self) -> np.ndarray:

@@ -12,6 +12,10 @@ DESK_CFG = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=0.15)
 DESK_EPS = 1e-2
 DESK_KAPPA = 0.1
 DESK_M = 3
+# least sigma_min / (eps sigma_max) of the weighted operator of a mode
+# n != m at mode m's rate: the discrete no-kernel check, which a pass of
+# `validate_kernel`'s rate-gap floor must imply
+OFFMODE_SVD_FLOOR = 1e-3
 
 
 @pytest.fixture(scope="session")

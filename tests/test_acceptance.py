@@ -9,15 +9,17 @@ M = 8 (see the README for why B differs from 1).
 import numpy as np
 import pytest
 
-from conftest import DESK_CFG as CFG, DESK_EPS, DESK_KAPPA, DESK_M, eigensolution
+from conftest import (DESK_CFG as CFG, DESK_EPS, DESK_KAPPA, DESK_M,
+                      OFFMODE_SVD_FLOOR, eigensolution)
 from fd_oracle import fd_bvp_solve
 
 from annulus_rotor.config import AnnulusConfig
 from annulus_rotor.domain import circulation, lambda0, u_tc
 from annulus_rotor.errors import ConfigError
 from annulus_rotor.kernel import (adjoint_kernel, lambda1_closed_form,
-                                  operator_residual, solve_lambda1,
-                                  transversality, validate_kernel)
+                                  operator_residual, singular_values,
+                                  solve_lambda1, transversality,
+                                  validate_kernel)
 from annulus_rotor.linop import CoefficientSet, assemble, assemble_adjoint
 from annulus_rotor.nonlinear import (LevelSetPerturbation, _kernel_direction,
                                      continue_branch, h2_band_bound,
@@ -176,6 +178,11 @@ def test_acceptance_05_kernel():
         diag = validate_kernel(eig, CFG, prof, M=8)
         assert diag["gap_ratio"] <= 1e-6
         assert all(v["ok"] for v in diag["off_modes"].values())
+        # the discrete check: no other mode's operator is near-singular
+        for n in range(1, 9):
+            if n != DESK_M:
+                sv = singular_values(n, eps, eig.lam, CFG, prof, eig.zgrid)
+                assert sv[-1] >= OFFMODE_SVD_FLOOR * eps * sv[0]
         if eps == 5e-3:
             assert diag["cosine"] >= 1.0 - 1e-4
         lines.append(f"eps={eps:g}: gap {diag['gap_ratio']:.1e}, "

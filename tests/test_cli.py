@@ -124,19 +124,26 @@ def test_validate_kernel_subcommand(tmp_path):
 
 
 def test_sigma_table_off_modes_match_validate_kernel(tmp_path):
-    # both subcommands take the off-mode singular values from one scan
+    # the rate ladder's verdicts agree with the discrete check on the
+    # find-eigen sigma table: sigma_min >= 1e-3 eps sigma_max at n != m
+    eps, m = 1e-2, "3"
     proc, out = run_cli(tmp_path, CONFIG_OK, "find-eigen")
     assert proc.returncode == 0, proc.stderr
     table = [row.split(",") for row in
              (out / "eigen_sigma_table.csv").read_text().splitlines()[1:]]
     proc, out = run_cli(tmp_path, CONFIG_OK, "validate-kernel")
     assert proc.returncode == 0, proc.stderr
-    offmodes = [row.split(",") for row in
-                (out / "kernel_offmodes.csv").read_text().splitlines()[1:]]
-    expected = [(mode, smin, smax) for mode, smin, _, smax in table
-                if mode != "3"]
+    lines = (out / "kernel_offmodes.csv").read_text().splitlines()
+    assert lines[0] == "mode,rung,gap,ok"
+    offmodes = {row.split(",")[0]: row.split(",")[3] for row in lines[1:]}
+    # every mode up to n* + 1 = 10, the first past the continuum edge
+    assert sorted(offmodes, key=int) == [str(n) for n in range(1, 11)
+                                         if str(n) != m]
+    expected = {mode: str(int(float(smin) >= 1e-3 * eps * float(smax)))
+                for mode, smin, _, smax in table if mode != m}
     assert len(expected) == 7
-    assert [(mode, smin, norm) for mode, smin, norm, _ in offmodes] == expected
+    assert {mode: offmodes[mode] for mode in expected} == expected
+    assert "n*=9" in proc.stdout
 
 
 def test_transversality_subcommand(tmp_path):

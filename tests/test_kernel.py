@@ -3,13 +3,13 @@ import pytest
 
 from annulus_rotor import kernel as kernel_mod
 from annulus_rotor.config import AnnulusConfig
-from annulus_rotor.errors import BracketError
+from annulus_rotor.errors import BracketError, KernelValidationError
 from annulus_rotor.kernel import (KernelBuilder, adjoint_kernel, b0_and_a1,
                                   build_eigensolution,
                                   fixed_point_corrections, grid_lambda1,
                                   invert_q2hat, lambda1_closed_form,
                                   lambda_star, operator_residual,
-                                  singular_values, solve_lambda1,
+                                  rate_ladder, singular_values, solve_lambda1,
                                   transversality, validate_kernel,
                                   _edge_breaks, _I_quadrature,
                                   _mode_operator)
@@ -18,7 +18,7 @@ from annulus_rotor.linop import (CoefficientSet, assemble, assemble_adjoint,
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid, geometric_edges, mapped_rule
 
-from conftest import DESK_CFG as CFG
+from conftest import DESK_CFG as CFG, OFFMODE_SVD_FLOOR, eigensolution
 M_MODE = 3
 
 
@@ -361,8 +361,133 @@ def test_validate_kernel_passes(eig):
     diag = validate_kernel(eig, CFG, prof, M=8)
     assert diag["gap_ratio"] <= 1e-6
     assert diag["cosine"] >= 1.0 - 1e-4
-    assert diag["shift_jump"] >= 1e3
     assert all(v["ok"] for v in diag["off_modes"].values())
+    # the kernel is isolated in the rate: mode m's operator is far from
+    # singular at lam + 0.1
+    sv = singular_values(eig.m, eig.eps, eig.lam + 0.1, CFG, prof, eig.zgrid)
+    assert sv[-1] / sv[0] >= 1e-3 * eig.eps
+
+
+# -- the rate ladder, with the discrete spectra as its oracle ---------------
+
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_rate_ladder_matches_solve_lambda1_per_mode(eps):
+    coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, eps, 0.1))
+    ladder = rate_ladder(coeffs)
+    n_star = ladder["n_star"]
+    assert n_star == 9
+    assert ladder["lambda_star"] == lambda_star(coeffs)
+    ref = [solve_lambda1(n, coeffs)["lam1"] for n in range(1, n_star + 1)]
+    np.testing.assert_allclose(ladder["lam1"], ref, rtol=0, atol=1e-12)
+    assert np.all(np.diff(ladder["lam1"]) > 0.0)
+    assert ladder["lam1"][-1] < ladder["lambda_star"]
+    with pytest.raises(BracketError):
+        solve_lambda1(n_star + 1, coeffs)
+
+
+def test_rate_ladder_is_empty_without_a_root():
+    cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=1.0)
+    ladder = rate_ladder(CoefficientSet(cfg, TrapezoidProfile(cfg, 1e-2, 0.1)))
+    assert ladder["n_star"] == 0 and ladder["lam1"].size == 0
+
+
+_PENCIL: dict = {}
+
+
+def _pencil_rates(n, eps, zg):
+    """The rates at which mode n has a kernel, ascending.  The operator is
+    affine in the rate, A(lam) = A0 + lam diag(r^2), so they are the
+    eigenvalues of -diag(r^2)^-1 A0."""
+    if (n, eps) not in _PENCIL:
+        prof = TrapezoidProfile(CFG, eps, 0.1)
+        A0 = assemble(n, eps, 0.0, CFG, prof, zg).matrix()
+        r = np.concatenate([CFG.R1 + eps * zg.z, CFG.R2 + eps * zg.z])
+        rates = np.linalg.eigvals(-A0 / (r ** 2)[:, None])
+        assert np.max(np.abs(rates.imag)) <= 1e-12 * np.max(np.abs(rates))
+        _PENCIL[n, eps] = np.sort(rates.real)
+    return _PENCIL[n, eps]
+
+
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_pencil_least_rates_are_the_eigensolutions_and_the_continuum(zg, eps):
+    prof = TrapezoidProfile(CFG, eps, 0.1)
+    ladder = rate_ladder(prof.coefficients)
+    n_star = ladder["n_star"]
+    for n in range(1, n_star + 1):
+        lam = eigensolution(eps, m=n).lam
+        assert abs(_pencil_rates(n, eps, zg)[0] - lam) <= 1e-13 * lam
+    # past n*, every mode's spectrum starts at the shared continuum rate,
+    # above every rung
+    edge = [_pencil_rates(n, eps, zg)[0] for n in (n_star + 1, n_star + 2)]
+    assert abs(edge[0] - edge[1]) <= 1e-13 * edge[0]
+    if eps == 1e-2:
+        assert abs(edge[0] - 0.06656120) <= 5e-9
+    rungs = prof.coefficients.lam0 + eps * ladder["lam1"]
+    assert edge[0] > np.max(rungs)
+    assert edge[0] > _pencil_rates(n_star, eps, zg)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_rate_gaps_agree_with_the_off_mode_svd_scan(zg, m, eps):
+    prof = TrapezoidProfile(CFG, eps, 0.1)
+    eig = eigensolution(eps, m=m)
+    diag = validate_kernel(eig, CFG, prof, M=8)
+    lam1 = rate_ladder(prof.coefficients)["lam1"]
+    margin = kernel_mod.RATE_GAP_FLOOR * eps
+    for n in range(1, 10):
+        if n == m:
+            continue
+        off = diag["off_modes"][n]
+        gap = abs(lam1[n - 1] - lam1[m - 1])
+        assert off["gap"] == gap
+        assert off["ok"] == (gap >= margin)
+        sv = singular_values(n, eps, eig.lam, CFG, prof, zg)
+        assert off["ok"] == (sv[-1] >= OFFMODE_SVD_FLOOR * eps * sv[0])
+        # the first-order rung gap errs by O(eps) from the discrete one
+        rate_gap = abs(_pencil_rates(n, eps, zg)[0] - eig.lam) / eps
+        assert abs(gap - rate_gap) <= margin
+    assert diag["least_gap"] == min(v["gap"] for v in diag["off_modes"].values())
+    assert diag["edge_gap"] == diag["off_modes"][10]["gap"]
+    assert max(diag["off_modes"]) == 10
+
+
+def test_validate_kernel_names_the_mode_below_the_rate_gap_floor(monkeypatch,
+                                                                 eig):
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    lam1 = rate_ladder(prof.coefficients)["lam1"]
+    gap2, gap4 = abs(lam1[[1, 3]] - lam1[2])
+    assert gap4 < gap2
+    # a floor between the two neighbours' gaps: only mode 4 falls below
+    monkeypatch.setattr(kernel_mod, "RATE_GAP_FLOOR",
+                        0.5 * (gap2 + gap4) / eig.eps)
+    with pytest.raises(KernelValidationError, match=r"modes \[4\] "):
+        validate_kernel(eig, CFG, prof)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_transversality_is_the_pencil_pairing_weighted_by_r(zg, m, eps):
+    # with right null vector x = (a, b) and left null vector y = w sigma
+    # (a*, b*) of A(lam) = A0 + lam diag(r^2), T = y diag(r) x, while the
+    # pencil's pairing is y dA/dlam x = y diag(r^2) x
+    prof = TrapezoidProfile(CFG, eps, 0.1)
+    eig = eigensolution(eps, m=m)
+    adj = adjoint_kernel(eig, CFG, prof)
+    tv = transversality(eig, adj, CFG, prof)
+    sig = prof.coefficients.slope_weights(zg)
+    x = np.concatenate([eig.a, eig.b])
+    y = np.concatenate([zg.w * sig[1] * adj["astar"],
+                        zg.w * sig[2] * adj["bstar"]])
+    A = assemble(m, eps, eig.lam, CFG, prof, zg).matrix()
+    assert np.linalg.norm(y @ A) <= 1e-13 * np.linalg.norm(y) \
+        * np.linalg.norm(A)
+    r = np.concatenate([CFG.R1 + eps * zg.z, CFG.R2 + eps * zg.z])
+    T = float(y @ (r * x))
+    assert abs(T - tv["T"]) <= 1e-12 * abs(tv["T"])
+    pencil = float(y @ (r ** 2 * x))
+    assert np.sign(pencil) == np.sign(tv["T"])
+    assert CFG.R1 <= pencil / tv["T"] <= CFG.R2 + eps
 
 
 def test_adjoint_kernel_expansion(zg):
@@ -538,16 +663,14 @@ def test_kernel_checks_share_one_operator_and_svd(monkeypatch, zg):
     svd = _count_calls(monkeypatch, np.linalg, "svd")
 
     def taken():
-        """(mode-m assemblies at eig.lam, SVDs with singular vectors) since
-        the last call; every SVD is a Hermitian one."""
-        assert all(kwargs.get("hermitian") for _, kwargs in svd["calls"])
-        at_lam = sum(args[0] == eig.m and args[2] == eig.lam
-                     for args, _ in asm["calls"])
-        with_uv = sum(kwargs.get("compute_uv", True)
-                      for _, kwargs in svd["calls"])
+        """(assemblies, SVDs) since the last call, at any mode and rate;
+        every SVD is a Hermitian one with singular vectors."""
+        assert all(kwargs.get("hermitian") and kwargs.get("compute_uv", True)
+                   for _, kwargs in svd["calls"])
+        counts = len(asm["calls"]), len(svd["calls"])
         asm["calls"].clear()
         svd["calls"].clear()
-        return at_lam, with_uv
+        return counts
 
     def checks(profile):
         validate_kernel(eig, CFG, profile)

@@ -224,6 +224,40 @@ def test_weighted_matrix_consistent_with_blocks(setup):
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.max(np.abs(rhs))))
 
 
+def _weighted_matrix_reference(op):
+    """The weighted matrix by the earlier formula: a copy of the assembled
+    matrix with its diagonal zeroed, scaled by the full matrix of ratios
+    S_i / S_j, zero-weight columns zeroed and the diagonal restored."""
+    S = np.concatenate(op.sqrt_weights)
+    M = op.matrix().copy()
+    idx = np.arange(2 * op.zgrid.n)
+    diag = np.diag(M).copy()
+    M[idx, idx] = 0.0
+    safe = np.where(S > 0.0, S, 1.0)
+    Mw = (S[:, None] / safe[None, :]) * M
+    Mw[:, S == 0.0] = 0.0
+    Mw[idx, idx] = diag
+    return Mw
+
+
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_weighted_matrix_bit_identical_to_reference(eps):
+    from annulus_rotor.kernel import build_eigensolution
+    zg = ZGrid(96)
+    prof = TrapezoidProfile(CFG, eps, 0.1)
+    lam = build_eigensolution(CFG, prof, 3, zg).lam
+    # the formula must also keep the zero-weight nodes' diagonal
+    assert np.any(np.concatenate(assemble(1, eps, lam, CFG, prof, zg)
+                                 .sqrt_weights) == 0.0)
+    for n in range(1, 10):
+        op = assemble(n, eps, lam, CFG, prof, zg)
+        got, ref = op.weighted_matrix(), _weighted_matrix_reference(op)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        ref[zg.n:] *= -1.0
+        assert np.array_equal(op.symmetric_matrix(), ref)
+
+
 def _j_asymmetry(op):
     A = op.weighted_matrix()
     A[op.zgrid.n:] *= -1.0
