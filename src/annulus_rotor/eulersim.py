@@ -503,14 +503,48 @@ def step(state: SimState, dt: float) -> SimState:
 
 
 def conserved_quantities(state: SimState) -> dict:
+    """Circulation, mean vorticity and kinetic energy of the state, read
+    from its angular modes.
+
+    With w_hat = rfft(omega) along theta, psi_hat the stream modes and
+    dpsi = d_r psi_hat, the sum over the n stored columns of a real field
+    is its mode 0, and the sum of its square is, by Parseval,
+    |F_hat|^2 @ c with column weights c = (1, 2, ..., 2, 1)/n (the last
+    2/n when n is odd).  For u_theta = -d_r psi and u_r = d_theta psi / r
+    (zero at the walls) that gives, with k the angular wavenumbers,
+
+        sum_theta u_theta = -dpsi[:, 0],   sum_theta u_theta^2 = |dpsi|^2 @ c,
+        sum_theta u_r^2 = (|psi_hat|^2 @ (c k^2)) / r^2,
+
+    and sum_theta omega = w_hat[:, 0].  The sector sum times 2 pi/n is the
+    full-circle integral, so
+
+        circulation = quad_r(dpsi[:, 0]) / n,
+        mean_vorticity = 2 pi/n quad_r(r w_hat[:, 0]),
+        energy = pi/n quad_r(r (sum u_r^2 + sum u_theta^2)),
+
+    each one `SimGrid.quad_r` of a radial column.  A call makes one rfft,
+    one stream solve and one radial derivative, and no inverse transform.
+    The stream modes and their derivative live in the solver's work arrays
+    `_psi_hat` and `_hat`, which `step` rewrites before it reads them.
+    """
     grid = state.grid
-    u_r, u_theta, _ = _velocity(state, np.fft.rfft(state.omega, axis=1))
-    # the sector sum times 2 pi/ntheta is the full-circle integral
-    dth = 2.0 * np.pi / grid.ntheta
-    circ = -float(np.sum(grid.quad_r(u_theta)) * dth) / (2.0 * np.pi)
-    mean_w = float(np.sum(grid.quad_r(state.omega * grid.r[:, None])) * dth)
-    energy = 0.5 * float(np.sum(grid.quad_r((u_r ** 2 + u_theta ** 2)
-                                            * grid.r[:, None])) * dth)
+    sv = grid.solver
+    n = grid.ntheta
+    w_hat = np.fft.rfft(state.omega, axis=1)
+    psi_hat = sv.solve(w_hat, state.gamma * n, out=sv._psi_hat)
+    dpsi = grid.d_r(psi_hat, out=sv._hat)
+    c = np.full(psi_hat.shape[1], 2.0 / n)
+    c[0] = 1.0 / n
+    if n % 2 == 0:
+        c[-1] = 1.0 / n
+    swirl2 = (dpsi.real ** 2 + dpsi.imag ** 2) @ c
+    radial2 = (psi_hat.real ** 2 + psi_hat.imag ** 2) \
+        @ (c * grid.wavenumbers ** 2) / grid.r ** 2
+    radial2[0] = radial2[-1] = 0.0
+    circ = float(grid.quad_r(dpsi[:, 0].real)) / n
+    mean_w = 2.0 * np.pi / n * float(grid.quad_r(grid.r * w_hat[:, 0].real))
+    energy = np.pi / n * float(grid.quad_r(grid.r * (radial2 + swirl2)))
     return {"circulation": circ, "mean_vorticity": mean_w, "energy": energy}
 
 
@@ -573,7 +607,7 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     times = [0.0]
     phases = [0.0]
     series = []
-    den0 = np.sum(grid.quad_r(state0.omega ** 2))
+    den0 = grid.quad_r(np.sum(state0.omega ** 2, axis=1))
     for k in range(nsteps):
         state = step(state, dt)
         if (k + 1) % per == 0 or k == nsteps - 1:
@@ -586,8 +620,8 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
             # m-mode correlation phase at rate -m lam
             ph = np.unwrap(np.array(phases))
             lam_est = -np.polyfit(times, ph, 1)[0] / m
-            err_t = float(np.sqrt(np.sum(grid.quad_r(
-                (state.omega - state0.omega) ** 2)) / den0))
+            err_t = float(np.sqrt(grid.quad_r(np.sum(
+                (state.omega - state0.omega) ** 2, axis=1)) / den0))
             series.append({"t": state.time, "lam_est": lam_est,
                            "return_error": err_t, **q})
     # the last step is always a checkpoint: its fit, error and conserved

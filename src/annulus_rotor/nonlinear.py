@@ -532,10 +532,17 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
                     break
                 step /= 2.0
             else:
+                # no halving lowers a residual already at F's rounding
+                # floor, 16 eps_mach times the largest |lam shift^2 / 2| on
+                # the bands: the point has converged as far as F can tell
+                floor = 8.0 * np.finfo(float).eps * abs(x[-1]) \
+                    * np.max(rho + np.abs(x[:-1])) ** 2
+                if rn <= floor:
+                    break
                 raise NumericsError(
                     f"branch Newton diverged after 5 halvings at "
-                    f"sigma={sigma:g}: residual {rn:.3e} > tol {tol:g}, "
-                    f"last trial {rcn:.3e}")
+                    f"sigma={sigma:g}: residual {rn:.3e} > tol {tol:g} and "
+                    f"rounding floor {floor:.3e}, last trial {rcn:.3e}")
         points.append(BranchPoint(sigma=float(sigma), lam=float(x[-1]),
                                   g_inner=x[:n].copy(), g_outer=x[n:-1].copy(),
                                   residual=float(rn), newton_iters=taken))

@@ -9,8 +9,8 @@ M = 8 (see the README for why B differs from 1).
 import numpy as np
 import pytest
 
-from conftest import (DESK_CFG as CFG, DESK_EPS, DESK_KAPPA, DESK_M,
-                      OFFMODE_SVD_FLOOR, eigensolution)
+from desk import (DESK_CFG as CFG, DESK_EPS, DESK_KAPPA, DESK_M,
+                  OFFMODE_SVD_FLOOR, eigensolution)
 from fd_oracle import fd_bvp_solve
 
 from annulus_rotor.config import AnnulusConfig

@@ -9,7 +9,7 @@ from annulus_rotor.errors import ConfigError, OutOfDomainError
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import mapped_rule
 
-from conftest import DESK_CFG as CFG
+from desk import DESK_CFG as CFG
 
 
 def test_u_tc_values():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from conftest import DESK_CFG as CFG, DESK_EPS as EPS, DESK_KAPPA as KAPPA
+from desk import DESK_CFG as CFG, DESK_EPS as EPS, DESK_KAPPA as KAPPA
 
 from annulus_rotor.domain import circulation
 from annulus_rotor.errors import NumericsError, OutOfDomainError
@@ -538,3 +538,87 @@ def test_next_fast_len_matches_scipy():
     from annulus_rotor.eulersim import _next_fast_len
     for n in range(1, 4097):
         assert _next_fast_len(n) == next_fast_len(n, real=True), n
+
+
+def physical_conserved_quantities(state):
+    """Reference: the conserved quantities from the physical velocity
+    fields, as `conserved_quantities` first computed them (one `quad_r` per
+    angular column, then the sector sum)."""
+    from annulus_rotor.eulersim import _velocity
+    grid = state.grid
+    u_r, u_theta, _ = _velocity(state, np.fft.rfft(state.omega, axis=1))
+    # the sector sum times 2 pi/ntheta is the full-circle integral
+    dth = 2.0 * np.pi / grid.ntheta
+    circ = -float(np.sum(grid.quad_r(u_theta)) * dth) / (2.0 * np.pi)
+    mean_w = float(np.sum(grid.quad_r(state.omega * grid.r[:, None])) * dth)
+    energy = 0.5 * float(np.sum(grid.quad_r((u_r ** 2 + u_theta ** 2)
+                                            * grid.r[:, None])) * dth)
+    return {"circulation": circ, "mean_vorticity": mean_w, "energy": energy}
+
+
+@pytest.mark.parametrize("symmetry,ntheta,dealias",
+                         [(3, 30, False), (3, 45, False), (1, 90, False),
+                          (1, 63, False), (3, 30, True), (1, 63, True)])
+def test_conserved_quantities_match_the_physical_fields(prof, desk_eig,
+                                                        symmetry, ntheta,
+                                                        dealias):
+    # Parseval on the stream modes against the fields' theta-sums, on a
+    # sector and the full circle, even and odd ntheta, at t = 0 and after
+    # one (dealiased) step; the wave carries noise, so that the highest
+    # mode's weight counts
+    from annulus_rotor.nonlinear import LevelSetPerturbation, vorticity_samples
+    f = LevelSetPerturbation.from_kernel(desk_eig, CFG, amplitude=1e-3)
+    grid = SimGrid(cfg=CFG, nr=192, ntheta=ntheta, eps=EPS,
+                   symmetry=symmetry)
+    omega = vorticity_samples(f, prof, grid.r, grid.theta)
+    omega += 1e-2 * np.random.default_rng(0).standard_normal(omega.shape)
+    state = SimState(grid=grid, omega=omega, time=0.0,
+                     gamma=circulation(CFG), dealias=dealias)
+    for s in (state, step(state, 0.5 * cfl_limit(state))):
+        ours, ref = conserved_quantities(s), physical_conserved_quantities(s)
+        assert ours.keys() == ref.keys()
+        for key in ref:
+            assert abs(ours[key] - ref[key]) <= 1e-14 * abs(ref[key]), key
+
+
+def test_verify_rotation_trajectory_is_a_plain_step_loop(prof, desk_eig):
+    # conserved_quantities writes the solver's work arrays between steps;
+    # the phases and the rate must equal, bit for bit, those of a loop of
+    # `step` alone with the mode-m correlation
+    state0 = _wave_state(prof, desk_eig, 96, 64)
+    lam, m = desk_eig.lam, desk_eig.m
+    T = 2.0 * np.pi / (m * lam) / 6.0
+    # three steps between checkpoints
+    out = verify_rotation(state0, lam, T, dt=T / 9, n_checkpoints=3, m=m)
+    assert out.nsteps == 9
+    mode = m // state0.grid.symmetry
+    ref_hat = np.fft.rfft(state0.omega, axis=1)[:, mode]
+    per = out.nsteps // 3
+    state, times, phases = state0, [0.0], [0.0]
+    for k in range(out.nsteps):
+        state = step(state, out.dt)
+        if (k + 1) % per == 0 or k == out.nsteps - 1:
+            cur = np.fft.rfft(state.omega, axis=1)[:, mode]
+            times.append(state.time)
+            phases.append(np.angle(np.sum(cur * np.conj(ref_hat))))
+    ph = np.unwrap(np.array(phases))
+    assert out.times == times
+    assert out.phases == list(ph)
+    assert out.lam_measured == float(-np.polyfit(times, ph, 1)[0] / m)
+
+
+def test_conserved_quantities_make_one_rfft_and_no_irfft(prof, desk_eig,
+                                                         monkeypatch):
+    state = _wave_state(prof, desk_eig, 96, 64)
+    conserved_quantities(state)                 # the grid's solver is built
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    conserved_quantities(state)
+    assert calls == {"rfft": 1, "irfft": 0}

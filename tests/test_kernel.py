@@ -18,7 +18,7 @@ from annulus_rotor.linop import (CoefficientSet, assemble, assemble_adjoint,
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid, geometric_edges, mapped_rule
 
-from conftest import DESK_CFG as CFG, OFFMODE_SVD_FLOOR, eigensolution
+from desk import DESK_CFG as CFG, OFFMODE_SVD_FLOOR, eigensolution
 M_MODE = 3
 
 

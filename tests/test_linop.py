@@ -12,7 +12,7 @@ from annulus_rotor.linop import (BandOperator, CoefficientSet, assemble,
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid, mapped_rule
 
-from conftest import DESK_CFG as CFG
+from desk import DESK_CFG as CFG
 EPS, KAPPA = 1e-2, 0.1
 
 

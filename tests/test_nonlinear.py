@@ -12,7 +12,7 @@ from annulus_rotor.nonlinear import (LevelSetPerturbation, _band_radii,
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid, bary_interp, gauss_bary_weights
 
-from conftest import DESK_CFG as CFG
+from desk import DESK_CFG as CFG
 EPS, KAPPA, M_MODE = 1e-2, 0.1, 3
 
 
@@ -537,16 +537,48 @@ def test_continue_branch_nonconvergence_carries_residual(prof, eig,
 
 
 def test_continue_branch_divergence_carries_residual(prof, eig, monkeypatch):
+    from annulus_rotor import nonlinear
     evals = _count_calls(monkeypatch, "functional_F")
     zgb = ZGrid(40)
-    # at rounding level the residual wanders (2e-17 to 5e-17) and a step
-    # lowers it only by chance, so within enough steps the halvings run out
+    # a chord matrix of the wrong sign steps uphill: r(x + s dx) ~ (1 + s) r,
+    # so every halving fails far above the rounding floor
+    true_jacobian = nonlinear._mode_jacobian
+    monkeypatch.setattr(nonlinear, "_mode_jacobian",
+                        lambda *args: -true_jacobian(*args))
     with pytest.raises(NumericsError, match="diverged after 5 halvings") as err:
-        continue_branch(eig, CFG, prof, sigma_target=1e-3, steps=1,
-                        n_theta=32, tol=0.0, max_newton=100, zgrid=zgb)
-    accepted = evals[:-5]                   # the last five are the halvings
-    rn = _last_residual(eig, prof, zgb, 1e-3, accepted)
-    assert f"residual {rn:.3e} > tol 0" in str(err.value)
+        continue_branch(eig, CFG, prof, sigma_target=3e-3, steps=1,
+                        n_theta=32, tol=1e-10, zgrid=zgb)
+    # the guess, then five halvings of the first step
+    assert len(evals) == 6
+    rn = _last_residual(eig, prof, zgb, 3e-3, evals[:1])
+    assert rn > 1e-10
+    assert f"residual {rn:.3e} > tol 1e-10 and rounding floor" \
+        in str(err.value)
+
+
+def test_continue_branch_accepts_the_rounding_floor(prof, eig, monkeypatch):
+    # at tol = 0 the residual reaches F's rounding floor (2e-17 to 5e-17
+    # here), where a step lowers it only by chance; once every halving
+    # fails there, the point is accepted rather than reported diverged
+    evals = _count_calls(monkeypatch, "functional_F")
+    zgb = ZGrid(40)
+    sigma = 1e-3
+    (point,) = continue_branch(eig, CFG, prof, sigma_target=sigma, steps=1,
+                               n_theta=32, tol=0.0, max_newton=100,
+                               zgrid=zgb)
+    # a trial is accepted exactly when it lowers the least residual so far
+    residuals = [_last_residual(eig, prof, zgb, sigma, evals[:i + 1])
+                 for i in range(len(evals))]
+    accepted = sum(b < min(residuals[:i + 1])
+                   for i, b in enumerate(residuals[1:]))
+    assert point.newton_iters == accepted >= 1
+    assert point.residual == min(residuals)
+    # the last five evaluations are the failed halvings
+    assert min(residuals[-5:]) >= point.residual
+    x = np.concatenate([point.g_inner, point.g_outer])
+    shift = np.max(_band_radii(CFG, EPS, zgb) + np.abs(x))
+    assert point.residual <= 16 * np.finfo(float).eps \
+        * abs(point.lam) * shift ** 2 / 2
 
 
 def test_build_vorticity_rejects_folding(zg, prof, eig):

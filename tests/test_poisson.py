@@ -7,7 +7,7 @@ from annulus_rotor.poisson import (RadialGrid, axisymmetric_prime,
                                    solve_axisymmetric, solve_full, solve_mode)
 from annulus_rotor.profile import TrapezoidProfile
 
-from conftest import DESK_CFG as CFG
+from desk import DESK_CFG as CFG
 from fd_oracle import fd_bvp_solve
 
 

@@ -8,7 +8,7 @@ from annulus_rotor.mollifier import Mollifier, default_mollifier
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import mapped_rule
 
-from conftest import DESK_CFG as CFG
+from desk import DESK_CFG as CFG
 
 
 def make_profile(eps=1e-2, kappa=0.1):
