@@ -6,25 +6,26 @@ The rotation rate and band profiles are expanded in the band half-width:
     a   = eps a1 + eps^2 a2(z),      (inner band)
     b   = b0(z) + eps b1(z),         (outer band)
 
-lam0 comes from the geometry, lam1 is the unique root of a scalar integral
-equation (found by a safeguarded Newton iteration on its analytic slope),
-(b0, a1) are explicit, and the order-two corrections (a2, b1, lam2) solve a
-small fixed-point system.  Its Taylor remainders in eps are delta-averages
-of the two band coupling kernels, taken as their exact difference quotients
-(Phi(eps) - Phi(0))/eps.  Validation at mode m is SVD-based: rank-one
-deficiency of the discretized operator at the constructed rate, null-vector
-match, adjoint kernel expansion, and the transversality pairing.  These
-checks share one assembled operator and one full SVD per eigensolution and
-profile, held by the `EigenSolution` and freed with it.
+lam0 comes from the geometry, and lam1 is the root of the scalar equation
+p2(m) J(lam1) = 1, where J = int edge'/alpha1_out does not depend on the
+mode.  One monotone inversion of J, a Newton iteration on its analytic
+slope vectorised over the modes, gives the rate slope lam1(n) of every mode
+with a root at once (`solve_lambda1`, the rate ladder); the modes past the
+last one, n*, have no rate below the continuum edge lam0 + eps lambda*.
+The eigensolution takes its own rung, polished on the grid, and carries the
+whole ladder.  (b0, a1) are explicit, and the order-two corrections
+(a2, b1, lam2) solve a small fixed-point system.  Its Taylor remainders in
+eps are delta-averages of the two band coupling kernels, taken as their
+exact difference quotients (Phi(eps) - Phi(0))/eps.
 
-The other modes are checked by the rate ladder instead.  The root equation
-is p2(n) J(lam1) = 1, and J = int edge'/alpha1_out does not depend on n, so
-one monotone inversion of J gives the rate slope lam1(n) of every mode with
-a root (`rate_ladder`); the modes past the last one, n*, have no rate below
-the continuum edge lam0 + eps lambda*.  Mode m is isolated when its rung
-lam1(m) keeps a distance from every other rung and from lambda*.
+Validation at mode m is SVD-based: rank-one deficiency of the discretized
+operator at the constructed rate, null-vector match, adjoint kernel
+expansion, and the transversality pairing.  These checks share one
+assembled operator and one full SVD per eigensolution and profile, held by
+the `EigenSolution` and freed with it.  The other modes are checked on the
+ladder instead: mode m is isolated when its rung lam1(m) keeps a distance
+from every other rung and from lambda*.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ def _edge_breaks(kappa: float) -> list[float]:
 # Gauss order of each I(lam1) panel
 _I_GAUSS = 24
 LAMBDA1_MAX_ITER = 200        # lam1 Newton (or bisection fallback) steps
+POLISH_MAX_ITER = 6           # grid-polish Newton steps (3 taken in practice)
 PICARD_TOL = 1e-11            # largest weighted Picard step at the stop
 PICARD_MAX_ITER = 200
 SVD_GAP_TOL = 1e-6            # most sigma_min / sigma_second at mode m
@@ -83,82 +85,13 @@ def _I_panels(prof: TrapezoidProfile) -> tuple:
     return x, w, prof.edge_prime(x)
 
 
-def _I_quadrature(coeffs: CoefficientSet, m: int,
-                  lam1: float) -> tuple[float, float]:
-    """I(lam1) = p2(m) * int edge'(s) / alpha1_out(s) ds and its slope
-    dI/dlam1 = -p2 R2^2 int edge' / alpha1_out^2 from one evaluation of
-    alpha1 on all panel nodes; I is summed panel by panel.  The panels and
-    their edge' values are built once per profile."""
-    x, w, ep = coeffs.memo("I_panels", lambda: _I_panels(coeffs.profile))
-    alpha1 = coeffs.alpha1(2, x, lam1)
-    q = ep / alpha1
-    total = 0.0
-    for wk, qk in zip(w, q):
-        total += float(np.dot(wk, qk))
-    p2 = p_coeff(2, m, coeffs.cfg)
-    slope = -p2 * coeffs.cfg.R2 ** 2 * float(np.sum(w * q / alpha1))
-    return p2 * total, slope
-
-
-def solve_lambda1(m: int, coeffs: CoefficientSet, tol: float = 1e-10) -> dict:
-    """Unique root of I(lam1) = 1 below lambda_star.
-
-    I is strictly increasing on (-inf, lambda*), tends to 0 at -inf, and its
-    (finite) limit at lambda* must exceed 1 for a root to exist; otherwise
-    the config/kappa pair is out of range and a BracketError is raised.
-    Inside the bracket the root is found by Newton's method on the analytic
-    slope, started at the bracket's upper end; a step that leaves the
-    bracket is replaced by bisection.
-    """
-    lam_star = lambda_star(coeffs)
-    scale = max(abs(lam_star), 1.0)
-    # shrink delta until I > 1 just below lambda*
-    delta = 1e-3 * scale
-    for _ in range(80):
-        val, slope = _I_quadrature(coeffs, m, lam_star - delta)
-        if val > 1.0:
-            break
-        delta /= 4.0
-        if delta < 1e-15 * scale:
-            val = _I_quadrature(coeffs, m, lam_star - 1e-12 * scale)[0]
-            raise BracketError(
-                f"no rate-slope root below lambda*={lam_star:.6g}: "
-                f"I(lambda*^-) = {val:.6g} <= 1. The config is invalid or "
-                "kappa is too large for this mode.")
-    # grow Delta until I < 1 far below lambda*
-    big = max(4.0 * delta, scale)
-    for _ in range(200):
-        if _I_quadrature(coeffs, m, lam_star - big)[0] < 1.0:
-            break
-        big *= 4.0
-    else:
-        raise BracketError("could not bracket the rate-slope root from below")
-    lo, hi = lam_star - big, lam_star - delta     # I(lo) < 1 < I(hi)
-    lam1 = hi
-    for _ in range(LAMBDA1_MAX_ITER):
-        resid = val - 1.0
-        if abs(resid) <= tol:
-            break
-        if val > 1.0:
-            hi = lam1
-        else:
-            lo = lam1
-        lam1 = lam1 - resid / slope
-        if not lo < lam1 < hi:
-            lam1 = 0.5 * (lo + hi)
-        val, slope = _I_quadrature(coeffs, m, lam1)
-    resid = val - 1.0
-    if abs(resid) > tol:
-        raise NumericsError(f"rate-slope root stalled: |I-1|={abs(resid):.3g}")
-    return {"lam1": float(lam1), "residual": float(resid),
-            "lambda_star": float(lam_star)}
-
-
-def _J(coeffs: CoefficientSet, lam1: np.ndarray) -> tuple[np.ndarray,
-                                                         np.ndarray]:
+def _I_quadrature(coeffs: CoefficientSet,
+                  lam1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """J(lam1) = int edge'(s) / alpha1_out(s) ds and its slope
-    dJ/dlam1 = -R2^2 int edge' / alpha1_out^2 at every entry of lam1, on the
-    panels of `_I_quadrature`."""
+    dJ/dlam1 = -R2^2 int edge' / alpha1_out^2 at every entry of lam1, from
+    one evaluation of alpha1 on all panel nodes.  Mode n's I(lam1) is
+    p2(n) J(lam1).  The panels and their edge' values are built once per
+    profile."""
     x, w, ep = coeffs.memo("I_panels", lambda: _I_panels(coeffs.profile))
     alpha1 = coeffs.alpha1(2, x, lam1[:, None, None])
     q = w * ep / alpha1
@@ -166,34 +99,41 @@ def _J(coeffs: CoefficientSet, lam1: np.ndarray) -> tuple[np.ndarray,
             -coeffs.cfg.R2 ** 2 * np.sum(q / alpha1, axis=(1, 2)))
 
 
-def rate_ladder(coeffs: CoefficientSet) -> dict:
-    """Rate slopes lam1(n) of the modes n = 1..n* at once.
+def solve_lambda1(coeffs: CoefficientSet) -> dict:
+    """Rate slopes lam1(n) of the modes n = 1..n* at once: the roots of
+    p2(n) J(lam1) = 1 below lambda_star.
 
-    Mode n's root equation is p2(n) J(lam1) = 1, where J is strictly
-    increasing below lambda* and does not depend on n.  p2(n) falls strictly
-    in n, so the modes with a root are n = 1..n*, the last with
-    p2(n) J(lambda*^-) > 1 (at the probe where `solve_lambda1` gives up),
-    and lam1(n) rises with n.  All rungs are found together by the
-    safeguarded Newton iteration of `solve_lambda1`, vectorised over the
-    modes: each starts at lambda*^-, a step that leaves its bracket is
-    replaced by bisection, and a converged rung stays put.
+    J is strictly increasing on (-inf, lambda*), tends to 0 at -inf and has
+    a finite limit at lambda*, and does not depend on n.  p2(n) falls
+    strictly in n, so the modes with a root are n = 1..n*, the last with
+    p2(n) J(lambda*^-) > 1, and lam1(n) rises with n; n* = 0 when the
+    config/kappa pair leaves no mode a root.  All rungs are found together
+    by Newton's method on the analytic slope: each starts at lambda*^-, where
+    I > 1, a step that leaves its bracket is replaced by bisection, and a
+    converged rung stays put.
+
+    Returns the rungs `lam1` (row n - 1 for mode n), their residuals
+    p2 J - 1, `n_star`, `lambda_star` and `J_edge` = J(lambda*^-).
     """
     cfg = coeffs.cfg
     lam_star = lambda_star(coeffs)
     scale = max(abs(lam_star), 1.0)
     edge = lam_star - 1e-12 * scale
-    J_edge = _J(coeffs, np.array([edge]))[0][0]
+    J_edge = float(_I_quadrature(coeffs, np.array([edge]))[0][0])
     p2: list[float] = []
     while (p := p_coeff(2, len(p2) + 1, cfg)) * J_edge > 1.0:
         p2.append(p)
     n_star = len(p2)
+    root = {"lam1": np.empty(0), "residual": np.empty(0), "n_star": n_star,
+            "lambda_star": lam_star, "J_edge": J_edge}
     if not n_star:
-        return {"lam1": np.empty(0), "n_star": 0, "lambda_star": lam_star}
+        return root
     p2 = np.array(p2)
     # mode 1 has the largest p2: once I_1 < 1, every I_n < 1
     big = scale
     for _ in range(200):
-        if p2[0] * _J(coeffs, np.array([lam_star - big]))[0][0] < 1.0:
+        if p2[0] * _I_quadrature(coeffs, np.array([lam_star - big]))[0][0] \
+                < 1.0:
             break
         big *= 4.0
     else:
@@ -202,7 +142,7 @@ def rate_ladder(coeffs: CoefficientSet) -> dict:
     hi = np.full(n_star, edge)
     lam1 = hi.copy()
     for _ in range(LAMBDA1_MAX_ITER):
-        J, dJ = _J(coeffs, lam1)
+        J, dJ = _I_quadrature(coeffs, lam1)
         resid = p2 * J - 1.0
         move = np.abs(resid) > LADDER_TOL      # converged rungs stay put
         if not move.any():
@@ -216,7 +156,7 @@ def rate_ladder(coeffs: CoefficientSet) -> dict:
     else:
         raise NumericsError(f"rate ladder stalled: largest |I-1| = "
                             f"{np.max(np.abs(resid)):.3g}")
-    return {"lam1": lam1, "n_star": n_star, "lambda_star": lam_star}
+    return root | {"lam1": lam1, "residual": resid}
 
 
 def lambda1_closed_form(m: int, coeffs: CoefficientSet) -> float:
@@ -246,26 +186,19 @@ def b0_and_a1(m: int, lam1: float, coeffs: CoefficientSet,
     return b0, a1
 
 
-def grid_lambda1(m: int, coeffs: CoefficientSet, zgrid: ZGrid) -> float:
-    """Rate slope satisfying the root equation under the *grid* quadrature.
-
-    `solve_lambda1` uses an adaptive panel quadrature; the grid Gauss rule
-    differs from it at the mollifier's approximation floor (~1e-6 at 96
-    nodes), so the discrete eigenpair construction re-solves the root
-    equation in the grid's own quadrature and lands at rounding level.
-    """
-    root = solve_lambda1(m, coeffs)
-    return _polish_lambda1_on_grid(m, root["lam1"], coeffs, zgrid)
-
-
 def _polish_lambda1_on_grid(m: int, lam1: float, coeffs: CoefficientSet,
-                            zgrid: ZGrid, iters: int = 6) -> float:
+                            zgrid: ZGrid) -> float:
     """Newton-polish lam1 so the grid quadrature of the root equation is
-    machine-exact (keeps the discrete construction residual at rounding)."""
+    machine-exact (keeps the discrete construction residual at rounding).
+
+    The panel quadrature of `solve_lambda1` and the grid Gauss rule differ
+    at the mollifier's approximation floor (~1e-6 at 96 nodes), so the
+    discrete eigenpair construction re-solves the root equation in the
+    grid's own quadrature."""
     cfg = coeffs.cfg
     p2 = p_coeff(2, m, cfg)
     ep = -coeffs.slope_weights(zgrid)[2]   # edge' = -sigma_+, kept per grid
-    for _ in range(iters):
+    for _ in range(POLISH_MAX_ITER):
         alpha1 = coeffs.alpha1(2, zgrid.z, lam1)
         g = p2 * float(np.dot(zgrid.w, ep / alpha1)) - 1.0
         dg = -p2 * cfg.R2 ** 2 * float(np.dot(zgrid.w, ep / alpha1 ** 2))
@@ -555,8 +488,15 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
 def build_eigensolution(cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
                         zgrid: ZGrid, mode: str = "exact") -> EigenSolution:
     coeffs = profile.coefficients
-    root = solve_lambda1(m, coeffs)
-    lam1 = _polish_lambda1_on_grid(m, root["lam1"], coeffs, zgrid)
+    root = solve_lambda1(coeffs)
+    if m > root["n_star"]:
+        raise BracketError(
+            f"mode {m} has no rate-slope root below "
+            f"lambda*={root['lambda_star']:.6g}: I(lambda*^-) = "
+            f"{p_coeff(2, m, cfg) * root['J_edge']:.6g} <= 1 (last mode "
+            f"with a root n* = {root['n_star']}). The config is invalid or "
+            "kappa is too large for this mode.")
+    lam1 = _polish_lambda1_on_grid(m, root["lam1"][m - 1], coeffs, zgrid)
     b0, a1 = b0_and_a1(m, lam1, coeffs, zgrid)
     builder = KernelBuilder(cfg, profile, m, zgrid, coeffs)
     fp = fixed_point_corrections(builder, lam1, a1, b0, mode=mode)
@@ -608,8 +548,8 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     At mode m, on the shared operator and its Hermitian SVD (`_mode_operator`):
     (i) rank-one deficiency of the discretized operator, (ii) null-vector
     match against the constructed pair, and the operator residual.
-    (iii) No other mode has a kernel at the rate: on the rate ladder
-    (`rate_ladder`), every rung lam1(n), n != m, and the continuum edge
+    (iii) No other mode has a kernel at the rate: on the rate ladder the
+    eigensolution carries (`solve_lambda1`), every rung lam1(n), n != m, and the continuum edge
     lambda*, where the rates of the modes past n* start, keep a distance of
     at least RATE_GAP_FLOOR eps from lam1(m).  A rung lam0 + eps lam1(n)
     misses mode n's least discrete rate by eps^2 lam2(n), so a gap errs from
@@ -628,12 +568,9 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
         / (np.linalg.norm(null_vec) * np.linalg.norm(constructed))
 
     coeffs = profile.coefficients
-    ladder = coeffs.memo("rate_ladder", lambda: rate_ladder(coeffs))
+    ladder = eig.diagnostics["lambda1_root"]
     lam1, n_star = ladder["lam1"], ladder["n_star"]
     m = eig.m
-    if m > n_star:
-        raise KernelValidationError(f"mode {m} has no rate below the "
-                                    f"continuum edge (last mode n* = {n_star})")
     edge_gap = ladder["lambda_star"] - lam1[m - 1]
     # the modes past n* start at the continuum edge
     rungs = np.append(lam1, ladder["lambda_star"])

@@ -480,7 +480,9 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
     Newton is a chord iteration on the analytic Jacobian: `_mode_jacobian`
     (assembled once per call, only when a step is needed), the amplitude
     row w h and the rate column dF_m/dlam = rho g, refreshed per iterate.
-    A step is halved up to five times until the residual falls.
+    A step is halved up to five times until the residual falls.  A point is
+    accepted once its residual is at most max(tol, F's rounding floor), the
+    floor being 16 eps_mach times the largest |lam shift^2 / 2| on the bands.
     """
     zg = zgrid if zgrid is not None else eig.zgrid
     w2 = np.concatenate([zg.w, zg.w])
@@ -496,6 +498,10 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
         constraint = float(np.dot(w2, hvec * x[:-1])) - sigma
         return np.concatenate([f_in, f_out, [constraint]])
 
+    def floor(x: np.ndarray) -> float:
+        return 8.0 * np.finfo(float).eps * abs(x[-1]) \
+            * np.max(rho + np.abs(x[:-1])) ** 2
+
     points: list[BranchPoint] = []
     x = np.concatenate([np.zeros(2 * n), [eig.lam]])
     J = None
@@ -506,7 +512,7 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
         r = residual_vec(x, sigma)
         rn = np.linalg.norm(r, np.inf)
         taken = 0                      # Newton steps accepted at this sigma
-        while rn > tol:
+        while rn > max(tol, floor(x)):
             if taken == max_newton:
                 raise NumericsError(
                     f"branch Newton did not converge at sigma={sigma:g}: "
@@ -532,17 +538,10 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
                     break
                 step /= 2.0
             else:
-                # no halving lowers a residual already at F's rounding
-                # floor, 16 eps_mach times the largest |lam shift^2 / 2| on
-                # the bands: the point has converged as far as F can tell
-                floor = 8.0 * np.finfo(float).eps * abs(x[-1]) \
-                    * np.max(rho + np.abs(x[:-1])) ** 2
-                if rn <= floor:
-                    break
                 raise NumericsError(
                     f"branch Newton diverged after 5 halvings at "
                     f"sigma={sigma:g}: residual {rn:.3e} > tol {tol:g} and "
-                    f"rounding floor {floor:.3e}, last trial {rcn:.3e}")
+                    f"rounding floor {floor(x):.3e}, last trial {rcn:.3e}")
         points.append(BranchPoint(sigma=float(sigma), lam=float(x[-1]),
                                   g_inner=x[:n].copy(), g_outer=x[n:-1].copy(),
                                   residual=float(rn), newton_iters=taken))

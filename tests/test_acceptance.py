@@ -159,10 +159,11 @@ def test_acceptance_04_lambda1_root():
     for kappa in (0.2, 0.1, 0.05):
         prof = TrapezoidProfile(CFG, DESK_EPS, kappa)
         coeffs = CoefficientSet(CFG, prof)
-        root = solve_lambda1(DESK_M, coeffs)
-        assert abs(root["residual"]) <= 1e-10
-        assert root["lam1"] < root["lambda_star"]
-        gaps.append(abs(root["lam1"] - lambda1_closed_form(DESK_M, coeffs)))
+        root = solve_lambda1(coeffs)
+        lam1 = root["lam1"][DESK_M - 1]
+        assert abs(root["residual"][DESK_M - 1]) <= 1e-10
+        assert lam1 < root["lambda_star"]
+        gaps.append(abs(lam1 - lambda1_closed_form(DESK_M, coeffs)))
     ratios = [a / b for a, b in zip(gaps[:-1], gaps[1:])]
     for r in ratios:
         assert 1.6 <= r <= 2.6

@@ -6,13 +6,13 @@ from annulus_rotor.config import AnnulusConfig
 from annulus_rotor.errors import BracketError, KernelValidationError
 from annulus_rotor.kernel import (KernelBuilder, adjoint_kernel, b0_and_a1,
                                   build_eigensolution,
-                                  fixed_point_corrections, grid_lambda1,
-                                  invert_q2hat, lambda1_closed_form,
-                                  lambda_star, operator_residual,
-                                  rate_ladder, singular_values, solve_lambda1,
-                                  transversality, validate_kernel,
-                                  _edge_breaks, _I_quadrature,
-                                  _mode_operator)
+                                  fixed_point_corrections, invert_q2hat,
+                                  lambda1_closed_form, lambda_star,
+                                  operator_residual, singular_values,
+                                  solve_lambda1, transversality,
+                                  validate_kernel, _edge_breaks,
+                                  _I_quadrature, _mode_operator,
+                                  _polish_lambda1_on_grid)
 from annulus_rotor.linop import (CoefficientSet, assemble, assemble_adjoint,
                                  p_coeff)
 from annulus_rotor.profile import TrapezoidProfile
@@ -39,6 +39,62 @@ def eig(zg):
     return build_eigensolution(CFG, prof, M_MODE, zg)
 
 
+def _I_per_panel(coeffs, m, lam1, n_gauss=24):
+    """Reference: mode m's I(lam1) = p2(m) J(lam1) and its slope, with edge'
+    evaluated and I summed panel by panel on every call, one mode and one
+    lam1 at a time."""
+    prof = coeffs.profile
+    breaks = _edge_breaks(prof.kappa)
+    edges = []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        edges.extend(np.unique(np.concatenate(
+            [geometric_edges(lo, hi, "right", 18, 0.6),
+             geometric_edges(lo, hi, "left", 18, 0.6)])))
+    edges = np.unique(np.asarray(edges))
+    total = slope = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        x, w = mapped_rule(lo, hi, n_gauss)
+        alpha1 = coeffs.alpha1(2, x, lam1)
+        total += float(np.dot(w, prof.edge_prime(x) / alpha1))
+        slope += float(np.dot(w, prof.edge_prime(x) / alpha1 ** 2))
+    p2 = p_coeff(2, m, coeffs.cfg)
+    return p2 * total, -p2 * coeffs.cfg.R2 ** 2 * slope
+
+
+def _scalar_lambda1(m, coeffs, tol=1e-10):
+    """Reference: mode m's root of I(lam1) = 1 alone, by the safeguarded
+    Newton iteration on `_I_per_panel` from the bracket's upper end, a step
+    that leaves the bracket replaced by bisection.  BracketError when
+    I(lambda*^-) <= 1."""
+    ls = lambda_star(coeffs)
+    scale = max(abs(ls), 1.0)
+    delta = 1e-3 * scale
+    while (val_slope := _I_per_panel(coeffs, m, ls - delta))[0] <= 1.0:
+        delta /= 4.0
+        if delta < 1e-15 * scale:
+            raise BracketError(f"no root for mode {m}")
+    val, slope = val_slope
+    big = max(4.0 * delta, scale)
+    while _I_per_panel(coeffs, m, ls - big)[0] >= 1.0:
+        big *= 4.0
+    lo, hi = ls - big, ls - delta
+    lam1 = hi
+    for _ in range(200):
+        if abs(val - 1.0) <= tol:
+            return {"lam1": lam1, "residual": val - 1.0, "lambda_star": ls}
+        lo, hi = (lam1, hi) if val < 1.0 else (lo, lam1)
+        lam1 = lam1 - (val - 1.0) / slope
+        if not lo < lam1 < hi:
+            lam1 = 0.5 * (lo + hi)
+        val, slope = _I_per_panel(coeffs, m, lam1)
+    raise AssertionError("reference Newton stalled")
+
+
+def _rung(m, coeffs):
+    """Mode m's rate slope on the ladder."""
+    return solve_lambda1(coeffs)["lam1"][m - 1]
+
+
 def test_lambda_star_definition(coeffs, zg):
     # outer order-one coefficient vanishes at z=+1 when lam1 = lambda* (B>0)
     ls = lambda_star(coeffs)
@@ -52,28 +108,32 @@ def test_lambda_star_definition(coeffs, zg):
 
 def test_I_monotone_and_limit(coeffs):
     ls = lambda_star(coeffs)
-    vals = [_I_quadrature(coeffs, M_MODE, ls - d)[0]
-            for d in (0.5, 0.2, 0.1, 0.05, 0.01)]
+    p2 = p_coeff(2, M_MODE, CFG)
+    vals = p2 * _I_quadrature(coeffs, ls - np.array([0.5, 0.2, 0.1, 0.05,
+                                                     0.01]))[0]
     assert all(a < b for a, b in zip(vals[:-1], vals[1:]))
-    assert _I_quadrature(coeffs, M_MODE, ls - 1e3)[0] < 0.01
+    assert p2 * _I_quadrature(coeffs, np.array([ls - 1e3]))[0][0] < 0.01
 
 
 def test_solve_lambda1_residual_and_range(coeffs):
-    root = solve_lambda1(M_MODE, coeffs)
-    assert abs(root["residual"]) <= 1e-10
-    assert root["lam1"] < root["lambda_star"]
+    root = solve_lambda1(coeffs)
+    lam1 = root["lam1"][M_MODE - 1]
+    assert abs(root["residual"][M_MODE - 1]) <= 1e-10
+    assert lam1 < root["lambda_star"]
     # alpha1_out stays negative on the whole band
     z = np.linspace(-1, 1, 101)
-    assert np.all(coeffs.alpha1(2, z, root["lam1"]) < 0.0)
+    assert np.all(coeffs.alpha1(2, z, lam1) < 0.0)
 
 
-def test_lambda1_bracket_failure_at_spec_default_B():
+def test_lambda1_bracket_failure_at_spec_default_B(zg):
     # at B=1 the integral saturates below one: no root exists (ledger entry)
     cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=1.0)
     prof = TrapezoidProfile(cfg, 1e-2, 0.1)
     coeffs = CoefficientSet(cfg, prof)
     with pytest.raises(BracketError):
-        solve_lambda1(1, coeffs)
+        _scalar_lambda1(1, coeffs)
+    with pytest.raises(BracketError, match=r"mode 1 .* n\* = 0"):
+        build_eigensolution(cfg, prof, 1, zg)
 
 
 def test_lambda1_closed_form_gap_linear_in_kappa():
@@ -81,8 +141,8 @@ def test_lambda1_closed_form_gap_linear_in_kappa():
     for kappa in (0.2, 0.1, 0.05):
         prof = TrapezoidProfile(CFG, 1e-2, kappa)
         coeffs = CoefficientSet(CFG, prof)
-        root = solve_lambda1(M_MODE, coeffs)
-        gaps.append(abs(root["lam1"] - lambda1_closed_form(M_MODE, coeffs)))
+        gaps.append(abs(_rung(M_MODE, coeffs)
+                        - lambda1_closed_form(M_MODE, coeffs)))
     assert gaps[0] > gaps[1] > gaps[2]
     for a, b in zip(gaps[:-1], gaps[1:]):
         assert 1.6 <= a / b <= 2.6
@@ -92,14 +152,14 @@ def test_lambda1_negative_B_branch(zg):
     cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=-0.25)
     prof = TrapezoidProfile(cfg, 1e-2, 0.1)
     coeffs = CoefficientSet(cfg, prof)
-    root = solve_lambda1(M_MODE, coeffs)
-    assert abs(root["residual"]) <= 1e-10
-    b0, a1 = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
+    root = solve_lambda1(coeffs)
+    assert abs(root["residual"][M_MODE - 1]) <= 1e-10
+    b0, a1 = b0_and_a1(M_MODE, root["lam1"][M_MODE - 1], coeffs, zg)
     assert np.all(b0 < 0.0)
 
 
 def test_b0_and_a1_identities(coeffs, zg):
-    lam1 = grid_lambda1(M_MODE, coeffs, zg)
+    lam1 = _polish_lambda1_on_grid(M_MODE, _rung(M_MODE, coeffs), coeffs, zg)
     b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
     prof = coeffs.profile
     # the root equation restated: p2 <edge' b0> = 1
@@ -112,8 +172,7 @@ def test_b0_and_a1_identities(coeffs, zg):
 
 
 def test_invert_q2hat_roundtrip(coeffs, zg):
-    root = solve_lambda1(M_MODE, coeffs)
-    lam1 = root["lam1"]
+    lam1 = _rung(M_MODE, coeffs)
     b0, _ = b0_and_a1(M_MODE, lam1, coeffs, zg)
     prof = coeffs.profile
     ep = prof.edge_prime(zg.z)
@@ -144,8 +203,7 @@ def test_invert_q2hat_roundtrip(coeffs, zg):
 
 def test_reduced_inversion_orthogonal_source(coeffs, zg):
     # for F with <F b0 edge'> = 0, g = F b0 solves the reduced equation
-    root = solve_lambda1(M_MODE, coeffs)
-    lam1 = root["lam1"]
+    lam1 = _rung(M_MODE, coeffs)
     b0, _ = b0_and_a1(M_MODE, lam1, coeffs, zg)
     prof = coeffs.profile
     ep = prof.edge_prime(zg.z)
@@ -218,8 +276,8 @@ def test_delta_remainders_match_difference_quotients(coeffs, zg):
     # the oracle's (1/eps) int_0^eps dT1 == (T1_eps - T1_0)/eps exactly
     # (both with the same grid quadrature); same for the order-one outer term
     prof = coeffs.profile
-    root = solve_lambda1(M_MODE, coeffs)
-    b0, _ = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
+    lam1 = _rung(M_MODE, coeffs)
+    b0, _ = b0_and_a1(M_MODE, lam1, coeffs, zg)
     eps = prof.eps
     m = M_MODE
     z, w = zg.z, zg.w
@@ -282,10 +340,10 @@ def test_builder_delta_averages_match_analytic_oracle(zg, m, eps):
 def test_fixed_point_contracts_and_bounds(zg):
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
     coeffs = CoefficientSet(CFG, prof)
-    root = solve_lambda1(M_MODE, coeffs)
-    b0, a1 = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
+    lam1 = _rung(M_MODE, coeffs)
+    b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
     builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
-    fp = fixed_point_corrections(builder, root["lam1"], a1, b0)
+    fp = fixed_point_corrections(builder, lam1, a1, b0)
     assert fp["ratio"] <= 0.5
     # outputs are uniformly bounded (order-one in the band scale)
     assert abs(fp["lam2"]) < 50.0
@@ -304,12 +362,12 @@ class _RebuiltPerCall(KernelBuilder):
 def test_fixed_point_reuses_delta_averages_bit_identically(zg):
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
     coeffs = CoefficientSet(CFG, prof)
-    root = solve_lambda1(M_MODE, coeffs)
-    b0, a1 = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
+    lam1 = _rung(M_MODE, coeffs)
+    b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
     fp = fixed_point_corrections(KernelBuilder(CFG, prof, M_MODE, zg, coeffs),
-                                 root["lam1"], a1, b0)
+                                 lam1, a1, b0)
     ref = fixed_point_corrections(
-        _RebuiltPerCall(CFG, prof, M_MODE, zg, coeffs), root["lam1"], a1, b0)
+        _RebuiltPerCall(CFG, prof, M_MODE, zg, coeffs), lam1, a1, b0)
     for key in ("a2", "b1", "lam2", "distances", "iterations"):
         assert np.array_equal(fp[key], ref[key])
 
@@ -320,10 +378,10 @@ def test_builder_builds_each_distinct_average_once(zg):
     # outer products of per-band vectors and need no matrix
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
     coeffs = CoefficientSet(CFG, prof)
-    root = solve_lambda1(M_MODE, coeffs)
-    b0, a1 = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
+    lam1 = _rung(M_MODE, coeffs)
+    b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
     builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
-    fixed_point_corrections(builder, root["lam1"], a1, b0)
+    fixed_point_corrections(builder, lam1, a1, b0)
     assert sorted(builder._volterra) == [(1, 1), (2, 1), (2, 2)]
 
 
@@ -332,10 +390,10 @@ def test_fixed_point_ratio_halves_with_eps(zg):
     for eps in (1e-2, 5e-3):
         prof = TrapezoidProfile(CFG, eps, 0.1)
         coeffs = CoefficientSet(CFG, prof)
-        root = solve_lambda1(M_MODE, coeffs)
-        b0, a1 = b0_and_a1(M_MODE, root["lam1"], coeffs, zg)
+        lam1 = _rung(M_MODE, coeffs)
+        b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
         builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
-        fp = fixed_point_corrections(builder, root["lam1"], a1, b0)
+        fp = fixed_point_corrections(builder, lam1, a1, b0)
         ratios[eps] = fp["ratio"]
     assert ratios[1e-2] <= 0.5
     assert 0.25 <= ratios[5e-3] / ratios[1e-2] <= 0.8
@@ -371,23 +429,27 @@ def test_validate_kernel_passes(eig):
 # -- the rate ladder, with the discrete spectra as its oracle ---------------
 
 @pytest.mark.parametrize("eps", [1e-2, 5e-3])
-def test_rate_ladder_matches_solve_lambda1_per_mode(eps):
-    coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, eps, 0.1))
-    ladder = rate_ladder(coeffs)
+def test_rate_ladder_matches_solve_lambda1_per_mode(zg, eps):
+    prof = TrapezoidProfile(CFG, eps, 0.1)
+    coeffs = CoefficientSet(CFG, prof)
+    ladder = solve_lambda1(coeffs)
     n_star = ladder["n_star"]
     assert n_star == 9
     assert ladder["lambda_star"] == lambda_star(coeffs)
-    ref = [solve_lambda1(n, coeffs)["lam1"] for n in range(1, n_star + 1)]
+    ref = [_scalar_lambda1(n, coeffs)["lam1"] for n in range(1, n_star + 1)]
     np.testing.assert_allclose(ladder["lam1"], ref, rtol=0, atol=1e-12)
     assert np.all(np.diff(ladder["lam1"]) > 0.0)
     assert ladder["lam1"][-1] < ladder["lambda_star"]
     with pytest.raises(BracketError):
-        solve_lambda1(n_star + 1, coeffs)
+        _scalar_lambda1(n_star + 1, coeffs)
+    with pytest.raises(BracketError, match=r"mode 10 .* n\* = 9"):
+        build_eigensolution(CFG, prof, n_star + 1, zg)
 
 
 def test_rate_ladder_is_empty_without_a_root():
     cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=1.0)
-    ladder = rate_ladder(CoefficientSet(cfg, TrapezoidProfile(cfg, 1e-2, 0.1)))
+    ladder = solve_lambda1(CoefficientSet(cfg,
+                                          TrapezoidProfile(cfg, 1e-2, 0.1)))
     assert ladder["n_star"] == 0 and ladder["lam1"].size == 0
 
 
@@ -411,7 +473,7 @@ def _pencil_rates(n, eps, zg):
 @pytest.mark.parametrize("eps", [1e-2, 5e-3])
 def test_pencil_least_rates_are_the_eigensolutions_and_the_continuum(zg, eps):
     prof = TrapezoidProfile(CFG, eps, 0.1)
-    ladder = rate_ladder(prof.coefficients)
+    ladder = solve_lambda1(prof.coefficients)
     n_star = ladder["n_star"]
     for n in range(1, n_star + 1):
         lam = eigensolution(eps, m=n).lam
@@ -433,7 +495,7 @@ def test_rate_gaps_agree_with_the_off_mode_svd_scan(zg, m, eps):
     prof = TrapezoidProfile(CFG, eps, 0.1)
     eig = eigensolution(eps, m=m)
     diag = validate_kernel(eig, CFG, prof, M=8)
-    lam1 = rate_ladder(prof.coefficients)["lam1"]
+    lam1 = solve_lambda1(prof.coefficients)["lam1"]
     margin = kernel_mod.RATE_GAP_FLOOR * eps
     for n in range(1, 10):
         if n == m:
@@ -455,7 +517,7 @@ def test_rate_gaps_agree_with_the_off_mode_svd_scan(zg, m, eps):
 def test_validate_kernel_names_the_mode_below_the_rate_gap_floor(monkeypatch,
                                                                  eig):
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
-    lam1 = rate_ladder(prof.coefficients)["lam1"]
+    lam1 = solve_lambda1(prof.coefficients)["lam1"]
     gap2, gap4 = abs(lam1[[1, 3]] - lam1[2])
     assert gap4 < gap2
     # a floor between the two neighbours' gaps: only mode 4 falls below
@@ -694,14 +756,30 @@ def test_lambda1_edge_prime_calls_do_not_grow_with_I_evals(monkeypatch):
     evals = _count_calls(monkeypatch, kernel_mod, "_I_quadrature")
     edge_prime = _count_calls(monkeypatch, TrapezoidProfile, "edge_prime")
     seen = []
-    for tol in (1e-4, 1e-10):
+    for tol in (1e-4, 1e-13):
+        monkeypatch.setattr(kernel_mod, "LADDER_TOL", tol)
         coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, 1e-2, 0.1))
         evals["n"] = edge_prime["n"] = 0
-        solve_lambda1(M_MODE, coeffs, tol=tol)
+        solve_lambda1(coeffs)
         seen.append((evals["n"], edge_prime["n"]))
     (evals_loose, calls_loose), (evals_tight, calls_tight) = seen
     assert evals_tight > evals_loose
     assert calls_tight == calls_loose
+
+
+def test_case_solves_the_rate_ladder_once(monkeypatch, zg):
+    # build and checks of one case on a fresh profile: the eigensolution
+    # carries the ladder, so the checks evaluate no alpha1 for it
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    solves = _count_calls(monkeypatch, kernel_mod, "solve_lambda1")
+    alpha1 = _count_calls(monkeypatch, CoefficientSet, "alpha1")
+    eig = build_eigensolution(CFG, prof, M_MODE, zg)
+    alpha1["n"] = 0
+    validate_kernel(eig, CFG, prof)
+    assert alpha1["n"] == 0
+    adj = adjoint_kernel(eig, CFG, prof)
+    transversality(eig, adj, CFG, prof)
+    assert solves["n"] == 1
 
 
 def _lambda1_by_bisection(m, coeffs, tol=1e-10):
@@ -709,7 +787,7 @@ def _lambda1_by_bisection(m, coeffs, tol=1e-10):
     found it."""
     ls = lambda_star(coeffs)
     scale = max(abs(ls), 1.0)
-    I = lambda lam1: _I_quadrature(coeffs, m, lam1)[0]
+    I = lambda lam1: _I_per_panel(coeffs, m, lam1)[0]
     delta = 1e-3 * scale
     while I(ls - delta) <= 1.0:
         delta /= 4.0
@@ -732,42 +810,32 @@ def test_lambda1_newton_matches_bisection_in_few_evaluations(monkeypatch,
                                                              m, eps):
     coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, eps, 0.1))
     evals = _count_calls(monkeypatch, kernel_mod, "_I_quadrature")
-    root = solve_lambda1(m, coeffs)
+    root = solve_lambda1(coeffs)
     assert evals["n"] <= 12
     monkeypatch.undo()
     ref = _lambda1_by_bisection(m, coeffs)
-    val, slope = _I_quadrature(coeffs, m, ref)
+    val, slope = _I_per_panel(coeffs, m, ref)
     # both roots have |I - 1| <= 1e-10 and I is monotone between them
-    assert abs(root["residual"]) <= 1e-10
-    assert abs(root["lam1"] - ref) <= 2.5e-10 / slope
-    # the analytic slope is I's derivative
+    assert abs(root["residual"][m - 1]) <= 1e-10
+    assert abs(root["lam1"][m - 1] - ref) <= 2.5e-10 / slope
+    # the analytic slope is I's derivative, on the ladder and the reference
     h = 1e-6 * abs(ref)
-    fd = (_I_quadrature(coeffs, m, ref + h)[0]
-          - _I_quadrature(coeffs, m, ref - h)[0]) / (2.0 * h)
+    fd = (_I_per_panel(coeffs, m, ref + h)[0]
+          - _I_per_panel(coeffs, m, ref - h)[0]) / (2.0 * h)
     assert abs(slope - fd) <= 1e-6 * slope
+    dJ = _I_quadrature(coeffs, np.array([ref]))[1][0]
+    assert abs(p_coeff(2, m, CFG) * dJ - fd) <= 1e-6 * slope
 
 
-def _I_reference(coeffs, m, lam1, n_gauss=24):
-    """I(lam1) with edge' evaluated panel by panel on every call."""
-    prof = coeffs.profile
-    breaks = _edge_breaks(prof.kappa)
-    edges = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        edges.extend(np.unique(np.concatenate(
-            [geometric_edges(lo, hi, "right", 18, 0.6),
-             geometric_edges(lo, hi, "left", 18, 0.6)])))
-    edges = np.unique(np.asarray(edges))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = mapped_rule(lo, hi, n_gauss)
-        total += float(np.dot(w, prof.edge_prime(x)
-                              / coeffs.alpha1(2, x, lam1)))
-    return p_coeff(2, m, coeffs.cfg) * total
-
-
-def test_I_quadrature_bit_identical_to_per_panel_reference():
+def test_I_quadrature_matches_per_panel_reference():
+    # J sums all panels at once, the reference I panel by panel in a running
+    # sum, so they agree to the rounding of the summation order
     coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, 1e-2, 0.1))
     ls = lambda_star(coeffs)
-    for lam1 in (ls - 1e-3, ls - 0.1, ls - 10.0):
-        assert _I_quadrature(coeffs, M_MODE, lam1)[0] \
-            == _I_reference(coeffs, M_MODE, lam1)
+    p2 = p_coeff(2, M_MODE, CFG)
+    lam1 = ls - np.array([1e-3, 0.1, 10.0])
+    J, dJ = _I_quadrature(coeffs, lam1)
+    for k, x in enumerate(lam1):
+        val, slope = _I_per_panel(coeffs, M_MODE, x)
+        assert abs(J[k] - val / p2) <= 1e-15 * abs(J[k])
+        assert abs(dJ[k] - slope / p2) <= 1e-15 * abs(dJ[k])

@@ -630,3 +630,17 @@ def test_F_from_edge_rows_matches_legendre_sums(zg, prof, eig, sigma,
     for a, b in zip(new, ref):
         assert np.max(np.abs(a.inner - b.inner)) <= 1e-16
         assert np.max(np.abs(a.outer - b.outer)) <= 1e-16
+
+
+@pytest.mark.parametrize("steps, most", [(1, 4), (2, 6)])
+def test_continue_branch_stops_at_the_rounding_floor(prof, eig, monkeypatch,
+                                                     steps, most):
+    # at tol = 0 a point stops once its residual reaches F's rounding floor,
+    # not after five failed halvings of a step below it (13 and 29
+    # evaluations before)
+    evals = _count_calls(monkeypatch, "functional_F")
+    pts = continue_branch(eig, CFG, prof, sigma_target=1e-3, steps=steps,
+                          n_theta=32, tol=0.0, max_newton=100,
+                          zgrid=ZGrid(40))
+    assert len(pts) == steps
+    assert len(evals) <= most
