@@ -8,11 +8,11 @@ continuation, Sobolev-distance estimates, and a direct spectral/FD
 simulator that verifies rigid rotation.
 """
 
-# NumPy imports these submodules on first use: fft (the Poisson solves and
-# the simulator), random (`linearization_check`) and ma (reached through
-# np.unique in `kernel`).  Loading them with the package keeps first
-# imports out of the workflows.
-from numpy import fft as _fft, ma as _ma, random as _random  # noqa: F401
+# NumPy imports its fft submodule on first use; the Poisson solves and the
+# simulator need it, so it loads with the package and no workflow pays for
+# a first import.  Nothing in the package reaches numpy.random or numpy.ma
+# (np.unique and np.median would), so neither is loaded.
+from numpy import fft as _fft  # noqa: F401
 
 from .config import AnnulusConfig, RunConfig, default_run_config, parse_config
 from .domain import circulation, lambda0, u_tc

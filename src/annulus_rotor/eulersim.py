@@ -528,10 +528,16 @@ def conserved_quantities(state: SimState) -> dict:
     The stream modes and their derivative live in the solver's work arrays
     `_psi_hat` and `_hat`, which `step` rewrites before it reads them.
     """
+    return _conserved_from_modes(state, np.fft.rfft(state.omega, axis=1))
+
+
+def _conserved_from_modes(state: SimState, w_hat: np.ndarray) -> dict:
+    """`conserved_quantities` from w_hat = rfft(state.omega) along theta:
+    `verify_rotation` reads the mode-m phase from the same transform, at
+    the start and at every checkpoint."""
     grid = state.grid
     sv = grid.solver
     n = grid.ntheta
-    w_hat = np.fft.rfft(state.omega, axis=1)
     psi_hat = sv.solve(w_hat, state.gamma * n, out=sv._psi_hat)
     dpsi = grid.d_r(psi_hat, out=sv._hat)
     c = np.full(psi_hat.shape[1], 2.0 / n)
@@ -580,7 +586,9 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     (detected from the initial spectrum when None); it must be a multiple
     of the grid's symmetry order and at most the grid's highest mode.  On
     a sector grid the correlation reads the stored mode m // symmetry,
-    whose phase is that of full mode m.
+    whose phase is that of full mode m.  The start and each checkpoint
+    make one rfft of the field, read for both the phase and the conserved
+    quantities.
     """
     grid = state0.grid
     sym = grid.symmetry
@@ -597,11 +605,12 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     if dt > lim:
         raise NumericsError(f"step dt={dt:g} ({nsteps} steps over T={T:g}) "
                             f"exceeds cfl_limit {lim:g}")
+    w0_hat = np.fft.rfft(state0.omega, axis=1)
     if m is None:
-        spec = np.abs(np.fft.rfft(state0.omega, axis=1)).sum(axis=0)
+        spec = np.abs(w0_hat).sum(axis=0)
         m = int(np.argmax(spec[1:]) + 1) * sym
     mode = m // sym
-    ref_hat = np.fft.rfft(state0.omega, axis=1)[:, mode]
+    ref_hat = w0_hat[:, mode]
     per = max(nsteps // n_checkpoints, 1)
     state = state0
     times = [0.0]
@@ -611,11 +620,11 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     for k in range(nsteps):
         state = step(state, dt)
         if (k + 1) % per == 0 or k == nsteps - 1:
-            cur = np.fft.rfft(state.omega, axis=1)[:, mode]
-            corr = np.sum(cur * np.conj(ref_hat))
+            w_hat = np.fft.rfft(state.omega, axis=1)
+            corr = np.sum(w_hat[:, mode] * np.conj(ref_hat))
             times.append(state.time)
             phases.append(np.angle(corr))
-            q = conserved_quantities(state)
+            q = _conserved_from_modes(state, w_hat)
             # a pattern co-rotating at angular velocity lam shifts the
             # m-mode correlation phase at rate -m lam
             ph = np.unwrap(np.array(phases))
@@ -628,6 +637,6 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     # quantities are the end's
     return RotationResult(lam_measured=float(lam_est), return_error=err_t,
                           times=times, phases=list(ph),
-                          conserved_start=conserved_quantities(state0),
+                          conserved_start=_conserved_from_modes(state0, w0_hat),
                           conserved_end=q, dt=dt, nsteps=nsteps,
                           series=series)

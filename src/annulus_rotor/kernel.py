@@ -67,17 +67,32 @@ LADDER_TOL = 1e-13            # largest |p2(n) J(lam1) - 1| on the ladder
 TRANSVERSALITY_FLOOR = 0.5    # least |T| / |its leading part|
 
 
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted entries of x with exact repeats dropped: np.unique, which
+    would load numpy.ma."""
+    s = np.sort(x)
+    keep = np.ones(s.size, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
+def _median(x) -> float:
+    """np.median of a sequence, which would load numpy.ma: the middle entry
+    of the sorted values, or the mean of the middle two."""
+    s = np.sort(x)
+    k = s.size // 2
+    return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2)
+
+
 def _I_panels(prof: TrapezoidProfile) -> tuple:
     """Nodes, weights and edge' values of the Gauss panels of I(lam1), one
     row per panel, refined toward the endpoints where the integrand has
     boundary-layer structure."""
     breaks = _edge_breaks(prof.kappa)
-    edges: list[float] = []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        sub_r = geometric_edges(lo, hi, "right", 18, 0.6)
-        sub_l = geometric_edges(lo, hi, "left", 18, 0.6)
-        edges.extend(np.unique(np.concatenate([sub_r, sub_l])))
-    edges = np.unique(np.asarray(edges))
+    edges = _sorted_distinct(np.concatenate([
+        geometric_edges(lo, hi, side, 18, 0.6)
+        for lo, hi in zip(breaks[:-1], breaks[1:])
+        for side in ("right", "left")]))
     rules = [mapped_rule(lo, hi, _I_GAUSS)
              for lo, hi in zip(edges[:-1], edges[1:])]
     x = np.array([xk for xk, _ in rules])
@@ -194,7 +209,9 @@ def _polish_lambda1_on_grid(m: int, lam1: float, coeffs: CoefficientSet,
     The panel quadrature of `solve_lambda1` and the grid Gauss rule differ
     at the mollifier's approximation floor (~1e-6 at 96 nodes), so the
     discrete eigenpair construction re-solves the root equation in the
-    grid's own quadrature."""
+    grid's own quadrature.  A polish whose step has not fallen below
+    1e-16 max(1, |lam1|) after `POLISH_MAX_ITER` steps raises
+    `NumericsError` naming the mode, the last step and the residual g."""
     cfg = coeffs.cfg
     p2 = p_coeff(2, m, cfg)
     ep = -coeffs.slope_weights(zgrid)[2]   # edge' = -sigma_+, kept per grid
@@ -205,8 +222,11 @@ def _polish_lambda1_on_grid(m: int, lam1: float, coeffs: CoefficientSet,
         step = g / dg
         lam1 -= step
         if abs(step) < 1e-16 * max(1.0, abs(lam1)):
-            break
-    return lam1
+            return lam1
+    raise NumericsError(
+        f"grid polish of lam1 at mode m={m} did not converge in "
+        f"{POLISH_MAX_ITER} Newton steps: last step {step:.3g}, residual "
+        f"g={g:.3g}")
 
 
 def invert_q2hat(G: np.ndarray, m: int, lam1: float, coeffs: CoefficientSet,
@@ -481,7 +501,7 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
         raise ContractionError("order-two fixed point did not reach tolerance")
     ratios = [b / a for a, b in zip(dists[:-1], dists[1:]) if a > 0]
     return {"a2": a2, "b1": b1, "lam2": lam2, "iterations": len(dists),
-            "distances": dists, "ratio": float(np.median(ratios[1:-1]))
+            "distances": dists, "ratio": _median(ratios[1:-1])
             if len(ratios) > 3 else float("nan")}
 
 

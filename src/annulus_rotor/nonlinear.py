@@ -326,6 +326,20 @@ def _mode_jacobian(eig: EigenSolution, lam: float, cfg: AnnulusConfig,
     return op.matrix() / _band_radii(cfg, eig.eps, zg)[:, None]
 
 
+# the golden-ratio conjugate, whose multiples mod 1 spread most evenly
+_WEYL = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _weyl_cubics(seed: int) -> np.ndarray:
+    """Coefficients of the five cubic directions of `linearization_check`,
+    shape (5, 2, 4): direction, band (inner, outer), power of z.  Entry j
+    of the 40 is 2 frac((40 seed + j) phi) - 1, j = 1..40, with phi the
+    golden-ratio conjugate: a quasi-random Weyl sequence in (-1, 1), so
+    that seed selects the directions with no random-number module."""
+    n = 40.0 * seed + np.arange(1, 41)
+    return (2.0 * np.mod(n * _WEYL, 1.0) - 1.0).reshape(5, 2, 4)
+
+
 def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
                         profile: TrapezoidProfile,
                         taus=(1e-4, 5e-5), seed: int = 0) -> list[dict]:
@@ -335,19 +349,14 @@ def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
     F[lam, tau h]/tau at the kernel rate lam; the operator side is
     cos(m theta) times the row-scaled band operator that the branch Newton
     uses (`_mode_jacobian`) applied to the band samples of h.  The five
-    directions h are random cubics in z, drawn from `seed`.
+    directions h are quasi-random Weyl cubics in z, selected by `seed`
+    (`_weyl_cubics`).
     """
     zg = eig.zgrid
     lam = eig.lam
     n_theta = 64
-    rng = np.random.default_rng(seed)
-    directions = []
-    for _ in range(5):
-        c_in = rng.standard_normal(4)
-        c_out = rng.standard_normal(4)
-        g_in = sum(c * zg.z ** k for k, c in enumerate(c_in))
-        g_out = sum(c * zg.z ** k for k, c in enumerate(c_out))
-        directions.append((g_in, g_out))
+    powers = zg.z[None, :] ** np.arange(4)[:, None]
+    directions = _weyl_cubics(seed) @ powers
     jac = _mode_jacobian(eig, lam, cfg, profile, zg)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     cosm = np.cos(eig.m * theta)

@@ -212,11 +212,13 @@ def test_verify_rotation_reuses_the_last_checkpoint(prof, desk_eig,
     from annulus_rotor import eulersim
     calls = []
 
-    def counted(state):
-        calls.append(state.time)
-        return conserved_quantities(state)
+    original = eulersim._conserved_from_modes
 
-    monkeypatch.setattr(eulersim, "conserved_quantities", counted)
+    def counted(state, w_hat):
+        calls.append(state.time)
+        return original(state, w_hat)
+
+    monkeypatch.setattr(eulersim, "_conserved_from_modes", counted)
     state = _wave_state(prof, desk_eig, 96, 64)
     T = 2.0 * np.pi / (3 * desk_eig.lam) / 20.0
     out = verify_rotation(state, desk_eig.lam, T, n_checkpoints=4, m=3)
@@ -227,6 +229,41 @@ def test_verify_rotation_reuses_the_last_checkpoint(prof, desk_eig,
     assert last["t"] == out.times[-1] == pytest.approx(T, rel=1e-14)
     assert out.return_error == last["return_error"]
     assert out.conserved_end == {k: last[k] for k in out.conserved_start}
+
+
+def test_verify_rotation_makes_one_rfft_per_checkpoint(prof, desk_eig,
+                                                       monkeypatch):
+    # outside the steps and the step limit, the start and each checkpoint
+    # transform the field once for both the phase and the conserved
+    # quantities
+    from annulus_rotor import eulersim
+    state = _wave_state(prof, desk_eig, 96, 64)
+    T = 2.0 * np.pi / (3 * desk_eig.lam) / 20.0
+    ref = verify_rotation(state, desk_eig.lam, T, n_checkpoints=4, m=3)
+    calls = {"rfft": 0, "inside": False}
+    rfft = np.fft.rfft
+
+    def counted_rfft(*args, **kwargs):
+        calls["rfft"] += not calls["inside"]
+        return rfft(*args, **kwargs)
+
+    def flagged(fn):
+        def run(*args, **kwargs):
+            calls["inside"] = True
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls["inside"] = False
+        return run
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    for name in ("step", "cfl_limit"):
+        monkeypatch.setattr(eulersim, name, flagged(getattr(eulersim, name)))
+    out = verify_rotation(state, desk_eig.lam, T, n_checkpoints=4, m=3)
+    assert calls["rfft"] == len(out.series) + 1
+    assert out.phases == ref.phases
+    assert out.lam_measured == ref.lam_measured
+    assert out.conserved_start == conserved_quantities(state)
 
 
 def test_quad_r_is_the_cumint4_total(prof):

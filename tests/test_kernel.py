@@ -3,7 +3,8 @@ import pytest
 
 from annulus_rotor import kernel as kernel_mod
 from annulus_rotor.config import AnnulusConfig
-from annulus_rotor.errors import BracketError, KernelValidationError
+from annulus_rotor.errors import (BracketError, KernelValidationError,
+                                  NumericsError)
 from annulus_rotor.kernel import (KernelBuilder, adjoint_kernel, b0_and_a1,
                                   build_eigensolution,
                                   fixed_point_corrections, invert_q2hat,
@@ -169,6 +170,29 @@ def test_b0_and_a1_identities(coeffs, zg):
     expected_a1 = (p_coeff(1, M_MODE, CFG) / p_coeff(2, M_MODE, CFG)) \
         / coeffs.alpha0(1)
     assert abs(a1 - expected_a1) < 1e-9 * abs(expected_a1)
+
+
+def test_grid_polish_raises_when_it_does_not_converge(monkeypatch, zg):
+    # the desk polish takes three steps; one leaves the stop test unmet
+    monkeypatch.setattr(kernel_mod, "POLISH_MAX_ITER", 1)
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    with pytest.raises(NumericsError, match=r"mode m=3 did not converge in "
+                       r"1 Newton steps: last step .+, residual g=.+"):
+        build_eigensolution(CFG, prof, M_MODE, zg)
+
+
+def test_sorted_distinct_and_median_are_numpys_bit_for_bit():
+    # the replacements of np.unique and np.median, which load numpy.ma
+    rng = np.random.default_rng(3)
+    for lo, hi in zip(_edge_breaks(0.1)[:-1], _edge_breaks(0.1)[1:]):
+        x = np.concatenate([geometric_edges(lo, hi, "right", 18, 0.6),
+                            geometric_edges(lo, hi, "left", 18, 0.6)])
+        assert np.array_equal(kernel_mod._sorted_distinct(x), np.unique(x))
+    x = rng.integers(0, 5, 30) / 3.0
+    assert np.array_equal(kernel_mod._sorted_distinct(x), np.unique(x))
+    for n in range(1, 10):
+        x = list(rng.standard_normal(n))
+        assert kernel_mod._median(x) == float(np.median(x))
 
 
 def test_invert_q2hat_roundtrip(coeffs, zg):

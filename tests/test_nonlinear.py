@@ -5,7 +5,7 @@ from annulus_rotor.errors import NumericsError
 from annulus_rotor.kernel import build_eigensolution
 from annulus_rotor.nonlinear import (LevelSetPerturbation, _band_radii,
                                      _interp_gauss, _kernel_direction,
-                                     _mode_jacobian,
+                                     _mode_jacobian, _weyl_cubics,
                                      build_vorticity, continue_branch,
                                      functional_F, h2_band_bound,
                                      linearization_check, sobolev_distance)
@@ -331,6 +331,24 @@ def test_linearization_matches_operator(zg, prof, eig):
         assert r["rel_errors"][0] <= 0.02
         ratio = r["rel_errors"][0] / max(r["rel_errors"][1], 1e-16)
         assert ratio >= 1.5          # first-order convergence in tau
+
+
+def test_linearization_directions_are_reproducible_per_seed(prof, eig):
+    # the Weyl cubics: 40 distinct coefficients in (-1, 1) per seed, the
+    # same on every call, other directions at another seed
+    c0, c1 = _weyl_cubics(0), _weyl_cubics(1)
+    assert c0.shape == (5, 2, 4)
+    assert np.array_equal(c0, _weyl_cubics(0))
+    for c in (c0, c1):
+        assert np.all(np.abs(c) < 1.0)
+        assert np.unique(c).size == 40
+    assert not np.intersect1d(c0, c1).size
+    taus = (1e-4,)
+    a = linearization_check(eig, CFG, prof, taus=taus, seed=0)
+    b = linearization_check(eig, CFG, prof, taus=taus, seed=0)
+    c = linearization_check(eig, CFG, prof, taus=taus, seed=1)
+    assert a == b
+    assert all(ra["ref"] != rc["ref"] for ra, rc in zip(a, c))
 
 
 def test_linearization_stays_in_mode(zg, prof, eig):
