@@ -1,6 +1,7 @@
 """Command line front end: one subcommand per workflow, CSV artifacts.
 
-Exit codes: 0 ok, 2 config error, 3 numeric/validation failure.
+Exit codes: 0 ok, 2 config error or argument out of domain, 3
+numeric/validation failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, parse_config
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, OutOfDomainError
 from .kernel import (RATE_GAP_FLOOR, SVD_GAP_TOL, adjoint_kernel,
                      build_eigensolution, operator_residual, singular_values,
                      transversality, validate_kernel)
@@ -64,6 +65,8 @@ def cmd_profile_dump(run: RunConfig, outdir: str, args) -> int:
 
 
 def cmd_poisson_test(run: RunConfig, outdir: str, args) -> int:
+    if args.n_max < 1:
+        raise OutOfDomainError(f"--n-max must be at least 1; got {args.n_max}")
     cfg = run.annulus
     grid = RadialGrid.for_profile(cfg, run.eps, run.nodes_per_panel)
     rows = []
@@ -97,7 +100,7 @@ def cmd_find_eigen(run: RunConfig, outdir: str, args) -> int:
     res = operator_residual(eig, cfg, profile)
     rows = []
     for n in range(1, run.M + 1):
-        sv = singular_values(n, run.eps, eig.lam, cfg, profile, zgrid)
+        sv = singular_values(n, eig.lam, profile, zgrid)
         rows.append((n, sv[-1], sv[-2], sv[0]))
     write_csv(os.path.join(outdir, "eigen_sigma_table.csv"),
               ["mode", "sigma_min", "sigma_second", "sigma_max"], rows)
@@ -332,15 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="time step of the integrating-factor RK4, which "
                          "moves with the mean rotation; default 0.8 of the "
                          "limit set by the radial velocity, the residual "
-                         "swirl and 1/max|omega|, shrunk to a whole number "
-                         "of at least --checkpoint-every steps over T; a "
-                         "step above that limit is a numeric failure")
+                         "swirl and 1/max|omega|; either way shrunk to a "
+                         "whole number of steps over T, no fewer than the "
+                         "--checkpoint-every count; a step above that limit "
+                         "is a numeric failure")
     sp.add_argument("--nr", type=int, default=384)
     sp.add_argument("--ntheta", type=int, default=256,
                     help="full-circle angular points; the m-fold symmetric "
                          "wave runs on one 2 pi/m sector of about ntheta/m")
     sp.add_argument("--checkpoint-every", dest="checkpoints", type=int,
-                    default=16)
+                    default=16,
+                    help="number of checkpoints spread over T (not an "
+                         "interval), which is also the least step count")
     sp.add_argument("--use-branch", action="store_true")
     sp.add_argument("--dealias", action="store_true")
     sp.add_argument("--snapshots", action="store_true")
@@ -372,6 +378,9 @@ def main(argv=None) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     try:
         return _COMMANDS[args.command](run, args.outdir, args)
+    except OutOfDomainError as exc:
+        print(f"argument out of domain: {exc}", file=sys.stderr)
+        return 2
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -62,8 +62,8 @@ class BaseStream:
     """
 
     def __init__(self, cfg: AnnulusConfig, profile: TrapezoidProfile | None):
-        if profile is not None and profile.cfg is not cfg and profile.cfg != cfg:
-            raise ValueError("profile was built for a different config")
+        if profile is not None:
+            profile.check(cfg)
         self.cfg = cfg
         self.profile = profile
         self.gamma = circulation(cfg)

@@ -57,6 +57,9 @@ class SimGrid:
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.nr < 5:
+            raise OutOfDomainError(f"nr must be at least 5, the width of the "
+                                   f"radial stencils; got {self.nr}")
         cfg = self.cfg
         fine = np.linspace(cfg.r1, cfg.r2, 40001)
         width = 2.5 * self.eps
@@ -360,8 +363,10 @@ def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
 
     ntheta counts the full circle.  An m-mode wave is simulated on one
     2 pi/m sector of ceil(ntheta/m) columns, rounded up to an FFT-friendly
-    length; the full circle keeps ntheta columns.
+    length; the full circle keeps ntheta columns.  cfg, and f where given,
+    must be the profile's.
     """
+    profile.check(cfg)
     symmetry = 1 if f is None else f.m
     if symmetry > 1:
         ntheta = _next_fast_len(-(-ntheta // symmetry))
@@ -588,8 +593,13 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     a sector grid the correlation reads the stored mode m // symmetry,
     whose phase is that of full mode m.  The start and each checkpoint
     make one rfft of the field, read for both the phase and the conserved
-    quantities.
+    quantities; a checkpoint where any of them is not finite raises.
     """
+    if n_checkpoints < 1 or not 0.0 < T < np.inf or \
+            (dt is not None and not dt > 0.0):
+        raise OutOfDomainError(
+            f"verify_rotation needs n_checkpoints >= 1, 0 < T < inf and "
+            f"dt > 0: got n_checkpoints={n_checkpoints}, T={T}, dt={dt}")
     grid = state0.grid
     sym = grid.symmetry
     if m is not None and m % sym:
@@ -622,15 +632,24 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
         if (k + 1) % per == 0 or k == nsteps - 1:
             w_hat = np.fft.rfft(state.omega, axis=1)
             corr = np.sum(w_hat[:, mode] * np.conj(ref_hat))
+            q = _conserved_from_modes(state, w_hat)
+            gap = grid.quad_r(np.sum((state.omega - state0.omega) ** 2,
+                                     axis=1)) / den0
+            # on a grid too coarse for its mapping the metric r_xi, and so
+            # the radial rule, can go negative (at nr = 8 on desk)
+            err_t = float(np.sqrt(gap)) if gap >= 0.0 else np.nan
+            bad = [f"{name} {value:.6g}" for name, value in (
+                ("phase correlation", corr), ("return error", err_t),
+                *q.items()) if not np.isfinite(value)]
+            if bad:
+                raise NumericsError(f"not finite at step {k + 1} of {nsteps}, "
+                                    f"t={state.time:.6g}: {', '.join(bad)}")
             times.append(state.time)
             phases.append(np.angle(corr))
-            q = _conserved_from_modes(state, w_hat)
             # a pattern co-rotating at angular velocity lam shifts the
             # m-mode correlation phase at rate -m lam
             ph = np.unwrap(np.array(phases))
             lam_est = -np.polyfit(times, ph, 1)[0] / m
-            err_t = float(np.sqrt(grid.quad_r(np.sum(
-                (state.omega - state0.omega) ** 2, axis=1)) / den0))
             series.append({"t": state.time, "lam_est": lam_est,
                            "return_error": err_t, **q})
     # the last step is always a checkpoint: its fit, error and conserved

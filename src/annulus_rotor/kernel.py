@@ -229,7 +229,7 @@ def _polish_lambda1_on_grid(m: int, lam1: float, coeffs: CoefficientSet,
         f"g={g:.3g}")
 
 
-def invert_q2hat(G: np.ndarray, m: int, lam1: float, coeffs: CoefficientSet,
+def invert_q2hat(G: np.ndarray, lam1: float, coeffs: CoefficientSet,
                  b0: np.ndarray, zgrid: ZGrid) -> tuple[np.ndarray, float]:
     """Solve the reduced order-two outer equation for (g, mu).
 
@@ -299,13 +299,12 @@ class KernelBuilder:
     also give the order-three terms.
     """
 
-    def __init__(self, cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
-                 zgrid: ZGrid, coeffs: CoefficientSet | None = None):
-        self.cfg = cfg
+    def __init__(self, profile: TrapezoidProfile, m: int, zgrid: ZGrid):
+        self.cfg = cfg = profile.cfg
         self.profile = profile
         self.m = m
         self.zgrid = zgrid
-        self.coeffs = coeffs if coeffs is not None else profile.coefficients
+        self.coeffs = profile.coefficients
         self.eps = profile.eps
         sig = self.coeffs.slope_weights(zgrid)
         self.ep_plus = -sig[2]                     # edge'(z)
@@ -331,10 +330,9 @@ class KernelBuilder:
 
     def _alpha2(self, band: int, lam1: float, lam2: float,
                 include_swirl2: bool) -> np.ndarray:
-        """coeffs.alpha2 at the grid nodes, with swirl2 from the set's
-        grid terms."""
-        out = self.coeffs.alpha2(band, self.zgrid.z, lam1, lam2,
-                                 include_swirl2=False)
+        """coeffs.alpha2 at the grid nodes, plus swirl2 from the set's grid
+        terms when include_swirl2."""
+        out = self.coeffs.alpha2(band, self.zgrid.z, lam1, lam2)
         return out + self.swirl2[band] if include_swirl2 else out
 
     # -- the coupling kernels and their delta-averages ---------------------
@@ -387,7 +385,7 @@ class KernelBuilder:
         return t_in + t_cross + t_vol
 
     def remainder_Q2(self, b1: np.ndarray, lam2: float, a1: float,
-                     b0: np.ndarray, lam1: float = 0.0) -> np.ndarray:
+                     b0: np.ndarray, lam1: float) -> np.ndarray:
         m, Sf = self.m, self.S_full
         # delta-average of the polynomial coefficient's derivative: the
         # lam1 z^2 and lam2 tails both live at this order
@@ -477,8 +475,8 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
         B1 = -builder.remainder_Q2(b1, lam2, a1, b0, lam1) \
             - builder.Q3(a2, b1, lam2, lam1,
                          include_swirl2=(mode == "exact"))
-        b1_new, lam2_new = invert_q2hat(B0 + eps * B1, builder.m, lam1,
-                                        builder.coeffs, b0, zg)
+        b1_new, lam2_new = invert_q2hat(B0 + eps * B1, lam1, builder.coeffs,
+                                        b0, zg)
         contract = float(np.dot(zg.w, builder.ep_plus * b1_new))
         a2_new = (A0 + eps * A1 + builder.p1 * contract) / alpha0_in
         d = max(np.sqrt(float(np.dot(w_in, (a2_new - a2) ** 2))),
@@ -507,6 +505,8 @@ def fixed_point_corrections(builder: KernelBuilder, lam1: float,
 
 def build_eigensolution(cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
                         zgrid: ZGrid, mode: str = "exact") -> EigenSolution:
+    """The mode-m eigenpair on the profile; cfg must be the profile's."""
+    profile.check(cfg)
     coeffs = profile.coefficients
     root = solve_lambda1(coeffs)
     if m > root["n_star"]:
@@ -518,7 +518,7 @@ def build_eigensolution(cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
             "kappa is too large for this mode.")
     lam1 = _polish_lambda1_on_grid(m, root["lam1"][m - 1], coeffs, zgrid)
     b0, a1 = b0_and_a1(m, lam1, coeffs, zgrid)
-    builder = KernelBuilder(cfg, profile, m, zgrid, coeffs)
+    builder = KernelBuilder(profile, m, zgrid)
     fp = fixed_point_corrections(builder, lam1, a1, b0, mode=mode)
     diag = {"lambda1_root": root, "lam1_grid": lam1,
             "fixed_point": {k: fp[k] for k in ("iterations", "ratio")},
@@ -529,14 +529,15 @@ def build_eigensolution(cfg: AnnulusConfig, profile: TrapezoidProfile, m: int,
                          zgrid=zgrid, mode=mode, diagnostics=diag)
 
 
-def _mode_operator(eig: EigenSolution, cfg: AnnulusConfig,
-                   profile: TrapezoidProfile) -> tuple:
+def _mode_operator(eig: EigenSolution, profile: TrapezoidProfile) -> tuple:
     """(operator, singular values, last left and last right singular vector)
     of mode m at eig.lam, built once per (eigensolution, profile) and kept
-    on the eigensolution.  The weighted matrix is J times a symmetric one,
-    so its SVD is a Hermitian one and its left vectors are J U."""
+    on the eigensolution; the profile must have the eigensolution's eps.
+    The weighted matrix is J times a symmetric one, so its SVD is a
+    Hermitian one and its left vectors are J U."""
+    profile.check(eps=eig.eps)
     if eig._mode_op is None or eig._mode_op[0] is not profile:
-        op = assemble(eig.m, eig.eps, eig.lam, cfg, profile, eig.zgrid)
+        op = assemble(eig.m, eig.lam, profile, eig.zgrid)
         U, svals, Vt = np.linalg.svd(op.symmetric_matrix(), hermitian=True)
         left = U[:, -1].copy()
         left[eig.zgrid.n:] *= -1.0
@@ -544,11 +545,11 @@ def _mode_operator(eig: EigenSolution, cfg: AnnulusConfig,
     return eig._mode_op[1:]
 
 
-def singular_values(n: int, eps: float, lam: float, cfg: AnnulusConfig,
-                    profile: TrapezoidProfile, zgrid: ZGrid) -> np.ndarray:
+def singular_values(n: int, lam: float, profile: TrapezoidProfile,
+                    zgrid: ZGrid) -> np.ndarray:
     """Singular values (descending) of the weighted mode-n operator at lam,
     the eigenvalue moduli of its symmetric form."""
-    op = assemble(n, eps, lam, cfg, profile, zgrid)
+    op = assemble(n, lam, profile, zgrid)
     return np.linalg.svd(op.symmetric_matrix(), compute_uv=False,
                          hermitian=True)
 
@@ -557,7 +558,8 @@ def operator_residual(eig: EigenSolution, cfg: AnnulusConfig,
                       profile: TrapezoidProfile) -> float:
     """Weighted norm of the assembled operator applied to the eigenpair,
     relative to the pair's weighted norm."""
-    op = _mode_operator(eig, cfg, profile)[0]
+    profile.check(cfg)
+    op = _mode_operator(eig, profile)[0]
     return op.norm(op.apply(eig.a, eig.b)) / op.norm((eig.a, eig.b))
 
 
@@ -581,7 +583,8 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
 
     `off_modes` lists the modes n != m up to max(M, n* + 1).
     """
-    op, svals, _, null_vec = _mode_operator(eig, cfg, profile)
+    profile.check(cfg)
+    op, svals, _, null_vec = _mode_operator(eig, profile)
     sigma_min, sigma_second = svals[-1], svals[-2]
     constructed = op.weighted_vector(eig.a, eig.b)
     cosine = abs(float(np.dot(null_vec, constructed))) \
@@ -638,8 +641,9 @@ def adjoint_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     Returns band samples (a*, b*) scaled so the outer part matches b0 at
     leading order, together with expansion diagnostics.
     """
+    profile.check(cfg)
     zg = eig.zgrid
-    op, svals, null_w, _ = _mode_operator(eig, cfg, profile)
+    op, svals, null_w, _ = _mode_operator(eig, profile)
     if svals[-1] / svals[-2] > 1e-3:
         raise KernelValidationError("adjoint kernel dimension is not one")
     # back to nodal values; a sqrt-weight at rounding level relative to the
@@ -673,12 +677,12 @@ def transversality(eig: EigenSolution, adjoint: dict, cfg: AnnulusConfig,
     T = int (R1+eps z) a a* sigma_- dz + int (R2+eps z) b b* sigma_+ dz; the
     outer term carries the O(1) leading part int (R2+eps z) |b0|^2 sigma_+.
     """
+    profile.check(cfg, eig.eps)
     zg = eig.zgrid
-    z = zg.z
-    sig = profile.coefficients.slope_weights(zg)
+    coeffs = profile.coefficients
+    sig = coeffs.slope_weights(zg)
     sig_in, sig_out = sig[1], sig[2]
-    r_in = cfg.R1 + eig.eps * z
-    r_out = cfg.R2 + eig.eps * z
+    r_in, r_out = coeffs.radii(1, zg.z), coeffs.radii(2, zg.z)
     term_in = float(np.dot(zg.w, r_in * eig.a * adjoint["astar"] * sig_in))
     term_out = float(np.dot(zg.w, r_out * eig.b * adjoint["bstar"] * sig_out))
     leading = float(np.dot(zg.w, r_out * eig.b0 ** 2 * sig_out))

@@ -63,7 +63,8 @@ class CoefficientSet:
 
     The moment splits exactly into order-0/1/2 pieces in eps; all pieces are
     evaluated by quadrature on the profile edge function.  Also carries the
-    alpha coefficients of the eigenvalue expansion built on top of it.
+    alpha coefficients of the eigenvalue expansion built on top of it.  The
+    annulus and eps are the profile's.
 
     A profile has one shared set (`TrapezoidProfile.coefficients`).  The
     grid terms that no iterate, mode or rate changes (slope weights, direct
@@ -71,10 +72,10 @@ class CoefficientSet:
     the set's `memo`; the evaluators stay usable at any z.
     """
 
-    cfg: AnnulusConfig
     profile: TrapezoidProfile
 
     def __post_init__(self):
+        self.cfg = self.profile.cfg
         self.lam0 = lambda0(self.cfg)
         self.gamma = circulation(self.cfg)
         self._memo: dict = {}
@@ -206,19 +207,17 @@ class CoefficientSet:
         z = np.asarray(z, dtype=float)
         return self.lam0 * z ** 2 + 2.0 * lam1 * self.cfg.R2 * z
 
-    def alpha2(self, band: int, z, lam1: float, lam2: float,
-               include_swirl2: bool = True) -> np.ndarray:
-        """Order-two coefficient; carries every eps-dependent polynomial tail
-        so that alpha0 + eps alpha1 + eps^2 alpha2 reproduces
-        lam (R + eps z)^2 + swirl exactly (including the lam1 z^2 eps term)."""
+    def alpha2(self, band: int, z, lam1: float, lam2: float) -> np.ndarray:
+        """Order-two coefficient without its swirl2 term; carries every
+        eps-dependent polynomial tail so that alpha0 + eps alpha1 +
+        eps^2 (alpha2 + swirl2) reproduces lam (R + eps z)^2 + swirl exactly
+        (including the lam1 z^2 eps term)."""
         z = np.asarray(z, dtype=float)
         R = self.band_radius(band)
         e = self.profile.eps
-        out = (self.lam0 * z ** 2 + lam1 * 2.0 * z * R + lam1 * z ** 2 * e
-               + lam2 * R ** 2 + lam2 * 2.0 * z * R * e + lam2 * z ** 2 * e ** 2)
-        if include_swirl2:
-            out = out + self.swirl2(band, z)
-        return out
+        return (self.lam0 * z ** 2 + lam1 * 2.0 * z * R + lam1 * z ** 2 * e
+                + lam2 * R ** 2 + lam2 * 2.0 * z * R * e
+                + lam2 * z ** 2 * e ** 2)
 
 
 SYMMETRY_TOL = 1e-13     # most |J Mw - (J Mw)^T| / max |J Mw|
@@ -229,7 +228,6 @@ class BandOperator:
     """Dense two-band operator blocks on a shared Gauss grid."""
 
     n: int
-    eps: float
     lam: float
     zgrid: ZGrid
     blocks: list                       # 2x2 nested list of (N, N) arrays
@@ -296,25 +294,18 @@ class BandOperator:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
 
-def _operator_parts(n: int, eps: float, lam: float, cfg: AnnulusConfig,
-                    profile: TrapezoidProfile, zgrid: ZGrid,
-                    coeffs: CoefficientSet | None):
+def _operator_parts(n: int, lam: float, profile: TrapezoidProfile,
+                    zgrid: ZGrid):
     """Slope weights, band radii, diagonal multipliers and the Green's-kernel
     blocks core[i, j] = eps r_i(z) K_ij(z, s) of mode n, quadrature weights
     included; the source factor r_j sigma_j(s) is left to the callers.
-    The profile terms come from `coeffs` when it belongs to the profile,
-    otherwise from the profile's shared set; eps must be the profile's."""
+    The annulus, eps and the profile terms are the profile's."""
     if n < 1:
         raise ValueError("band operator is defined for modes n >= 1")
-    if abs(profile.eps - eps) > 1e-15:
-        raise ValueError(f"eps {eps!r} differs from the profile's eps "
-                         f"{profile.eps!r}")
-    if coeffs is None or coeffs.profile is not profile:
-        coeffs = profile.coefficients
-    z = zgrid.z
+    cfg, eps, coeffs = profile.cfg, profile.eps, profile.coefficients
     sig = coeffs.slope_weights(zgrid)
     swirl = coeffs.swirl_on_grid(zgrid)
-    radii = {1: cfg.R1 + eps * z, 2: cfg.R2 + eps * z}
+    radii = {band: coeffs.radii(band, zgrid.z) for band in (1, 2)}
     lam_diag = {band: lam * radii[band] ** 2 + swirl[band] for band in (1, 2)}
     # the kernel is symmetric: a band's 'left' branch is its 'right' branch
     # transposed, and block (2, 1) is block (1, 2) transposed
@@ -331,31 +322,28 @@ def _operator_parts(n: int, eps: float, lam: float, cfg: AnnulusConfig,
     return sig, radii, lam_diag, core
 
 
-def _band_operator(n, eps, lam, zgrid, sig, lam_diag, blocks) -> BandOperator:
+def _band_operator(n, lam, zgrid, sig, lam_diag, blocks) -> BandOperator:
     """Add the diagonal multiplier to the 2x2 kernel blocks and wrap them."""
     diag = np.arange(zgrid.n)
     for band in (1, 2):
         blocks[band - 1][band - 1][diag, diag] += lam_diag[band]
     sqrtw = (np.sqrt(zgrid.w * sig[1]), np.sqrt(zgrid.w * sig[2]))
-    return BandOperator(n=n, eps=eps, lam=lam, zgrid=zgrid, blocks=blocks,
+    return BandOperator(n=n, lam=lam, zgrid=zgrid, blocks=blocks,
                         sqrt_weights=sqrtw)
 
 
-def assemble(n: int, eps: float, lam: float, cfg: AnnulusConfig,
-             profile: TrapezoidProfile, zgrid: ZGrid,
-             coeffs: CoefficientSet | None = None) -> BandOperator:
+def assemble(n: int, lam: float, profile: TrapezoidProfile,
+             zgrid: ZGrid) -> BandOperator:
     """Dense band operator for mode n at rotation rate lam."""
-    sig, radii, lam_diag, core = _operator_parts(n, eps, lam, cfg, profile,
-                                                 zgrid, coeffs)
+    sig, radii, lam_diag, core = _operator_parts(n, lam, profile, zgrid)
     slope = {1: sig[1], 2: -sig[2]}        # profile derivative on each band
     blocks = [[core[i, j] * (radii[j] * slope[j])[None, :] for j in (1, 2)]
               for i in (1, 2)]
-    return _band_operator(n, eps, lam, zgrid, sig, lam_diag, blocks)
+    return _band_operator(n, lam, zgrid, sig, lam_diag, blocks)
 
 
-def assemble_adjoint(n: int, eps: float, lam: float, cfg: AnnulusConfig,
-                     profile: TrapezoidProfile, zgrid: ZGrid,
-                     coeffs: CoefficientSet | None = None) -> BandOperator:
+def assemble_adjoint(n: int, lam: float, profile: TrapezoidProfile,
+                     zgrid: ZGrid) -> BandOperator:
     """Adjoint of `assemble` in the slope-weighted L2 pair.
 
     Block (j, i) is sign_j r_j K^T (w sigma_i) / w, with K = eps r_i K_ij the
@@ -363,11 +351,10 @@ def assemble_adjoint(n: int, eps: float, lam: float, cfg: AnnulusConfig,
     one.  Only the positive Gauss weights are divided by, never the slope
     weights, which vanish at some nodes.
     """
-    sig, radii, lam_diag, core = _operator_parts(n, eps, lam, cfg, profile,
-                                                 zgrid, coeffs)
+    sig, radii, lam_diag, core = _operator_parts(n, lam, profile, zgrid)
     w = zgrid.w
     sign = {1: 1.0, 2: -1.0}
     blocks = [[(sign[j] * radii[j] / w)[:, None] * core[i, j].T
                * (w * sig[i])[None, :] for i in (1, 2)]
               for j in (1, 2)]
-    return _band_operator(n, eps, lam, zgrid, sig, lam_diag, blocks)
+    return _band_operator(n, lam, zgrid, sig, lam_diag, blocks)

@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import legder, legval
 
 from .config import AnnulusConfig
 from .domain import circulation
-from .errors import NumericsError
+from .errors import NumericsError, OutOfDomainError
 from .kernel import EigenSolution
 from .linop import assemble
 from .poisson import RadialGrid, solve_full
@@ -35,8 +35,8 @@ from .quadrature import ZGrid, bary_interp, gauss_bary_weights
 class LevelSetPerturbation:
     """Single-mode band displacement f(r, theta) = g(z(r)) cos(m theta).
 
-    g is sampled on the shared z-grid per band (inner, outer); evaluation
-    interpolates in z and is exact in theta.
+    g is sampled on the shared z-grid per band (inner, outer);
+    `profile_at` interpolates it in z.
     """
 
     m: int
@@ -65,9 +65,6 @@ class LevelSetPerturbation:
         z = np.clip(z, -1.0, 1.0)
         g = self.g_inner if band == 1 else self.g_outer
         return _interp_gauss(self.zgrid, g, z)
-
-    def __call__(self, r, theta, band: int) -> np.ndarray:
-        return self.profile_at(r, band) * np.cos(self.m * np.asarray(theta))
 
     def edge_values(self, band: int) -> tuple[float, float]:
         """g at the band's edges z = -1 and z = 1."""
@@ -134,8 +131,10 @@ def vorticity_samples(f: LevelSetPerturbation, profile: TrapezoidProfile,
 
     Per theta-column the displaced band is inverted by Newton iteration on
     rho + f(rho, theta) = r; outside the bands the field is piecewise
-    constant with the deformed plateau boundaries.
+    constant with the deformed plateau boundaries.  f must be built for the
+    profile's annulus and eps.
     """
+    profile.check(f.cfg, f.eps)
     cfg = f.cfg
     eps = f.eps
     n_theta = len(theta)
@@ -312,18 +311,20 @@ def functional_F(lam: float, f: LevelSetPerturbation,
     return ResidualField(theta=theta, inner=out[1], outer=out[2])
 
 
-def _band_radii(cfg: AnnulusConfig, eps: float, zg: ZGrid) -> np.ndarray:
+def _band_radii(profile: TrapezoidProfile, zg: ZGrid) -> np.ndarray:
     """Radii R_i + eps z of the band nodes, inner band first."""
-    return np.concatenate([cfg.R1 + eps * zg.z, cfg.R2 + eps * zg.z])
+    coeffs = profile.coefficients
+    return np.concatenate([coeffs.radii(1, zg.z), coeffs.radii(2, zg.z)])
 
 
-def _mode_jacobian(eig: EigenSolution, lam: float, cfg: AnnulusConfig,
-                   profile: TrapezoidProfile, zg: ZGrid) -> np.ndarray:
+def _mode_jacobian(eig: EigenSolution, lam: float, profile: TrapezoidProfile,
+                   zg: ZGrid) -> np.ndarray:
     """Derivative of F's mode-m band coefficients in the band samples of g
     at the trivial branch: each row of the band operator divided by its
-    band radius."""
-    op = assemble(eig.m, eig.eps, lam, cfg, profile, zg)
-    return op.matrix() / _band_radii(cfg, eig.eps, zg)[:, None]
+    band radius.  The profile must have the eigensolution's eps."""
+    profile.check(eps=eig.eps)
+    op = assemble(eig.m, lam, profile, zg)
+    return op.matrix() / _band_radii(profile, zg)[:, None]
 
 
 # the golden-ratio conjugate, whose multiples mod 1 spread most evenly
@@ -352,12 +353,13 @@ def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
     directions h are quasi-random Weyl cubics in z, selected by `seed`
     (`_weyl_cubics`).
     """
+    profile.check(cfg)
     zg = eig.zgrid
     lam = eig.lam
     n_theta = 64
     powers = zg.z[None, :] ** np.arange(4)[:, None]
     directions = _weyl_cubics(seed) @ powers
-    jac = _mode_jacobian(eig, lam, cfg, profile, zg)
+    jac = _mode_jacobian(eig, lam, profile, zg)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     cosm = np.cos(eig.m * theta)
 
@@ -375,7 +377,7 @@ def linearization_check(eig: EigenSolution, cfg: AnnulusConfig,
         for tau in taus:
             pert = LevelSetPerturbation(m=eig.m, zgrid=zg,
                                         g_inner=tau * g_in, g_outer=tau * g_out,
-                                        cfg=cfg, eps=eig.eps)
+                                        cfg=profile.cfg, eps=eig.eps)
             res = functional_F(lam, pert, profile, n_theta=n_theta)
             err = field_norm(res.inner / tau - lin_inner,
                              res.outer / tau - lin_outer)
@@ -397,10 +399,13 @@ def sobolev_distance(profile: TrapezoidProfile, s: float,
     Returns the L2 deviation, the first/second band seminorms (with the
     level-set Jacobian factors when a perturbation is given), and the
     interpolated estimate for exponent s in [0, 3/2):
-    |w|_{H^s} <= |w|_{H^1}^(2-s) |w|_{H^2}^(s-1) for s in [1, 2].
+    |w|_{H^s} <= |w|_{H^1}^(2-s) |w|_{H^2}^(s-1) for s in [1, 2].  f must
+    be built for the profile's annulus and eps.
     """
     if not 0.0 <= s < 1.5:
         raise ValueError("Sobolev exponent must lie in [0, 3/2)")
+    if f is not None:
+        profile.check(f.cfg, f.eps)
     cfg = profile.cfg
     e = profile.eps
     zg = _distance_grid()
@@ -492,16 +497,21 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
     A step is halved up to five times until the residual falls.  A point is
     accepted once its residual is at most max(tol, F's rounding floor), the
     floor being 16 eps_mach times the largest |lam shift^2 / 2| on the bands.
+    steps < 1 raises OutOfDomainError.
     """
+    profile.check(cfg, eig.eps)
+    if steps < 1:
+        raise OutOfDomainError(f"steps must be at least 1; got {steps}")
     zg = zgrid if zgrid is not None else eig.zgrid
     w2 = np.concatenate([zg.w, zg.w])
     hvec = np.concatenate(_kernel_direction(eig, zg))
-    rho = _band_radii(cfg, eig.eps, zg)
+    rho = _band_radii(profile, zg)
     n = zg.n
 
     def residual_vec(x: np.ndarray, sigma: float) -> np.ndarray:
         pert = LevelSetPerturbation(m=eig.m, zgrid=zg, g_inner=x[:n],
-                                    g_outer=x[n:-1], cfg=cfg, eps=eig.eps)
+                                    g_outer=x[n:-1], cfg=profile.cfg,
+                                    eps=eig.eps)
         res = functional_F(x[-1], pert, profile, n_theta=n_theta)
         f_in, f_out = res.mode(eig.m)
         constraint = float(np.dot(w2, hvec * x[:-1])) - sigma
@@ -529,7 +539,7 @@ def continue_branch(eig: EigenSolution, cfg: AnnulusConfig,
                     f"max_newton={max_newton} steps")
             if J is None:
                 J = np.zeros((2 * n + 1, 2 * n + 1))
-                J[:-1, :-1] = _mode_jacobian(eig, eig.lam, cfg, profile, zg)
+                J[:-1, :-1] = _mode_jacobian(eig, eig.lam, profile, zg)
                 J[-1, :-1] = w2 * hvec
             J[:-1, -1] = rho * x[:-1]
             try:

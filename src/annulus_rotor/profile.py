@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import AnnulusConfig, RunConfig
-from .errors import OutOfDomainError
+from .errors import ConfigError, OutOfDomainError
 from .mollifier import Mollifier, default_mollifier
 
 
@@ -54,7 +54,18 @@ class TrapezoidProfile:
         the set refers to the profile.
         """
         from .linop import CoefficientSet   # linop imports this module
-        return CoefficientSet(self.cfg, self)
+        return CoefficientSet(self)
+
+    def check(self, cfg: AnnulusConfig | None = None,
+              eps: float | None = None) -> None:
+        """Raise ConfigError unless cfg and eps, where given, are the
+        profile's: the profile fixes the annulus and the band half-width of
+        every operator, eigenpair and field built on it."""
+        for name, given, own in (("config", cfg, self.cfg),
+                                 ("eps", eps, self.eps)):
+            if given is not None and given != own:
+                raise ConfigError(f"{name} {given!r} is not the profile's "
+                                  f"{name} {own!r}")
 
     # -- edge function -------------------------------------------------------
 
@@ -99,45 +110,36 @@ class TrapezoidProfile:
 
     # -- radial profile ------------------------------------------------------
 
-    def _regions(self, r):
+    def _on_bands(self, r, inner, outer) -> tuple[np.ndarray, np.ndarray]:
+        """r checked against the annulus, and the array that is inner(z) on
+        the inner band, z = (R1 - r)/eps, outer(z) on the outer band,
+        z = (r - R2)/eps, and zero elsewhere."""
         r = np.asarray(r, dtype=float)
         if np.any((r < self.cfg.r1 - 1e-12) | (r > self.cfg.r2 + 1e-12)):
             raise OutOfDomainError("radius outside the annulus")
-        return r
+        e = self.eps
+        out = np.zeros_like(r)
+        for R, sign, f in ((self.cfg.R1, -1.0, inner),
+                           (self.cfg.R2, 1.0, outer)):
+            band = (r >= R - e) & (r <= R + e)
+            out[band] = f(sign * (r[band] - R) / e)
+        return r, out
 
     def value(self, r) -> np.ndarray:
         """Vorticity increment above the constant background."""
-        r = self._regions(r)
-        R1, R2, e = self.cfg.R1, self.cfg.R2, self.eps
-        out = np.zeros_like(r)
-        band1 = (r >= R1 - e) & (r <= R1 + e)
-        band2 = (r >= R2 - e) & (r <= R2 + e)
-        plateau = (r > R1 + e) & (r < R2 - e)
-        out[band1] = e * self.edge((R1 - r[band1]) / e)
-        out[plateau] = e
-        out[band2] = e * self.edge((r[band2] - R2) / e)
+        e = self.eps
+        r, out = self._on_bands(r, *(lambda z: e * self.edge(z),) * 2)
+        out[(r > self.cfg.R1 + e) & (r < self.cfg.R2 - e)] = e
         return out
 
     def derivative(self, r) -> np.ndarray:
         """d/dr of the profile; exactly zero outside the two bands."""
-        r = self._regions(r)
-        R1, R2, e = self.cfg.R1, self.cfg.R2, self.eps
-        out = np.zeros_like(r)
-        band1 = (r >= R1 - e) & (r <= R1 + e)
-        band2 = (r >= R2 - e) & (r <= R2 + e)
-        out[band1] = -self.edge_prime((R1 - r[band1]) / e)
-        out[band2] = self.edge_prime((r[band2] - R2) / e)
-        return out
+        return self._on_bands(r, lambda z: -self.edge_prime(z),
+                              self.edge_prime)[1]
 
     def second_derivative(self, r) -> np.ndarray:
-        r = self._regions(r)
-        R1, R2, e = self.cfg.R1, self.cfg.R2, self.eps
-        out = np.zeros_like(r)
-        band1 = (r >= R1 - e) & (r <= R1 + e)
-        band2 = (r >= R2 - e) & (r <= R2 + e)
-        out[band1] = self.edge_second((R1 - r[band1]) / e) / e
-        out[band2] = self.edge_second((r[band2] - R2) / e) / e
-        return out
+        return self._on_bands(
+            r, *(lambda z: self.edge_second(z) / self.eps,) * 2)[1]
 
     def tabulate(self, n: int = 4096) -> np.ndarray:
         """(z, edge, edge') table for CSV export."""

@@ -131,11 +131,11 @@ def test_acceptance_03_operator_adjoint_duality():
     worst = worst_t = 0.0
     for eps in (1e-2, 5e-3):
         prof = TrapezoidProfile(CFG, eps, DESK_KAPPA)
-        coeffs = CoefficientSet(CFG, prof)
+        coeffs = CoefficientSet(prof)
         lam = coeffs.lam0 + 0.03
         for n in range(1, 9):
-            op = assemble(n, eps, lam, CFG, prof, zg, coeffs)
-            adj = assemble_adjoint(n, eps, lam, CFG, prof, zg, coeffs)
+            op = assemble(n, lam, prof, zg)
+            adj = assemble_adjoint(n, lam, prof, zg)
             # weighted adjoint == transpose of the weighted operator
             Mw = op.weighted_matrix()
             gap = np.max(np.abs(adj.weighted_matrix() - Mw.T))
@@ -158,7 +158,7 @@ def test_acceptance_04_lambda1_root():
     gaps = []
     for kappa in (0.2, 0.1, 0.05):
         prof = TrapezoidProfile(CFG, DESK_EPS, kappa)
-        coeffs = CoefficientSet(CFG, prof)
+        coeffs = CoefficientSet(prof)
         root = solve_lambda1(coeffs)
         lam1 = root["lam1"][DESK_M - 1]
         assert abs(root["residual"][DESK_M - 1]) <= 1e-10
@@ -182,7 +182,7 @@ def test_acceptance_05_kernel():
         # the discrete check: no other mode's operator is near-singular
         for n in range(1, 9):
             if n != DESK_M:
-                sv = singular_values(n, eps, eig.lam, CFG, prof, eig.zgrid)
+                sv = singular_values(n, eig.lam, prof, eig.zgrid)
                 assert sv[-1] >= OFFMODE_SVD_FLOOR * eps * sv[0]
         if eps == 5e-3:
             assert diag["cosine"] >= 1.0 - 1e-4

@@ -1,7 +1,9 @@
+import re
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 CONFIG_OK = """\
 # desk-scale defaults
@@ -178,3 +180,29 @@ def test_distance_subcommand(tmp_path):
     slope = (out / "distance.txt").read_text().splitlines()[-1]
     assert slope.startswith("fitted slope of log estimate in log eps at s=1:")
     assert abs(float(slope.split(": ")[1]) - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("args,message", [
+    (("simulate", "--nr", "96", "--ntheta", "2"), "highest mode 0"),
+    (("simulate", "--nr", "4"), "nr must be at least 5"),
+    (("simulate", "--nr", "96", "--ntheta", "32", "--T", "-1"), r"T=-1\.0"),
+    (("simulate", "--nr", "96", "--ntheta", "32", "--dt", "-1"),
+     r"dt=-1\.0"),
+    (("simulate", "--nr", "96", "--ntheta", "32", "--checkpoint-every", "0"),
+     "n_checkpoints=0"),
+    (("continue", "--steps", "0"), "steps must be at least 1; got 0"),
+    (("distance", "--eps-list", "0.5"), r"eps must lie in .*got 0\.5"),
+    (("poisson-test", "--n-max", "0"), "--n-max must be at least 1; got 0"),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else "")
+def test_out_of_domain_arguments_exit_2(tmp_path, args, message):
+    proc, _ = run_cli(tmp_path, CONFIG_OK, *args)
+    assert proc.returncode == 2
+    assert re.search(rf"^argument out of domain: .*{message}", proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
+def test_simulation_that_stops_being_finite_exits_3(tmp_path):
+    proc, _ = run_cli(tmp_path, CONFIG_OK, "simulate", "--nr", "8")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric failure: not finite at step 1 ")
+    assert "Traceback" not in proc.stderr

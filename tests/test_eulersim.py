@@ -659,3 +659,30 @@ def test_conserved_quantities_make_one_rfft_and_no_irfft(prof, desk_eig,
         monkeypatch.setattr(np.fft, name, counted)
     conserved_quantities(state)
     assert calls == {"rfft": 1, "irfft": 0}
+
+
+def test_sim_grid_refuses_fewer_nodes_than_its_stencils():
+    with pytest.raises(OutOfDomainError, match=r"nr must be at least 5.* 4$"):
+        SimGrid(cfg=CFG, nr=4, ntheta=8, eps=EPS)
+    assert SimGrid(cfg=CFG, nr=5, ntheta=8, eps=EPS).r_xi.shape == (5,)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("n_checkpoints", 0), ("T", -1.0), ("T", 0.0), ("T", np.inf),
+    ("T", np.nan), ("dt", -1.0), ("dt", 0.0)])
+def test_verify_rotation_refuses_arguments_out_of_domain(prof, name, value):
+    state = initial_state(CFG, prof, None, nr=16, ntheta=16)
+    args = {"T": 1.0, "dt": None, "n_checkpoints": 4, name: value}
+    with pytest.raises(OutOfDomainError, match=rf"{name}={value}\b"):
+        verify_rotation(state, 1.0, m=1, **args)
+
+
+def test_verify_rotation_raises_where_the_run_stops_being_finite(prof,
+                                                                 desk_eig):
+    # 8 radial nodes cannot carry the desk wave: the first checkpoint's
+    # return error is undefined
+    state = _wave_state(prof, desk_eig, 8, 256)
+    T = 2.0 * np.pi / (3 * desk_eig.lam)
+    with pytest.raises(NumericsError, match=r"not finite at step 1 of 16, "
+                       r"t=1\.98\d*: return error nan"):
+        verify_rotation(state, desk_eig.lam, T, m=3)

@@ -31,7 +31,7 @@ def zg():
 @pytest.fixture(scope="module")
 def coeffs():
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
-    return CoefficientSet(CFG, prof)
+    return CoefficientSet(prof)
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ def test_lambda1_bracket_failure_at_spec_default_B(zg):
     # at B=1 the integral saturates below one: no root exists (ledger entry)
     cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=1.0)
     prof = TrapezoidProfile(cfg, 1e-2, 0.1)
-    coeffs = CoefficientSet(cfg, prof)
+    coeffs = CoefficientSet(prof)
     with pytest.raises(BracketError):
         _scalar_lambda1(1, coeffs)
     with pytest.raises(BracketError, match=r"mode 1 .* n\* = 0"):
@@ -141,7 +141,7 @@ def test_lambda1_closed_form_gap_linear_in_kappa():
     gaps = []
     for kappa in (0.2, 0.1, 0.05):
         prof = TrapezoidProfile(CFG, 1e-2, kappa)
-        coeffs = CoefficientSet(CFG, prof)
+        coeffs = CoefficientSet(prof)
         gaps.append(abs(_rung(M_MODE, coeffs)
                         - lambda1_closed_form(M_MODE, coeffs)))
     assert gaps[0] > gaps[1] > gaps[2]
@@ -152,7 +152,7 @@ def test_lambda1_closed_form_gap_linear_in_kappa():
 def test_lambda1_negative_B_branch(zg):
     cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=-0.25)
     prof = TrapezoidProfile(cfg, 1e-2, 0.1)
-    coeffs = CoefficientSet(cfg, prof)
+    coeffs = CoefficientSet(prof)
     root = solve_lambda1(coeffs)
     assert abs(root["residual"][M_MODE - 1]) <= 1e-10
     b0, a1 = b0_and_a1(M_MODE, root["lam1"][M_MODE - 1], coeffs, zg)
@@ -210,18 +210,18 @@ def test_invert_q2hat_roundtrip(coeffs, zg):
 
     # G = beta*b0 (the quadratic source): projection numerator vanishes,
     # mu = 0, and g = 0 solves exactly
-    g, mu = invert_q2hat(beta * b0, M_MODE, lam1, coeffs, b0, zg)
+    g, mu = invert_q2hat(beta * b0, lam1, coeffs, b0, zg)
     assert abs(mu) < 1e-12
     np.testing.assert_allclose(qhat(g, mu), beta * b0, atol=1e-9)
     # G = 0: g = -(mu R2^2 + beta) b0^2
-    g, mu = invert_q2hat(np.zeros(zg.n), M_MODE, lam1, coeffs, b0, zg)
+    g, mu = invert_q2hat(np.zeros(zg.n), lam1, coeffs, b0, zg)
     np.testing.assert_allclose(g, -(mu * CFG.R2 ** 2 + beta) * b0 ** 2,
                                atol=1e-12)
     np.testing.assert_allclose(qhat(g, mu), np.zeros(zg.n), atol=1e-9)
     # random G round-trips
     for _ in range(3):
         G = rng.standard_normal(zg.n)
-        g, mu = invert_q2hat(G, M_MODE, lam1, coeffs, b0, zg)
+        g, mu = invert_q2hat(G, lam1, coeffs, b0, zg)
         np.testing.assert_allclose(qhat(g, mu), G, atol=1e-9)
 
 
@@ -349,7 +349,7 @@ def test_builder_delta_averages_match_analytic_oracle(zg, m, eps):
     # each average as the builder applies it, quadrature weights included,
     # against the oracle's Gauss average of the analytic delta-derivative;
     # the difference quotient loses about eps_machine/eps to cancellation
-    builder = KernelBuilder(CFG, TrapezoidProfile(CFG, eps, 0.1), m, zg)
+    builder = KernelBuilder(TrapezoidProfile(CFG, eps, 0.1), m, zg)
     oracle = _DeltaKernels(CFG, m)
     eye = np.eye(zg.n)
     for kind, i, j in _DELTA_AVERAGES:
@@ -363,10 +363,10 @@ def test_builder_delta_averages_match_analytic_oracle(zg, m, eps):
 
 def test_fixed_point_contracts_and_bounds(zg):
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
-    coeffs = CoefficientSet(CFG, prof)
+    coeffs = CoefficientSet(prof)
     lam1 = _rung(M_MODE, coeffs)
     b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
-    builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
+    builder = KernelBuilder(prof, M_MODE, zg)
     fp = fixed_point_corrections(builder, lam1, a1, b0)
     assert fp["ratio"] <= 0.5
     # outputs are uniformly bounded (order-one in the band scale)
@@ -385,13 +385,13 @@ class _RebuiltPerCall(KernelBuilder):
 
 def test_fixed_point_reuses_delta_averages_bit_identically(zg):
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
-    coeffs = CoefficientSet(CFG, prof)
+    coeffs = CoefficientSet(prof)
     lam1 = _rung(M_MODE, coeffs)
     b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
-    fp = fixed_point_corrections(KernelBuilder(CFG, prof, M_MODE, zg, coeffs),
+    fp = fixed_point_corrections(KernelBuilder(prof, M_MODE, zg),
                                  lam1, a1, b0)
     ref = fixed_point_corrections(
-        _RebuiltPerCall(CFG, prof, M_MODE, zg, coeffs), lam1, a1, b0)
+        _RebuiltPerCall(prof, M_MODE, zg), lam1, a1, b0)
     for key in ("a2", "b1", "lam2", "distances", "iterations"):
         assert np.array_equal(fp[key], ref[key])
 
@@ -401,10 +401,10 @@ def test_builder_builds_each_distinct_average_once(zg):
     # the band pairs (R1, R1), (R2, R2) and (R2, R1); the rank kernels are
     # outer products of per-band vectors and need no matrix
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
-    coeffs = CoefficientSet(CFG, prof)
+    coeffs = CoefficientSet(prof)
     lam1 = _rung(M_MODE, coeffs)
     b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
-    builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
+    builder = KernelBuilder(prof, M_MODE, zg)
     fixed_point_corrections(builder, lam1, a1, b0)
     assert sorted(builder._volterra) == [(1, 1), (2, 1), (2, 2)]
 
@@ -413,10 +413,10 @@ def test_fixed_point_ratio_halves_with_eps(zg):
     ratios = {}
     for eps in (1e-2, 5e-3):
         prof = TrapezoidProfile(CFG, eps, 0.1)
-        coeffs = CoefficientSet(CFG, prof)
+        coeffs = CoefficientSet(prof)
         lam1 = _rung(M_MODE, coeffs)
         b0, a1 = b0_and_a1(M_MODE, lam1, coeffs, zg)
-        builder = KernelBuilder(CFG, prof, M_MODE, zg, coeffs)
+        builder = KernelBuilder(prof, M_MODE, zg)
         fp = fixed_point_corrections(builder, lam1, a1, b0)
         ratios[eps] = fp["ratio"]
     assert ratios[1e-2] <= 0.5
@@ -446,7 +446,7 @@ def test_validate_kernel_passes(eig):
     assert all(v["ok"] for v in diag["off_modes"].values())
     # the kernel is isolated in the rate: mode m's operator is far from
     # singular at lam + 0.1
-    sv = singular_values(eig.m, eig.eps, eig.lam + 0.1, CFG, prof, eig.zgrid)
+    sv = singular_values(eig.m, eig.lam + 0.1, prof, eig.zgrid)
     assert sv[-1] / sv[0] >= 1e-3 * eig.eps
 
 
@@ -455,7 +455,7 @@ def test_validate_kernel_passes(eig):
 @pytest.mark.parametrize("eps", [1e-2, 5e-3])
 def test_rate_ladder_matches_solve_lambda1_per_mode(zg, eps):
     prof = TrapezoidProfile(CFG, eps, 0.1)
-    coeffs = CoefficientSet(CFG, prof)
+    coeffs = CoefficientSet(prof)
     ladder = solve_lambda1(coeffs)
     n_star = ladder["n_star"]
     assert n_star == 9
@@ -472,8 +472,7 @@ def test_rate_ladder_matches_solve_lambda1_per_mode(zg, eps):
 
 def test_rate_ladder_is_empty_without_a_root():
     cfg = AnnulusConfig(r1=1.0, r2=2.0, R1=1.2, R2=1.5, A=0.0, B=1.0)
-    ladder = solve_lambda1(CoefficientSet(cfg,
-                                          TrapezoidProfile(cfg, 1e-2, 0.1)))
+    ladder = solve_lambda1(CoefficientSet(TrapezoidProfile(cfg, 1e-2, 0.1)))
     assert ladder["n_star"] == 0 and ladder["lam1"].size == 0
 
 
@@ -486,7 +485,7 @@ def _pencil_rates(n, eps, zg):
     eigenvalues of -diag(r^2)^-1 A0."""
     if (n, eps) not in _PENCIL:
         prof = TrapezoidProfile(CFG, eps, 0.1)
-        A0 = assemble(n, eps, 0.0, CFG, prof, zg).matrix()
+        A0 = assemble(n, 0.0, prof, zg).matrix()
         r = np.concatenate([CFG.R1 + eps * zg.z, CFG.R2 + eps * zg.z])
         rates = np.linalg.eigvals(-A0 / (r ** 2)[:, None])
         assert np.max(np.abs(rates.imag)) <= 1e-12 * np.max(np.abs(rates))
@@ -528,7 +527,7 @@ def test_rate_gaps_agree_with_the_off_mode_svd_scan(zg, m, eps):
         gap = abs(lam1[n - 1] - lam1[m - 1])
         assert off["gap"] == gap
         assert off["ok"] == (gap >= margin)
-        sv = singular_values(n, eps, eig.lam, CFG, prof, zg)
+        sv = singular_values(n, eig.lam, prof, zg)
         assert off["ok"] == (sv[-1] >= OFFMODE_SVD_FLOOR * eps * sv[0])
         # the first-order rung gap errs by O(eps) from the discrete one
         rate_gap = abs(_pencil_rates(n, eps, zg)[0] - eig.lam) / eps
@@ -565,7 +564,7 @@ def test_transversality_is_the_pencil_pairing_weighted_by_r(zg, m, eps):
     x = np.concatenate([eig.a, eig.b])
     y = np.concatenate([zg.w * sig[1] * adj["astar"],
                         zg.w * sig[2] * adj["bstar"]])
-    A = assemble(m, eps, eig.lam, CFG, prof, zg).matrix()
+    A = assemble(m, eig.lam, prof, zg).matrix()
     assert np.linalg.norm(y @ A) <= 1e-13 * np.linalg.norm(y) \
         * np.linalg.norm(A)
     r = np.concatenate([CFG.R1 + eps * zg.z, CFG.R2 + eps * zg.z])
@@ -603,7 +602,7 @@ def test_adjoint_null_vector_is_the_operators_left_singular_vector(
         p = TrapezoidProfile(CFG, eps, 0.1)
         e = build_eigensolution(CFG, p, M_MODE, zg)
         # the separately assembled adjoint, as acceptance 3 builds it
-        adj_op = assemble_adjoint(e.m, e.eps, e.lam, CFG, p, zg)
+        adj_op = assemble_adjoint(e.m, e.lam, p, zg)
         ref = np.linalg.svd(adj_op.weighted_matrix())[2][-1]
         calls = []
         monkeypatch.setattr(linop, "assemble_adjoint",
@@ -630,7 +629,7 @@ def test_adjoint_kernel_is_the_kernel_with_outer_band_negated(zg, m, eps):
     p = TrapezoidProfile(CFG, eps, 0.1)
     e = build_eigensolution(CFG, p, m, zg)
     adj = adjoint_kernel(e, CFG, p)
-    op = _mode_operator(e, CFG, p)[0]
+    op = _mode_operator(e, p)[0]
     star, flipped = (adj["astar"], adj["bstar"]), (e.a, -e.b)
     cosine = abs(op.inner(star, flipped)) / (op.norm(star) * op.norm(flipped))
     assert 1.0 - cosine <= 1e-13
@@ -641,8 +640,8 @@ def test_hermitian_singular_values_match_general_svd(zg, eps):
     p = TrapezoidProfile(CFG, eps, 0.1)
     lam = build_eigensolution(CFG, p, M_MODE, zg).lam
     for n in range(1, 10):
-        got = singular_values(n, eps, lam, CFG, p, zg)
-        ref = np.linalg.svd(assemble(n, eps, lam, CFG, p, zg)
+        got = singular_values(n, lam, p, zg)
+        ref = np.linalg.svd(assemble(n, lam, p, zg)
                             .weighted_matrix(), compute_uv=False)
         assert np.max(np.abs(got - ref)) <= 1e-14 * ref[0]
         if n != M_MODE:
@@ -652,7 +651,7 @@ def test_hermitian_singular_values_match_general_svd(zg, eps):
 def test_adjoint_range_orthogonality(eig):
     prof = TrapezoidProfile(CFG, 1e-2, 0.1)
     adj = adjoint_kernel(eig, CFG, prof)
-    op = assemble(eig.m, eig.eps, eig.lam, CFG, prof, eig.zgrid)
+    op = assemble(eig.m, eig.lam, prof, eig.zgrid)
     rng = np.random.default_rng(8)
     hstar = (adj["astar"], adj["bstar"])
     hnorm = op.norm(hstar)
@@ -771,7 +770,7 @@ def test_kernel_checks_share_one_operator_and_svd(monkeypatch, zg):
     other = TrapezoidProfile(CFG, 1e-2, 0.2)
     res = operator_residual(eig, CFG, other)
     assert taken() == (1, 1)
-    op = assemble(eig.m, eig.eps, eig.lam, CFG, other, zg)
+    op = assemble(eig.m, eig.lam, other, zg)
     assert res == op.norm(op.apply(eig.a, eig.b)) / op.norm((eig.a, eig.b))
     assert res > 1e3 * first
 
@@ -782,7 +781,7 @@ def test_lambda1_edge_prime_calls_do_not_grow_with_I_evals(monkeypatch):
     seen = []
     for tol in (1e-4, 1e-13):
         monkeypatch.setattr(kernel_mod, "LADDER_TOL", tol)
-        coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, 1e-2, 0.1))
+        coeffs = CoefficientSet(TrapezoidProfile(CFG, 1e-2, 0.1))
         evals["n"] = edge_prime["n"] = 0
         solve_lambda1(coeffs)
         seen.append((evals["n"], edge_prime["n"]))
@@ -832,7 +831,7 @@ def _lambda1_by_bisection(m, coeffs, tol=1e-10):
 @pytest.mark.parametrize("eps", [1e-2, 5e-3])
 def test_lambda1_newton_matches_bisection_in_few_evaluations(monkeypatch,
                                                              m, eps):
-    coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, eps, 0.1))
+    coeffs = CoefficientSet(TrapezoidProfile(CFG, eps, 0.1))
     evals = _count_calls(monkeypatch, kernel_mod, "_I_quadrature")
     root = solve_lambda1(coeffs)
     assert evals["n"] <= 12
@@ -854,7 +853,7 @@ def test_lambda1_newton_matches_bisection_in_few_evaluations(monkeypatch,
 def test_I_quadrature_matches_per_panel_reference():
     # J sums all panels at once, the reference I panel by panel in a running
     # sum, so they agree to the rounding of the summation order
-    coeffs = CoefficientSet(CFG, TrapezoidProfile(CFG, 1e-2, 0.1))
+    coeffs = CoefficientSet(TrapezoidProfile(CFG, 1e-2, 0.1))
     ls = lambda_star(coeffs)
     p2 = p_coeff(2, M_MODE, CFG)
     lam1 = ls - np.array([1e-3, 0.1, 10.0])

@@ -19,7 +19,7 @@ EPS, KAPPA = 1e-2, 0.1
 @pytest.fixture(scope="module")
 def setup():
     prof = TrapezoidProfile(CFG, EPS, KAPPA)
-    return prof, CoefficientSet(CFG, prof), ZGrid(96)
+    return prof, CoefficientSet(prof), ZGrid(96)
 
 
 def test_p_coeff_value():
@@ -54,13 +54,6 @@ def test_green_and_p_coeff_refuse_modes_past_the_sinh_guard():
         _green(866, x, y, CFG.r1, CFG.r2, "right")
     with pytest.raises(NumericsError, match="mode 866"):
         p_coeff(1, 866, CFG)
-
-
-@pytest.mark.parametrize("build", [assemble, assemble_adjoint])
-def test_operator_refuses_eps_other_than_the_profiles(setup, build):
-    prof, _, zg = setup
-    with pytest.raises(ValueError, match=r"0\.02.*0\.01"):
-        build(3, 2e-2, 0.066, CFG, prof, zg)
 
 
 def test_swirl0_closed_form(setup):
@@ -110,7 +103,7 @@ def test_lambda_diag_asymptotics(setup):
     eps_list = (1e-2, 5e-3, 2.5e-3)
     for eps in eps_list:
         p = TrapezoidProfile(CFG, eps, KAPPA)
-        c = CoefficientSet(CFG, p)
+        c = CoefficientSet(p)
         lam = c.lam0 + eps * lam1
         z = zg.z
         lam_in = lam * (CFG.R1 + eps * z) ** 2 + c.swirl_direct(1, z)
@@ -125,14 +118,14 @@ def test_lambda_diag_asymptotics(setup):
 
 def test_assemble_zero_input(setup):
     prof, coeffs, zg = setup
-    op = assemble(3, EPS, 0.37, CFG, prof, zg, coeffs)
+    op = assemble(3, 0.37, prof, zg)
     out1, out2 = op.apply(np.zeros(zg.n), np.zeros(zg.n))
     assert np.max(np.abs(out1)) == 0.0 and np.max(np.abs(out2)) == 0.0
 
 
 def test_assemble_linearity(setup):
     prof, coeffs, zg = setup
-    op = assemble(2, EPS, 0.1, CFG, prof, zg, coeffs)
+    op = assemble(2, 0.1, prof, zg)
     rng = np.random.default_rng(0)
     a1, b1 = rng.standard_normal((2, zg.n))
     a2, b2 = rng.standard_normal((2, zg.n))
@@ -149,9 +142,9 @@ def test_small_eps_coupling_matches_rank_one(setup):
     zg = ZGrid(48)
     eps = 1e-8
     p = TrapezoidProfile(CFG, eps, KAPPA)
-    c = CoefficientSet(CFG, p)
+    c = CoefficientSet(p)
     m = 3
-    op = assemble(m, eps, c.lam0, CFG, p, zg, c)
+    op = assemble(m, c.lam0, p, zg)
     # block (inner <- outer): eps * R1 * G_m(R1, R2) * (-sigma_out(s)) R2 w_s
     sig_out = p.weight_outer(zg.z)
     G = _green(m, np.array(CFG.R1), np.array(CFG.R2), CFG.r1, CFG.r2, "right")
@@ -172,10 +165,10 @@ def test_adjoint_duality(setup):
     for n in (1, 2, 3, 5, 8):
         for eps in (1e-2, 5e-3):
             p = TrapezoidProfile(CFG, eps, KAPPA)
-            c = CoefficientSet(CFG, p)
+            c = CoefficientSet(p)
             lam = c.lam0 + 0.05
-            op = assemble(n, eps, lam, CFG, p, zg, c)
-            adj = assemble_adjoint(n, eps, lam, CFG, p, zg, c)
+            op = assemble(n, lam, p, zg)
+            adj = assemble_adjoint(n, lam, p, zg)
             for _ in range(5):
                 u = rng.standard_normal((2, zg.n))
                 v = rng.standard_normal((2, zg.n))
@@ -188,8 +181,8 @@ def test_adjoint_duality(setup):
 def test_adjoint_of_adjoint(setup):
     prof, coeffs, zg = setup
     lam = coeffs.lam0 + 0.02
-    op = assemble(4, EPS, lam, CFG, prof, zg, coeffs)
-    adj = assemble_adjoint(4, EPS, lam, CFG, prof, zg, coeffs)
+    op = assemble(4, lam, prof, zg)
+    adj = assemble_adjoint(4, lam, prof, zg)
     # double duality: <L u, w> == <u, L** w> with L** = L
     rng = np.random.default_rng(1)
     u = rng.standard_normal((2, zg.n))
@@ -202,7 +195,7 @@ def test_adjoint_of_adjoint(setup):
 
 def test_weighted_inner_product_psd(setup):
     prof, coeffs, zg = setup
-    op = assemble(1, EPS, 0.0, CFG, prof, zg, coeffs)
+    op = assemble(1, 0.0, prof, zg)
     rng = np.random.default_rng(3)
     for _ in range(20):
         u = rng.standard_normal((2, zg.n))
@@ -214,7 +207,7 @@ def test_weighted_inner_product_psd(setup):
 
 def test_weighted_matrix_consistent_with_blocks(setup):
     prof, coeffs, zg = setup
-    op = assemble(2, EPS, 0.3, CFG, prof, zg, coeffs)
+    op = assemble(2, 0.3, prof, zg)
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((2, zg.n))
     Mw = op.weighted_matrix()
@@ -247,10 +240,10 @@ def test_weighted_matrix_bit_identical_to_reference(eps):
     prof = TrapezoidProfile(CFG, eps, 0.1)
     lam = build_eigensolution(CFG, prof, 3, zg).lam
     # the formula must also keep the zero-weight nodes' diagonal
-    assert np.any(np.concatenate(assemble(1, eps, lam, CFG, prof, zg)
+    assert np.any(np.concatenate(assemble(1, lam, prof, zg)
                                  .sqrt_weights) == 0.0)
     for n in range(1, 10):
-        op = assemble(n, eps, lam, CFG, prof, zg)
+        op = assemble(n, lam, prof, zg)
         got, ref = op.weighted_matrix(), _weighted_matrix_reference(op)
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
@@ -276,7 +269,7 @@ def test_weighted_matrix_is_j_symmetric():
                 lam = build_eigensolution(CFG, prof, 3, zg).lam
                 for n in range(1, 10):
                     for rate in (lam, lam + 0.1):
-                        op = assemble(n, eps, rate, CFG, prof, zg)
+                        op = assemble(n, rate, prof, zg)
                         worst = max(worst, _j_asymmetry(op))
                 Mw = op.weighted_matrix()
                 Mw[nz:] *= -1.0
@@ -286,14 +279,14 @@ def test_weighted_matrix_is_j_symmetric():
 
 def test_symmetric_matrix_refuses_an_asymmetric_operator(setup):
     prof, coeffs, zg = setup
-    op = assemble(3, EPS, 0.07, CFG, prof, zg, coeffs)
+    op = assemble(3, 0.07, prof, zg)
     S1, S2 = op.sqrt_weights
     i, j = int(np.argmax(S1)), int(np.argmax(S2))
     # move the weighted entry (i, N + j) by 1e-8 of the largest entry
     delta = 1e-8 * np.max(np.abs(op.weighted_matrix()))
     blocks = [[blk.copy() for blk in row] for row in op.blocks]
     blocks[0][1][i, j] += delta * S2[j] / S1[i]
-    bad = BandOperator(n=op.n, eps=op.eps, lam=op.lam, zgrid=zg,
+    bad = BandOperator(n=op.n, lam=op.lam, zgrid=zg,
                        blocks=blocks, sqrt_weights=op.sqrt_weights)
     assert abs(_j_asymmetry(bad) - 1e-8) <= 1e-10
     with pytest.raises(NumericsError, match="asymmetry 1e-08"):
@@ -316,15 +309,14 @@ def test_quadrature_gauss_convergence_on_analytic_integrand():
 
 def test_shared_coefficients_give_identical_blocks():
     # the profile's shared set, its grid terms cached at two grid sizes,
-    # builds the same blocks bit for bit as a fresh set per assembly
+    # builds the same blocks bit for bit as the fresh set of a new profile
     prof = TrapezoidProfile(CFG, EPS, KAPPA)
     lam = prof.coefficients.lam0 + 0.03
     for zg in (ZGrid(96), ZGrid(48)):
         for n in range(1, 9):
             for build in (assemble, assemble_adjoint):
-                shared = build(n, EPS, lam, CFG, prof, zg)
-                fresh = build(n, EPS, lam, CFG, prof, zg,
-                              CoefficientSet(CFG, prof))
+                shared = build(n, lam, prof, zg)
+                fresh = build(n, lam, TrapezoidProfile(CFG, EPS, KAPPA), zg)
                 for i in (0, 1):
                     assert np.array_equal(shared.sqrt_weights[i],
                                           fresh.sqrt_weights[i])
@@ -335,7 +327,7 @@ def test_shared_coefficients_give_identical_blocks():
 
 def test_coefficient_cache_keeps_no_profile_alive():
     prof = TrapezoidProfile(CFG, EPS, KAPPA)
-    assemble(2, EPS, 0.3, CFG, prof, ZGrid(48))
+    assemble(2, 0.3, prof, ZGrid(48))
     coeffs = prof.coefficients
     assert coeffs.profile is prof and prof.coefficients is coeffs
     with pytest.raises(ValueError):
@@ -397,7 +389,7 @@ def test_swirl_grid_terms_edge_calls_independent_of_grid(monkeypatch):
     monkeypatch.setattr(TrapezoidProfile, "edge", counted)
     seen = []
     for n in (48, 96):
-        c = CoefficientSet(CFG, TrapezoidProfile(CFG, EPS, KAPPA))
+        c = CoefficientSet(TrapezoidProfile(CFG, EPS, KAPPA))
         calls["n"] = 0
         c.swirl_on_grid(ZGrid(n))
         c.swirl2_on_grid(ZGrid(n))
@@ -415,7 +407,7 @@ def test_swirl_grid_terms_skip_empty_bands(monkeypatch):
         return edge(self, z)
 
     monkeypatch.setattr(TrapezoidProfile, "edge", counted)
-    c = CoefficientSet(CFG, TrapezoidProfile(CFG, EPS, KAPPA))
+    c = CoefficientSet(TrapezoidProfile(CFG, EPS, KAPPA))
     c.swirl_on_grid(ZGrid(96))
     c.swirl2_on_grid(ZGrid(96))
     assert sizes and 0 not in sizes
@@ -452,7 +444,7 @@ def _blocks_from_six_greens(n, eps, lam, cfg, prof, zg):
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_symmetric_green_blocks_bit_identical_to_six_branches(setup, n):
     prof, _, zg = setup
-    op = assemble(n, EPS, 0.066, CFG, prof, zg)
+    op = assemble(n, 0.066, prof, zg)
     ref = _blocks_from_six_greens(n, EPS, 0.066, CFG, prof, zg)
     for i in range(2):
         for j in range(2):

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from annulus_rotor.errors import NumericsError
-from annulus_rotor.kernel import build_eigensolution
+from dataclasses import replace
+
+from annulus_rotor.errors import ConfigError, NumericsError, OutOfDomainError
+from annulus_rotor.eulersim import initial_state
+from annulus_rotor.kernel import (_mode_operator, adjoint_kernel,
+                                  build_eigensolution, operator_residual,
+                                  transversality, validate_kernel)
 from annulus_rotor.nonlinear import (LevelSetPerturbation, _band_radii,
                                      _interp_gauss, _kernel_direction,
                                      _mode_jacobian, _weyl_cubics,
                                      build_vorticity, continue_branch,
                                      functional_F, h2_band_bound,
-                                     linearization_check, sobolev_distance)
+                                     linearization_check, sobolev_distance,
+                                     vorticity_samples)
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid, bary_interp, gauss_bary_weights
 
@@ -472,10 +478,10 @@ def chord_jacobian(eig, prof, zgb, x):
     """The bordered matrix `continue_branch` solves with at iterate x."""
     n = 2 * zgb.n
     J = np.zeros((n + 1, n + 1))
-    J[:-1, :-1] = _mode_jacobian(eig, eig.lam, CFG, prof, zgb)
+    J[:-1, :-1] = _mode_jacobian(eig, eig.lam, prof, zgb)
     J[-1, :-1] = (np.concatenate([zgb.w, zgb.w])
                   * np.concatenate(_kernel_direction(eig, zgb)))
-    J[:-1, -1] = _band_radii(CFG, EPS, zgb) * x[:-1]
+    J[:-1, -1] = _band_radii(prof, zgb) * x[:-1]
     return J
 
 
@@ -592,7 +598,7 @@ def test_continue_branch_accepts_the_rounding_floor(prof, eig, monkeypatch):
     assert point.newton_iters == accepted >= 1
     assert point.residual == min(residuals)
     x = np.concatenate([point.g_inner, point.g_outer])
-    shift = np.max(_band_radii(CFG, EPS, zgb) + np.abs(x))
+    shift = np.max(_band_radii(prof, zgb) + np.abs(x))
     assert point.residual <= 16 * np.finfo(float).eps \
         * abs(point.lam) * shift ** 2 / 2
 
@@ -662,3 +668,77 @@ def test_continue_branch_stops_at_the_rounding_floor(prof, eig, monkeypatch,
                           zgrid=ZGrid(40))
     assert len(pts) == steps
     assert len(evals) <= most
+
+
+# -- the profile fixes the annulus and eps of everything built on it --------
+
+# the desk annulus with the inner band moved: a valid config, not the
+# profile's
+OTHER_CFG = replace(CFG, R1=1.25)
+
+ENTRY_POINTS = {
+    "build_eigensolution":
+        lambda eig, cfg, prof: build_eigensolution(cfg, prof, M_MODE,
+                                                   eig.zgrid),
+    "validate_kernel": lambda eig, cfg, prof: validate_kernel(eig, cfg, prof),
+    "adjoint_kernel": lambda eig, cfg, prof: adjoint_kernel(eig, cfg, prof),
+    "transversality":
+        lambda eig, cfg, prof: transversality(eig, {}, cfg, prof),
+    "operator_residual":
+        lambda eig, cfg, prof: operator_residual(eig, cfg, prof),
+    "linearization_check":
+        lambda eig, cfg, prof: linearization_check(eig, cfg, prof),
+    "continue_branch":
+        lambda eig, cfg, prof: continue_branch(eig, cfg, prof, 1e-3),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_refuse_a_config_other_than_the_profiles(prof, eig,
+                                                              entry):
+    cached = eig._mode_op
+    with pytest.raises(ConfigError, match=r"config AnnulusConfig\(.*R1=1\.25"
+                       r".*is not the profile's config AnnulusConfig\(.*"
+                       r"R1=1\.2,"):
+        ENTRY_POINTS[entry](eig, OTHER_CFG, prof)
+    # nothing built from the mixed pair is kept
+    assert eig._mode_op is cached
+
+
+@pytest.mark.parametrize("meet", [
+    lambda eig, prof: _mode_operator(eig, prof),
+    lambda eig, prof: _mode_jacobian(eig, eig.lam, prof, eig.zgrid),
+    lambda eig, prof: transversality(eig, {}, CFG, prof),
+    lambda eig, prof: continue_branch(eig, CFG, prof, 1e-3)],
+    ids=["_mode_operator", "_mode_jacobian", "transversality",
+         "continue_branch"])
+def test_eigensolution_refuses_a_profile_of_another_eps(eig, meet):
+    # a profile of another kappa is allowed (test_kernel's shared-operator
+    # test); one of another eps is not
+    other = TrapezoidProfile(CFG, 2e-2, KAPPA)
+    with pytest.raises(ConfigError, match=r"eps 0\.01 is not the profile's "
+                       r"eps 0\.02"):
+        meet(eig, other)
+
+
+@pytest.mark.parametrize("use", [
+    lambda f, prof: vorticity_samples(f, prof, np.array([CFG.R2]),
+                                      np.zeros(1)),
+    lambda f, prof: functional_F(0.07, f, prof, n_theta=16),
+    lambda f, prof: initial_state(CFG, prof, f, nr=16, ntheta=16),
+    lambda f, prof: sobolev_distance(prof, 1.0, f=f)],
+    ids=["vorticity_samples", "functional_F", "initial_state",
+         "sobolev_distance"])
+@pytest.mark.parametrize("field,value", [("eps", 2e-2), ("cfg", OTHER_CFG)])
+def test_fields_refuse_a_perturbation_built_for_another_profile(
+        prof, eig, use, field, value):
+    f = replace(LevelSetPerturbation.from_kernel(eig, CFG, amplitude=1e-3),
+                **{field: value})
+    with pytest.raises(ConfigError, match="is not the profile's"):
+        use(f, prof)
+
+
+def test_continue_branch_refuses_fewer_than_one_step(prof, eig):
+    with pytest.raises(OutOfDomainError, match=r"steps must be at least 1; "
+                       r"got 0"):
+        continue_branch(eig, CFG, prof, 1e-3, steps=0)
