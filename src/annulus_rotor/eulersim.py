@@ -73,6 +73,12 @@ class SimGrid:
         self.r[0], self.r[-1] = cfg.r1, cfg.r2
         # metric by 4th-order differences of the node positions
         self.r_xi = _d_xi(self.r, 1.0 / (self.nr - 1))
+        least = np.min(self.r_xi)
+        if least <= 0.0:
+            raise OutOfDomainError(
+                f"nr={self.nr} radial nodes are too few for the band-refined "
+                f"mapping: its metric r_xi is not positive (least "
+                f"{least:.3g})")
         self.theta = 2.0 * np.pi * np.arange(self.ntheta) \
             / (self.symmetry * self.ntheta)
 
@@ -635,9 +641,9 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
             q = _conserved_from_modes(state, w_hat)
             gap = grid.quad_r(np.sum((state.omega - state0.omega) ** 2,
                                      axis=1)) / den0
-            # on a grid too coarse for its mapping the metric r_xi, and so
-            # the radial rule, can go negative (at nr = 8 on desk)
-            err_t = float(np.sqrt(gap)) if gap >= 0.0 else np.nan
+            # the radial rule's weights and the metric r_xi are positive,
+            # so gap is at least 0 unless it is not finite
+            err_t = float(np.sqrt(gap))
             bad = [f"{name} {value:.6g}" for name, value in (
                 ("phase correlation", corr), ("return error", err_t),
                 *q.items()) if not np.isfinite(value)]

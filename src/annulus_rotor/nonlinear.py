@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
+from numpy.polynomial.legendre import legder
 
 from .config import AnnulusConfig
 from .domain import circulation
@@ -199,6 +199,8 @@ _NEWTON_STEPS = 30
 # and so does the residual until a step in rho is below _WARM_STEP
 _SERIES_TAIL = 1e-6
 _WARM_STEP = 1e-9
+# The inversion stops once a full-series step in rho is at most _STEP_TOL
+_STEP_TOL = 1e-14
 
 
 def _truncated(c: np.ndarray) -> np.ndarray:
@@ -208,8 +210,30 @@ def _truncated(c: np.ndarray) -> np.ndarray:
     return c[:max(1, np.count_nonzero(tail > _SERIES_TAIL * tail[0]))]
 
 
+def _legval_into(x: np.ndarray, c: np.ndarray,
+                 work: np.ndarray) -> np.ndarray:
+    """The Legendre series c at the points x by Clenshaw's recurrence
+    (Clenshaw 1955), forming the same products and scalar ratios in the same
+    order as numpy's `legval`, so its bits are legval's.  The recurrence runs
+    in the three rows of work (shape (3,) + x.shape) and allocates nothing;
+    the returned sum is one of those rows, valid until work is reused."""
+    c0, c1, nxt = work[0, ...], work[1, ...], work[2, ...]
+    c0[...], c1[...] = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0.0)
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        nd = nd - 1
+        np.multiply(c1, (nd - 1) / nd, out=nxt)
+        np.subtract(c[-i], nxt, out=nxt)               # the next c0
+        np.multiply(c1, x, out=c1)
+        np.multiply(c1, (2 * nd - 1) / nd, out=c1)
+        np.add(c0, c1, out=c1)                         # the next c1
+        c0, nxt = nxt, c0
+    np.multiply(c1, x, out=c1)
+    return np.add(c0, c1, out=c1)
+
+
 def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
-                cos_m: np.ndarray | float, tol: float = 1e-14) -> np.ndarray:
+                cos_m: np.ndarray | float) -> np.ndarray:
     """Solve rho + g(rho) cos = r on the band by clipped Newton iteration.
 
     In z = (rho - R)/eps the map is R + eps z + G(z) cos with G the band's
@@ -223,9 +247,10 @@ def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
     on the 96-node grid the outer band takes four truncated steps and
     three full ones, where the full series took five steps of both.
     Iterates stay in [-1, 1]; the loop stops once the largest step in rho
-    of a full-series residual is at most tol.  cos_m may be a scalar or an
-    array matching r_targets, so an entire band (all columns at once)
-    inverts in one batched sweep.
+    of a full-series residual is at most _STEP_TOL.  cos_m may be a scalar
+    or an array matching r_targets, so an entire band (all columns at once)
+    inverts in one batched sweep.  The series are summed by `_legval_into`
+    in one set of work arrays.
 
     Only here is g read through its Legendre series, not the grid's
     barycentric formulas, because only a series truncates to a cheap warm
@@ -240,19 +265,21 @@ def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
     dc_warm = legder(c_warm)
     series = c_warm
     z = np.clip((np.asarray(r_targets, dtype=float) - R) / eps, -1.0, 1.0)
+    work = np.empty((3,) + z.shape)
     for _ in range(_NEWTON_STEPS):
-        resid = R + eps * z + legval(z, series) * cos_m - r_targets
-        z_new = np.clip(z - resid / (eps + legval(z, dc_warm) * cos_m),
-                        -1.0, 1.0)
+        resid = R + eps * z + _legval_into(z, series, work) * cos_m \
+            - r_targets
+        z_new = np.clip(z - resid / (eps + _legval_into(z, dc_warm, work)
+                                     * cos_m), -1.0, 1.0)
         step = eps * np.max(np.abs(z_new - z), initial=0.0)
         z = z_new
-        if series is c and step <= tol:
+        if series is c and step <= _STEP_TOL:
             return R + eps * z
         if step <= _WARM_STEP:
             series = c
     raise NumericsError(f"level-set inversion did not converge in "
                         f"{_NEWTON_STEPS} Newton steps (last step {step:.3g} "
-                        f"> {tol:g})")
+                        f"> {_STEP_TOL:g})")
 
 
 @dataclass

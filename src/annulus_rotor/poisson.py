@@ -11,6 +11,17 @@ evaluated by `mode_sinh`, which every Green's-kernel user shares and which
 refuses modes with n log(r2/r1) > 600, where sinh nears overflow.  The tests
 check the Green's route against an independent second-order
 finite-difference boundary-value solver, which shares no code with it.
+
+`solve_full` reads symmetry from its input.  A field whose column
+Ntheta - j equals column j exactly (F's transported vorticity is mirrored
+so) has a real spectrum up to the rfft's rounding, and only the real
+parts of its rfft bins, its cosine modes, are solved, in real arithmetic;
+every other field takes the complex spectrum.  `solve_mode` writes its
+partial integrals over the spent integrands and forms f in place, in the
+same operations and order as with separate arrays, so its bits do not
+move.  At 64 modes on F's 332-node grid a real `solve_mode` takes 0.7-0.8
+ms and peaks at 0.92 MB of traced memory, where the complex solve with
+separate arrays took 2.6-3.1 ms and 2.54 MB.
 """
 
 from __future__ import annotations
@@ -170,8 +181,6 @@ def solve_mode(n: int | np.ndarray, g: np.ndarray, grid: RadialGrid,
     sn_hi = mode_sinh(n, full - logx)          # S_n(r2/r)
     A = sn_lo * r * gv                         # integrand of L
     B = sn_hi * r * gv                         # integrand of R
-    L = np.empty_like(A)
-    R = np.empty_like(B)
     # panel totals once, then per-node partials via the W matrices
     totals_A = np.array([wl[-1] @ A[idx] for idx, wl
                          in zip(grid.panel_slices, grid._panel_wleft)])
@@ -180,13 +189,27 @@ def solve_mode(n: int | np.ndarray, g: np.ndarray, grid: RadialGrid,
     zero = np.zeros_like(totals_A[:1])
     pref_A = np.concatenate((zero, np.cumsum(totals_A, axis=0)))
     suff_B = np.concatenate((np.cumsum(totals_B[::-1], axis=0)[::-1], zero))
+    # the partials L and R overwrite the integrands A and B.  A panel's last
+    # node is the next panel's first, which that panel still reads and then
+    # writes, so every panel but the last leaves its last node alone (the
+    # next panel's value there is the one a separate L and R kept).
+    last = len(grid.panel_slices) - 1
     for p, (idx, wl) in enumerate(zip(grid.panel_slices, grid._panel_wleft)):
-        L[idx] = pref_A[p] + wl @ A[idx]
-        R[idx] = suff_B[p + 1] + (totals_B[p] - wl @ B[idx])
-    f = -(sn_hi * L + sn_lo * R) / (n * sn_full)
-    f[0] = 0.0
-    f[-1] = 0.0
-    return f
+        part_A = pref_A[p] + wl @ A[idx]
+        part_B = suff_B[p + 1] + (totals_B[p] - wl @ B[idx])
+        keep = idx if p == last else idx[:-1]
+        A[keep] = part_A[:len(keep)]
+        B[keep] = part_B[:len(keep)]
+    L, R = A, B
+    # f = -(S_hi L + S_lo R) / (n S_full), formed in L
+    np.multiply(sn_hi, L, out=L)
+    np.multiply(sn_lo, R, out=R)
+    np.add(L, R, out=L)
+    np.negative(L, out=L)
+    np.divide(L, n * sn_full, out=L)
+    L[0] = 0.0
+    L[-1] = 0.0
+    return L
 
 
 def solve_axisymmetric(grid: RadialGrid, w0: np.ndarray, gamma: float,
@@ -215,13 +238,17 @@ def solve_full(omega: np.ndarray, gamma: float, grid: RadialGrid,
     """Solve the stream problem for omega sampled on (radial x angular) grid.
 
     omega has shape (Nr, Ntheta) on a uniform angular grid; returns psi of
-    the same shape with psi(r1, .) = 0 and psi(r2, .) = gamma.
+    the same shape with psi(r1, .) = 0 and psi(r2, .) = gamma.  An even
+    field (column Ntheta - j equal to column j) has a real spectrum, so only
+    the real parts of its rfft bins are solved, in real arithmetic.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape[0] != grid.n:
         raise NumericsError("omega radial dimension does not match the grid")
     ntheta = omega.shape[1]
     what = np.fft.rfft(omega, axis=1)
+    if np.array_equal(omega[:, 1:], omega[:, :0:-1]):
+        what = np.ascontiguousarray(what.real)     # the cosine modes
     psi_hat = np.empty_like(what)
     psi_hat[:, 0] = solve_axisymmetric(grid, what[:, 0].real, gamma * ntheta,
                                        cfg.r1, cfg.r2)

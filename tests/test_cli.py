@@ -185,6 +185,7 @@ def test_distance_subcommand(tmp_path):
 @pytest.mark.parametrize("args,message", [
     (("simulate", "--nr", "96", "--ntheta", "2"), "highest mode 0"),
     (("simulate", "--nr", "4"), "nr must be at least 5"),
+    (("simulate", "--nr", "8"), r"nr=8 .*r_xi is not positive"),
     (("simulate", "--nr", "96", "--ntheta", "32", "--T", "-1"), r"T=-1\.0"),
     (("simulate", "--nr", "96", "--ntheta", "32", "--dt", "-1"),
      r"dt=-1\.0"),
@@ -201,8 +202,12 @@ def test_out_of_domain_arguments_exit_2(tmp_path, args, message):
     assert "Traceback" not in proc.stderr
 
 
-def test_simulation_that_stops_being_finite_exits_3(tmp_path):
-    proc, _ = run_cli(tmp_path, CONFIG_OK, "simulate", "--nr", "8")
+def test_simulation_numeric_failure_exits_3(tmp_path):
+    # a step above the CFL limit is refused as a numeric failure
+    proc, _ = run_cli(tmp_path, CONFIG_OK, "simulate", "--nr", "96",
+                      "--ntheta", "32", "--T", "1000", "--dt", "1000",
+                      "--checkpoint-every", "1")
     assert proc.returncode == 3
-    assert proc.stderr.startswith("numeric failure: not finite at step 1 ")
+    assert re.match(r"numeric failure: step dt=.* exceeds cfl_limit",
+                    proc.stderr)
     assert "Traceback" not in proc.stderr

@@ -664,7 +664,18 @@ def test_conserved_quantities_make_one_rfft_and_no_irfft(prof, desk_eig,
 def test_sim_grid_refuses_fewer_nodes_than_its_stencils():
     with pytest.raises(OutOfDomainError, match=r"nr must be at least 5.* 4$"):
         SimGrid(cfg=CFG, nr=4, ntheta=8, eps=EPS)
-    assert SimGrid(cfg=CFG, nr=5, ntheta=8, eps=EPS).r_xi.shape == (5,)
+    # five nodes fill the stencils but not the band-refined mapping
+    with pytest.raises(OutOfDomainError,
+                       match=r"nr=5 .*r_xi .*least -0\.65\)$"):
+        SimGrid(cfg=CFG, nr=5, ntheta=8, eps=EPS)
+
+
+@pytest.mark.parametrize("nr,least", [(8, "-0.148"), (12, "-0.0061")])
+def test_sim_grid_refuses_a_mapping_whose_metric_is_not_positive(nr, least):
+    with pytest.raises(OutOfDomainError,
+                       match=rf"nr={nr} .*r_xi .*least {least}\)$"):
+        SimGrid(cfg=CFG, nr=nr, ntheta=8, eps=EPS)
+    assert 0.0 < np.min(SimGrid(cfg=CFG, nr=16, ntheta=8, eps=EPS).r_xi) < 0.01
 
 
 @pytest.mark.parametrize("name,value", [
@@ -677,12 +688,22 @@ def test_verify_rotation_refuses_arguments_out_of_domain(prof, name, value):
         verify_rotation(state, 1.0, m=1, **args)
 
 
-def test_verify_rotation_raises_where_the_run_stops_being_finite(prof,
-                                                                 desk_eig):
-    # 8 radial nodes cannot carry the desk wave: the first checkpoint's
-    # return error is undefined
-    state = _wave_state(prof, desk_eig, 8, 256)
+def test_verify_rotation_raises_where_the_run_stops_being_finite(
+        prof, desk_eig, monkeypatch):
+    # a run whose first step leaves one NaN in the vorticity: every
+    # quantity of the first checkpoint is undefined
+    from annulus_rotor import eulersim
+    real_step = eulersim.step
+
+    def nan_step(state, dt):
+        out = real_step(state, dt)
+        out.omega[40, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(eulersim, "step", nan_step)
+    state = _wave_state(prof, desk_eig, 96, 64)
     T = 2.0 * np.pi / (3 * desk_eig.lam)
     with pytest.raises(NumericsError, match=r"not finite at step 1 of 16, "
-                       r"t=1\.98\d*: return error nan"):
+                       r"t=1\.98\d*: phase correlation nan.*, "
+                       r"return error nan"):
         verify_rotation(state, desk_eig.lam, T, m=3)

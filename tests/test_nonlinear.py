@@ -139,18 +139,18 @@ def test_newton_inversion_evaluates_the_full_series_only_at_the_end(
     # the warm start: the slope, and the residual until the step is small,
     # come from the truncated series; the parent evaluated the degree-95
     # series and its derivative on every step (10 calls per band here)
-    from numpy.polynomial.legendre import legval
     from annulus_rotor import nonlinear
     f = _pert(eig, 1e-3)
     theta = 2.0 * np.pi * np.arange(128) / 128
     cosm = np.cos(M_MODE * theta)
     sizes = []
+    legval_into = nonlinear._legval_into
 
-    def counting_legval(x, c):
+    def counting_legval(x, c, work):
         sizes.append(len(c))
-        return legval(x, c)
+        return legval_into(x, c, work)
 
-    monkeypatch.setattr(nonlinear, "legval", counting_legval)
+    monkeypatch.setattr(nonlinear, "_legval_into", counting_legval)
     for band, R in ((1, CFG.R1), (2, CFG.R2)):
         lo = R - EPS + f.profile_at(R - EPS, band) * cosm
         hi = R + EPS + f.profile_at(R + EPS, band) * cosm
@@ -161,6 +161,35 @@ def test_newton_inversion_evaluates_the_full_series_only_at_the_end(
         rho = nonlinear._invert_map(f, band, r, c)
         assert sum(n >= zg.n - 1 for n in sizes) <= 4
         assert np.max(np.abs(rho - bisect_map(f, band, r, c))) <= 1e-12
+
+
+def test_clenshaw_sum_is_legval_bit_for_bit():
+    from numpy.polynomial.legendre import legval
+    from annulus_rotor.nonlinear import _legval_into
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 997)])
+    work = np.empty((3,) + x.shape)
+    for n in range(1, 97):
+        for scale in (1e-6, 1.0, 1e3):
+            c = scale * rng.standard_normal(n)
+            assert np.array_equal(_legval_into(x, c, work), legval(x, c))
+
+
+def test_F_peak_memory(zg, prof, eig):
+    # one F at n_theta 128 on the desk kernel peaks at 2.0 MB traced, in
+    # the real cosine-mode solve (a complex solve of every rfft bin with
+    # separate work arrays peaks at 4.1 MB); a first call builds the
+    # caches, so that only F's own working arrays count
+    import tracemalloc
+    f = _pert(eig, 1e-3)
+    functional_F(eig.lam, f, prof, n_theta=128)
+    tracemalloc.start()
+    try:
+        functional_F(eig.lam, f, prof, n_theta=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2.0e6
 
 
 def test_vorticity_is_mirrored_bit_for_bit(zg, prof, eig):

@@ -250,3 +250,119 @@ def test_barycentric_weights_built_once_per_node_count():
                                    rtol=0, atol=1e-9)
     assert {weights: weights.cache_info().misses
             for weights in rules} == built
+
+
+def _reference_solve_mode(n, g, grid, r1, r2):
+    """solve_mode as it was before it reused its work arrays (verbatim)."""
+    from annulus_rotor.errors import NumericsError
+    from annulus_rotor.poisson import mode_sinh
+    n = np.asarray(n)
+    if np.any(n < 1):
+        raise ValueError("solve_mode handles n >= 1; use solve_axisymmetric")
+    gv = np.asarray(g, dtype=complex if np.iscomplexobj(g) else float)
+    if gv.shape != grid.r.shape + n.shape:
+        raise NumericsError("modal field shape does not match the grid")
+    full = float(np.log(r2 / r1))
+    sn_full = mode_sinh(n, full)
+    col = (-1,) + (1,) * n.ndim             # broadcast radial data over modes
+    r = grid.r.reshape(col)
+    logx = np.log(r / r1)
+    sn_lo = mode_sinh(n, logx)                 # S_n(r/r1)
+    sn_hi = mode_sinh(n, full - logx)          # S_n(r2/r)
+    A = sn_lo * r * gv                         # integrand of L
+    B = sn_hi * r * gv                         # integrand of R
+    L = np.empty_like(A)
+    R = np.empty_like(B)
+    # panel totals once, then per-node partials via the W matrices
+    totals_A = np.array([wl[-1] @ A[idx] for idx, wl
+                         in zip(grid.panel_slices, grid._panel_wleft)])
+    totals_B = np.array([wl[-1] @ B[idx] for idx, wl
+                         in zip(grid.panel_slices, grid._panel_wleft)])
+    zero = np.zeros_like(totals_A[:1])
+    pref_A = np.concatenate((zero, np.cumsum(totals_A, axis=0)))
+    suff_B = np.concatenate((np.cumsum(totals_B[::-1], axis=0)[::-1], zero))
+    for p, (idx, wl) in enumerate(zip(grid.panel_slices, grid._panel_wleft)):
+        L[idx] = pref_A[p] + wl @ A[idx]
+        R[idx] = suff_B[p + 1] + (totals_B[p] - wl @ B[idx])
+    f = -(sn_hi * L + sn_lo * R) / (n * sn_full)
+    f[0] = 0.0
+    f[-1] = 0.0
+    return f
+
+
+def _reference_solve_full(omega, gamma, grid, cfg):
+    """solve_full as it was before the even-field path (verbatim, with the
+    reference solve_mode): every field takes the complex spectrum."""
+    from annulus_rotor.errors import NumericsError
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape[0] != grid.n:
+        raise NumericsError("omega radial dimension does not match the grid")
+    ntheta = omega.shape[1]
+    what = np.fft.rfft(omega, axis=1)
+    psi_hat = np.empty_like(what)
+    psi_hat[:, 0] = solve_axisymmetric(grid, what[:, 0].real, gamma * ntheta,
+                                       cfg.r1, cfg.r2)
+    # -(lap) psi = omega  =>  modal ODE source is -omega_k
+    psi_hat[:, 1:] = _reference_solve_mode(np.arange(1, what.shape[1]),
+                                           -what[:, 1:], grid, cfg.r1, cfg.r2)
+    return np.fft.irfft(psi_hat, n=ntheta, axis=1)
+
+
+def _even_field(grid, ntheta):
+    """A smooth field even in theta, with band-sized radial structure and
+    several angular modes: column ntheta - j is column j exactly."""
+    th = 2 * np.pi * np.arange(ntheta) / ntheta
+    r = grid.r[:, None]
+    bands = np.exp(-((r - CFG.R1) / 0.02) ** 2) \
+        + 0.5 * np.exp(-((r - CFG.R2) / 0.02) ** 2)
+    omega = bands * (1.0 + 0.3 * np.cos(3 * th) + 0.1 * np.cos(6 * th)
+                     + 0.02 * np.cos(7 * th)) + 0.15
+    omega[:, ntheta // 2 + 1:] = omega[:, (ntheta - 1) // 2:0:-1]
+    return omega
+
+
+@pytest.mark.parametrize("ntheta", [16, 33, 128])
+def test_solve_full_of_an_even_field_solves_real_cosine_modes(ntheta,
+                                                              monkeypatch):
+    from annulus_rotor import poisson
+    grid = make_grid((48, 96, 48, 96, 48))
+    omega = _even_field(grid, ntheta)
+    assert np.array_equal(omega[:, 1:], omega[:, :0:-1])
+    sources = []
+    solve = poisson.solve_mode
+
+    def recording_solve_mode(n, g, *args):
+        sources.append(g.dtype)
+        return solve(n, g, *args)
+
+    monkeypatch.setattr(poisson, "solve_mode", recording_solve_mode)
+    gamma = circulation(CFG)
+    psi = solve_full(omega, gamma, grid, CFG)
+    assert sources == [np.float64]
+    ref = _reference_solve_full(omega, gamma, grid, CFG)
+    assert np.max(np.abs(psi - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("ntheta", [16, 33, 128])
+def test_solve_full_of_a_field_one_ulp_from_even_is_unchanged(ntheta):
+    grid = make_grid((48, 96, 48, 96, 48))
+    omega = _even_field(grid, ntheta)
+    k, j = grid.n // 3, ntheta - 2
+    omega[k, j] = np.nextafter(omega[k, j], np.inf)
+    gamma = circulation(CFG)
+    psi = solve_full(omega, gamma, grid, CFG)
+    assert np.array_equal(psi, _reference_solve_full(omega, gamma, grid, CFG))
+
+
+def test_solve_mode_reusing_its_arrays_keeps_every_bit():
+    grid = make_grid((48, 96, 48, 96, 48))
+    rng = np.random.default_rng(5)
+    n = np.arange(1, 40)
+    g = rng.standard_normal((grid.n, len(n)))
+    for source in (g, g + 1j * rng.standard_normal(g.shape)):
+        assert np.array_equal(
+            solve_mode(n, source, grid, CFG.r1, CFG.r2),
+            _reference_solve_mode(n, source, grid, CFG.r1, CFG.r2))
+    assert np.array_equal(
+        solve_mode(4, g[:, 0], grid, CFG.r1, CFG.r2),
+        _reference_solve_mode(4, g[:, 0], grid, CFG.r1, CFG.r2))
