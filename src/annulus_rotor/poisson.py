@@ -20,8 +20,8 @@ every other field takes the complex spectrum.  `solve_mode` writes its
 partial integrals over the spent integrands and forms f in place, in the
 same operations and order as with separate arrays, so its bits do not
 move.  At 64 modes on F's 332-node grid a real `solve_mode` takes 0.7-0.8
-ms and peaks at 0.92 MB of traced memory, where the complex solve with
-separate arrays took 2.6-3.1 ms and 2.54 MB.
+ms and peaks at 0.92 MB of traced memory, a complex one 1.9-2.2 ms and
+1.54 MB.
 """
 
 from __future__ import annotations
