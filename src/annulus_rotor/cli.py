@@ -174,6 +174,7 @@ def cmd_transversality(run: RunConfig, outdir: str, args) -> int:
         f"outer-band term={_fmt(tv['term_outer'])}",
         f"analytic leading part={_fmt(tv['leading'])}",
         f"sign matches leading: {tv['sign_matches_leading']}",
+        f"pencil pairing y diag(r^2) x={_fmt(tv['pencil'])}",
     ])
     return 0
 

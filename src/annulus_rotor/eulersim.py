@@ -458,7 +458,7 @@ def cfl_limit(state: SimState) -> float:
     lim_r = np.min(dr[:, None] / np.maximum(np.abs(u_r), 1e-14))
     lim_t = np.min(grid.r[:, None] * dth / np.maximum(np.abs(swirl), 1e-14))
     lim_w = 1.0 / max(np.max(np.abs(state.omega)), 1e-14)
-    return 0.5 * min(lim_r, lim_t, lim_w)
+    return 0.5 * np.min([lim_r, lim_t, lim_w])     # NaN if any limit is
 
 
 def step(state: SimState, dt: float) -> SimState:
@@ -586,7 +586,8 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
     The step is dt (0.8 `cfl_limit` of the initial state when None),
     shrunk so that a whole number of steps, and at least n_checkpoints,
     spans T; the result carries the step and the step count used.  An
-    explicit dt that leaves that step above the limit raises.  Since
+    explicit dt that leaves that step above the limit raises, and so does
+    a limit that is not finite and positive (a NaN in the field).  Since
     `step` moves with the mean rotation, the limit comes from the wave's
     own radial velocity, residual swirl and vorticity: one desk period
     takes n_checkpoints = 16 steps.
@@ -615,6 +616,9 @@ def verify_rotation(state0: SimState, lam_expected: float, T: float,
         raise OutOfDomainError(f"mode m={m} is above the grid's highest "
                                f"mode {sym * (grid.ntheta // 2)}")
     lim = cfl_limit(state0)
+    if not 0.0 < lim < np.inf:
+        raise NumericsError(f"cfl_limit of the initial state is {lim:g}, "
+                            f"not finite and positive")
     nsteps = max(int(np.ceil(T / (0.8 * lim if dt is None else dt))),
                  n_checkpoints)
     dt = T / nsteps

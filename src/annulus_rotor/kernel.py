@@ -21,10 +21,11 @@ exact difference quotients (Phi(eps) - Phi(0))/eps.
 Validation at mode m is SVD-based: rank-one deficiency of the discretized
 operator at the constructed rate, null-vector match, adjoint kernel
 expansion, and the transversality pairing.  These checks share one
-assembled operator and one full SVD per eigensolution and profile, held by
-the `EigenSolution` and freed with it.  The other modes are checked on the
-ladder instead: mode m is isolated when its rung lam1(m) keeps a distance
-from every other rung and from lambda*.
+assembled operator, its singular values (one values-only Hermitian SVD)
+and its null vector (two inverse-iteration solves) per eigensolution and
+profile, held by the `EigenSolution` and freed with it.  The other modes
+are checked on the ladder instead: mode m is isolated when its rung
+lam1(m) keeps a distance from every other rung and from lambda*.
 """
 from __future__ import annotations
 
@@ -533,15 +534,27 @@ def _mode_operator(eig: EigenSolution, profile: TrapezoidProfile) -> tuple:
     """(operator, singular values, last left and last right singular vector)
     of mode m at eig.lam, built once per (eigensolution, profile) and kept
     on the eigensolution; the profile must have the eigensolution's eps.
-    The weighted matrix is J times a symmetric one, so its SVD is a
-    Hermitian one and its left vectors are J U."""
+    The weighted matrix is J times a symmetric one, S: its singular values
+    are the eigenvalue moduli of S, its last right vector is the null
+    vector of S (two inverse-iteration solves) and its last left one is J
+    times that."""
     profile.check(eps=eig.eps)
     if eig._mode_op is None or eig._mode_op[0] is not profile:
         op = assemble(eig.m, eig.lam, profile, eig.zgrid)
-        U, svals, Vt = np.linalg.svd(op.symmetric_matrix(), hermitian=True)
-        left = U[:, -1].copy()
+        S = op.symmetric_matrix()
+        svals = np.linalg.svd(S, compute_uv=False, hermitian=True)
+        right = np.ones(len(S))
+        for _ in range(2):
+            try:
+                right = np.linalg.solve(S, right)
+            except np.linalg.LinAlgError as exc:
+                raise NumericsError(f"mode {eig.m}'s operator is singular "
+                                    f"({exc}): sigma_min = {svals[-1]:.3g}"
+                                    ) from exc
+            right /= np.linalg.norm(right)
+        left = right.copy()
         left[eig.zgrid.n:] *= -1.0
-        eig._mode_op = (profile, op, svals, left, Vt[-1].copy())
+        eig._mode_op = (profile, op, svals, left, right)
     return eig._mode_op[1:]
 
 
@@ -567,7 +580,8 @@ def validate_kernel(eig: EigenSolution, cfg: AnnulusConfig,
                     profile: TrapezoidProfile, M: int = 8) -> dict:
     """Kernel checks at the constructed rotation rate.
 
-    At mode m, on the shared operator and its Hermitian SVD (`_mode_operator`):
+    At mode m, on the shared operator, its singular values and its null
+    vector (`_mode_operator`):
     (i) rank-one deficiency of the discretized operator, (ii) null-vector
     match against the constructed pair, and the operator residual.
     (iii) No other mode has a kernel at the rate: on the rate ladder the
@@ -676,6 +690,8 @@ def transversality(eig: EigenSolution, adjoint: dict, cfg: AnnulusConfig,
 
     T = int (R1+eps z) a a* sigma_- dz + int (R2+eps z) b b* sigma_+ dz; the
     outer term carries the O(1) leading part int (R2+eps z) |b0|^2 sigma_+.
+    That is y diag(r) x, with x = (a, b) and y = w sigma (a*, b*); beside
+    it, `pencil` is the pairing y (dA/dlam) x = y diag(r^2) x.
     """
     profile.check(cfg, eig.eps)
     zg = eig.zgrid
@@ -687,9 +703,13 @@ def transversality(eig: EigenSolution, adjoint: dict, cfg: AnnulusConfig,
     term_out = float(np.dot(zg.w, r_out * eig.b * adjoint["bstar"] * sig_out))
     leading = float(np.dot(zg.w, r_out * eig.b0 ** 2 * sig_out))
     T = term_in + term_out
+    pencil = float(
+        np.dot(zg.w, r_in ** 2 * eig.a * adjoint["astar"] * sig_in)
+        + np.dot(zg.w, r_out ** 2 * eig.b * adjoint["bstar"] * sig_out))
     if not abs(T) >= TRANSVERSALITY_FLOOR * abs(leading):
         raise KernelValidationError(
             f"transversality pairing too small: |T|={abs(T):.3g} < "
             f"{TRANSVERSALITY_FLOOR} * {abs(leading):.3g}")
     return {"T": T, "term_inner": term_in, "term_outer": term_out,
-            "leading": leading, "sign_matches_leading": bool(T * leading > 0)}
+            "leading": leading, "sign_matches_leading": bool(T * leading > 0),
+            "pencil": pencil}

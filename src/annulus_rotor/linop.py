@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import AnnulusConfig
-from .domain import N_GAUSS, BaseStream, band_moment, circulation, lambda0
+from .domain import N_GAUSS, BaseStream, band_moment, lambda0
 from .errors import NumericsError
 from .poisson import mode_sinh
 from .profile import TrapezoidProfile
@@ -61,14 +61,17 @@ def _green(n: int, x: np.ndarray, y: np.ndarray, r1: float, r2: float,
 class CoefficientSet:
     """Expansion of the swirl moment (R_i + eps z) phi'(R_i + eps z).
 
-    The moment splits exactly into order-0/1/2 pieces in eps; all pieces are
-    evaluated by quadrature on the profile edge function.  Also carries the
-    alpha coefficients of the eigenvalue expansion built on top of it.  The
-    annulus and eps are the profile's.
+    The moment splits exactly into order-0/1/2 pieces in eps: swirl0 is
+    the Taylor-Couette constant of `BaseStream`, swirl1 is closed-form,
+    and swirl2 is evaluated by quadrature on the profile edge function.
+    The operator's swirl is their sum on the grid, so it reads the same
+    swirl2 as the construction.  Also carries the alpha coefficients of
+    the eigenvalue expansion built on top of it.  The annulus and eps are
+    the profile's.
 
     A profile has one shared set (`TrapezoidProfile.coefficients`).  The
-    grid terms that no iterate, mode or rate changes (slope weights, direct
-    swirl moment, swirl2) are computed once per (profile, grid) and kept in
+    grid terms that no iterate, mode or rate changes (slope weights,
+    swirl2, the swirl) are computed once per (profile, grid) and kept in
     the set's `memo`; the evaluators stay usable at any z.
     """
 
@@ -77,7 +80,6 @@ class CoefficientSet:
     def __post_init__(self):
         self.cfg = self.profile.cfg
         self.lam0 = lambda0(self.cfg)
-        self.gamma = circulation(self.cfg)
         self._memo: dict = {}
 
     def memo(self, key, build):
@@ -103,18 +105,17 @@ class CoefficientSet:
             else self.profile.weight_outer(z)))
 
     def swirl_on_grid(self, zgrid: ZGrid) -> dict:
-        """swirl_direct at the grid nodes, per band."""
-        return self._on_grid("swirl", zgrid, self.swirl_direct)
+        """The swirl moment swirl0 + eps swirl1 + eps^2 swirl2 at the grid
+        nodes, per band, from `swirl2_on_grid`'s arrays."""
+        e = self.profile.eps
+        swirl2 = self.swirl2_on_grid(zgrid)
+        return self._on_grid("swirl", zgrid, lambda band, z: (
+            self.swirl0[band] + e * self.swirl1(band, z)
+            + e * e * swirl2[band]))
 
     def swirl2_on_grid(self, zgrid: ZGrid) -> dict:
         """swirl2 at the grid nodes, per band."""
         return self._on_grid("swirl2", zgrid, self.swirl2)
-
-    @cached_property
-    def _stream(self) -> BaseStream:
-        # shares `band_moment` with the expansion, so the exact identity
-        # direct == order-0/1/2 expansion cancels quadrature error
-        return BaseStream(self.cfg, self.profile)
 
     def band_radius(self, band: int) -> float:
         return self.cfg.R1 if band == 1 else self.cfg.R2
@@ -122,21 +123,14 @@ class CoefficientSet:
     def radii(self, band: int, z) -> np.ndarray:
         return self.band_radius(band) + self.profile.eps * np.asarray(z, float)
 
-    # -- direct evaluation ----------------------------------------------
-
-    def swirl_direct(self, band: int, z) -> np.ndarray:
-        r = self.radii(band, z)
-        return r * self._stream.phi_prime(r)
-
     # -- exact eps-expansion ----------------------------------------------
 
     @cached_property
     def swirl0(self) -> dict:
-        cfg = self.cfg
-        logr = np.log(cfg.r2 / cfg.r1)
-        c0 = (self.gamma + cfg.A * ((cfg.r2 ** 2 - cfg.r1 ** 2) / 2.0
-                                    - cfg.r1 ** 2 * logr)) / logr
-        return {band: c0 - cfg.A * (self.band_radius(band) ** 2 - cfg.r1 ** 2)
+        # the log-term constant of the Taylor-Couette stream function
+        c0 = BaseStream(self.cfg, None).C
+        return {band: c0 - self.cfg.A * (self.band_radius(band) ** 2
+                                         - self.cfg.r1 ** 2)
                 for band in (1, 2)}
 
     @cached_property
@@ -186,11 +180,6 @@ class CoefficientSet:
         base = self.remainder_const / logr - cfg.A - self._band_full[1]
         return (base + cfg.A * (1.0 - z ** 2)
                 - (band_moment(self.profile, 2, z) - (cfg.R1 + cfg.R2)))
-
-    def swirl_expansion(self, band: int, z) -> np.ndarray:
-        e = self.profile.eps
-        return (self.swirl0[band] + e * self.swirl1(band, z)
-                + e * e * self.swirl2(band, z))
 
     # -- alpha coefficients of the eigenvalue expansion --------------------
 

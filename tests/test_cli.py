@@ -152,6 +152,7 @@ def test_transversality_subcommand(tmp_path):
     proc, out = run_cli(tmp_path, CONFIG_OK, "transversality")
     assert proc.returncode == 0, proc.stderr
     assert "pairing T=" in proc.stdout
+    assert "pencil pairing y diag(r^2) x=" in proc.stdout
 
 
 def test_simulate_subcommand_tiny(tmp_path):

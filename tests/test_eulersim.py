@@ -688,6 +688,18 @@ def test_verify_rotation_refuses_arguments_out_of_domain(prof, name, value):
         verify_rotation(state, 1.0, m=1, **args)
 
 
+@pytest.mark.parametrize("dt", [None, 0.1])
+def test_verify_rotation_refuses_an_initial_state_that_is_not_finite(
+        prof, desk_eig, dt):
+    state = _wave_state(prof, desk_eig, 96, 64)
+    state.omega[40, 3] = np.nan
+    T = 2.0 * np.pi / (3 * desk_eig.lam)
+    with pytest.raises(NumericsError,
+                       match=r"cfl_limit of the initial state is nan, "
+                             r"not finite and positive"):
+        verify_rotation(state, desk_eig.lam, T, dt=dt, m=3)
+
+
 def test_verify_rotation_raises_where_the_run_stops_being_finite(
         prof, desk_eig, monkeypatch):
     # a run whose first step leaves one NaN in the vorticity: every

@@ -570,9 +570,10 @@ def test_transversality_is_the_pencil_pairing_weighted_by_r(zg, m, eps):
     r = np.concatenate([CFG.R1 + eps * zg.z, CFG.R2 + eps * zg.z])
     T = float(y @ (r * x))
     assert abs(T - tv["T"]) <= 1e-12 * abs(tv["T"])
-    pencil = float(y @ (r ** 2 * x))
-    assert np.sign(pencil) == np.sign(tv["T"])
-    assert CFG.R1 <= pencil / tv["T"] <= CFG.R2 + eps
+    assert abs(float(y @ (r ** 2 * x)) - tv["pencil"]) \
+        <= 1e-12 * abs(tv["pencil"])
+    assert np.sign(tv["pencil"]) == np.sign(tv["T"])
+    assert CFG.R1 <= tv["pencil"] / tv["T"] <= CFG.R2 + eps
 
 
 def test_adjoint_kernel_expansion(zg):
@@ -633,6 +634,38 @@ def test_adjoint_kernel_is_the_kernel_with_outer_band_negated(zg, m, eps):
     star, flipped = (adj["astar"], adj["bstar"]), (e.a, -e.b)
     cosine = abs(op.inner(star, flipped)) / (op.norm(star) * op.norm(flipped))
     assert 1.0 - cosine <= 1e-13
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_mode_operator_matches_the_full_hermitian_svd(zg, m, eps):
+    # oracle: every singular value and vector of the symmetric form
+    p = TrapezoidProfile(CFG, eps, 0.1)
+    e = build_eigensolution(CFG, p, m, zg)
+    op, svals, left, right = _mode_operator(e, p)
+    U, ref, Vt = np.linalg.svd(op.symmetric_matrix(), hermitian=True)
+    assert np.max(np.abs(svals - ref)) <= 1e-14 * ref[0]
+    cosine = abs(float(np.dot(right, Vt[-1]))) / np.linalg.norm(right)
+    assert cosine >= 1.0 - 1e-14
+    # the left vector is J times the right one, and J U up to sign
+    J = np.concatenate([np.ones(zg.n), -np.ones(zg.n)])
+    assert np.array_equal(left, J * right)
+    assert abs(float(np.dot(left, J * U[:, -1]))) >= 1.0 - 1e-14
+
+
+def test_null_vector_solve_failure_is_a_numerics_error(monkeypatch, zg):
+    p = TrapezoidProfile(CFG, 1e-2, 0.1)
+    e = build_eigensolution(CFG, p, M_MODE, zg)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(NumericsError,
+                       match=r"mode 3's operator is singular "
+                             r"\(Singular matrix\): sigma_min = \d"):
+        validate_kernel(e, CFG, p)
+    assert e._mode_op is None
 
 
 @pytest.mark.parametrize("eps", [1e-2, 5e-3])
@@ -749,8 +782,9 @@ def test_kernel_checks_share_one_operator_and_svd(monkeypatch, zg):
 
     def taken():
         """(assemblies, SVDs) since the last call, at any mode and rate;
-        every SVD is a Hermitian one with singular vectors."""
-        assert all(kwargs.get("hermitian") and kwargs.get("compute_uv", True)
+        every SVD is a values-only Hermitian one."""
+        assert all(kwargs.get("hermitian")
+                   and kwargs.get("compute_uv", True) is False
                    for _, kwargs in svd["calls"])
         counts = len(asm["calls"]), len(svd["calls"])
         asm["calls"].clear()

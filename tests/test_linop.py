@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from annulus_rotor.config import AnnulusConfig
-from annulus_rotor.domain import N_GAUSS
+from annulus_rotor.domain import N_GAUSS, BaseStream, circulation
 from annulus_rotor.errors import NumericsError
 from annulus_rotor.linop import (BandOperator, CoefficientSet, assemble,
                                  assemble_adjoint, p_coeff, _green)
@@ -77,15 +77,64 @@ def test_swirl1_band_relation(setup):
     assert abs(lhs - rhs) < 1e-13
 
 
+def _swirl_direct(coeffs, band, z):
+    """Oracle: the swirl moment r phi'(r) of the base stream, with its
+    own band-moment quadrature, at the band radii r = R_band + eps z."""
+    r = coeffs.radii(band, z)
+    return r * BaseStream(coeffs.cfg, coeffs.profile).phi_prime(r)
+
+
+def _swirl_expansion(coeffs, band, z):
+    """swirl0 + eps swirl1 + eps^2 swirl2 at any z."""
+    e = coeffs.profile.eps
+    return (coeffs.swirl0[band] + e * coeffs.swirl1(band, z)
+            + e * e * coeffs.swirl2(band, z))
+
+
 def test_swirl_expansion_is_exact(setup):
     _, coeffs, _ = setup
     z = np.linspace(-1.0, 1.0, 21)
-    direct = coeffs.swirl_direct(1, z)
-    expan = coeffs.swirl_expansion(1, z)
-    assert np.max(np.abs(direct - expan)) < 1e-9
-    direct = coeffs.swirl_direct(2, z)
-    expan = coeffs.swirl_expansion(2, z)
-    assert np.max(np.abs(direct - expan)) < 1e-9
+    for band in (1, 2):
+        direct = _swirl_direct(coeffs, band, z)
+        expan = _swirl_expansion(coeffs, band, z)
+        assert np.max(np.abs(direct - expan)) < 1e-9
+
+
+def test_swirl_on_grid_is_the_expansion_from_the_swirl2_memo(monkeypatch):
+    coeffs = CoefficientSet(TrapezoidProfile(CFG, EPS, KAPPA))
+    zg = ZGrid(96)
+    swirl2 = coeffs.swirl2_on_grid(zg)
+    sizes = []
+    edge = TrapezoidProfile.edge
+
+    def counted(self, z):
+        sizes.append(np.size(z))
+        return edge(self, z)
+
+    monkeypatch.setattr(TrapezoidProfile, "edge", counted)
+    swirl = coeffs.swirl_on_grid(zg)
+    assert sizes == []
+    e = EPS
+    for band in (1, 2):
+        expected = (coeffs.swirl0[band] + e * coeffs.swirl1(band, zg.z)
+                    + e * e * swirl2[band])
+        assert np.array_equal(swirl[band], expected)
+        # and the direct swirl moment agrees to rounding
+        np.testing.assert_allclose(swirl[band],
+                                   _swirl_direct(coeffs, band, zg.z),
+                                   rtol=0, atol=1e-14)
+
+
+def test_swirl0_takes_the_base_stream_constant(setup):
+    # BaseStream's log-term constant is the closed form, bit for bit, when
+    # the stream has no profile
+    _, coeffs, _ = setup
+    logr = np.log(CFG.r2 / CFG.r1)
+    c0 = (circulation(CFG) + CFG.A * ((CFG.r2 ** 2 - CFG.r1 ** 2) / 2.0
+                                      - CFG.r1 ** 2 * logr)) / logr
+    assert BaseStream(CFG, None).C == c0
+    for band, R in ((1, CFG.R1), (2, CFG.R2)):
+        assert coeffs.swirl0[band] == c0 - CFG.A * (R ** 2 - CFG.r1 ** 2)
 
 
 def test_alpha0_outer_vanishes_inner_closed_form(setup):
@@ -106,8 +155,8 @@ def test_lambda_diag_asymptotics(setup):
         c = CoefficientSet(p)
         lam = c.lam0 + eps * lam1
         z = zg.z
-        lam_in = lam * (CFG.R1 + eps * z) ** 2 + c.swirl_direct(1, z)
-        lam_out = lam * (CFG.R2 + eps * z) ** 2 + c.swirl_direct(2, z)
+        lam_in = lam * (CFG.R1 + eps * z) ** 2 + _swirl_direct(c, 1, z)
+        lam_out = lam * (CFG.R2 + eps * z) ** 2 + _swirl_direct(c, 2, z)
         errs_in.append(np.max(np.abs(lam_in - c.alpha0(1))))
         errs_out.append(np.max(np.abs(lam_out - eps * c.alpha1(2, z, lam1))))
     K_in = [e / eps for e, eps in zip(errs_in, eps_list)]
@@ -398,7 +447,9 @@ def test_swirl_grid_terms_edge_calls_independent_of_grid(monkeypatch):
 
 
 def test_swirl_grid_terms_skip_empty_bands(monkeypatch):
-    # BaseStream.moment evaluates the edge only on a band that holds radii
+    # BaseStream.moment evaluates the edge only on a band that holds radii:
+    # its construction's panels and each band's grid radii leave the other
+    # band empty; the set's grid terms call the edge on whole bands
     sizes = []
     edge = TrapezoidProfile.edge
 
@@ -408,8 +459,11 @@ def test_swirl_grid_terms_skip_empty_bands(monkeypatch):
 
     monkeypatch.setattr(TrapezoidProfile, "edge", counted)
     c = CoefficientSet(TrapezoidProfile(CFG, EPS, KAPPA))
-    c.swirl_on_grid(ZGrid(96))
-    c.swirl2_on_grid(ZGrid(96))
+    zg = ZGrid(96)
+    c.swirl_on_grid(zg)
+    stream = BaseStream(CFG, c.profile)
+    for band in (1, 2):
+        stream.moment(c.radii(band, zg.z))
     assert sizes and 0 not in sizes
 
 
