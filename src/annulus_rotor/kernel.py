@@ -22,7 +22,7 @@ Validation at mode m is SVD-based: rank-one deficiency of the discretized
 operator at the constructed rate, null-vector match, adjoint kernel
 expansion, and the transversality pairing.  These checks share one
 assembled operator, its singular values (one values-only Hermitian SVD)
-and its null vector (two inverse-iteration solves) per eigensolution and
+and its null vector (one inverse-iteration solve) per eigensolution and
 profile, held by the `EigenSolution` and freed with it.  The other modes
 are checked on the ladder instead: mode m is isolated when its rung
 lam1(m) keeps a distance from every other rung and from lambda*.
@@ -536,22 +536,35 @@ def _mode_operator(eig: EigenSolution, profile: TrapezoidProfile) -> tuple:
     on the eigensolution; the profile must have the eigensolution's eps.
     The weighted matrix is J times a symmetric one, S: its singular values
     are the eigenvalue moduli of S, its last right vector is the null
-    vector of S (two inverse-iteration solves) and its last left one is J
-    times that."""
+    vector of S (one inverse-iteration solve; when sigma_min <=
+    SVD_GAP_TOL sigma_second, its residual |S x| must be too, so that the
+    sine of its angle to the null vector is at most SVD_GAP_TOL) and its
+    last left one is J times that."""
     profile.check(eps=eig.eps)
     if eig._mode_op is None or eig._mode_op[0] is not profile:
         op = assemble(eig.m, eig.lam, profile, eig.zgrid)
         S = op.symmetric_matrix()
         svals = np.linalg.svd(S, compute_uv=False, hermitian=True)
-        right = np.ones(len(S))
-        for _ in range(2):
-            try:
-                right = np.linalg.solve(S, right)
-            except np.linalg.LinAlgError as exc:
-                raise NumericsError(f"mode {eig.m}'s operator is singular "
-                                    f"({exc}): sigma_min = {svals[-1]:.3g}"
-                                    ) from exc
-            right /= np.linalg.norm(right)
+        try:
+            right = np.linalg.solve(S, np.ones(len(S)))
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"mode {eig.m}'s operator is singular "
+                                f"({exc}): sigma_min = {svals[-1]:.3g}"
+                                ) from exc
+        right /= np.linalg.norm(right)
+        # S is symmetric, so the sine of the angle between the unit vector
+        # and the null vector is at most |S x| / sigma_second.  An operator
+        # without a rank-one deficiency (an asymptotic eigenpair, another
+        # profile) has no null vector to resolve; `validate_kernel` refuses
+        # it, and `operator_residual` reads only the operator.
+        bound = SVD_GAP_TOL * svals[-2]
+        residual = np.linalg.norm(S @ right)
+        if svals[-1] <= bound < residual:
+            raise NumericsError(
+                f"mode {eig.m}'s null vector is unresolved after one "
+                f"inverse-iteration solve: |S x| = {residual:.3g} exceeds "
+                f"SVD_GAP_TOL sigma_second = {SVD_GAP_TOL:g} * "
+                f"{svals[-2]:.3g}")
         left = right.copy()
         left[eig.zgrid.n:] *= -1.0
         eig._mode_op = (profile, op, svals, left, right)

@@ -41,19 +41,15 @@ def p_coeff(i: int, m: int, cfg: AnnulusConfig) -> float:
     if m < 1:
         raise ValueError("mode must satisfy m >= 1")
     Ri = cfg.R1 if i == 1 else cfg.R2
-    return -Ri * cfg.R2 * _green(m, Ri, cfg.R2, cfg.r1, cfg.r2, "right")
+    return -Ri * cfg.R2 * _green(m, Ri, cfg.R2, cfg.r1, cfg.r2)
 
 
-def _green(n: int, x: np.ndarray, y: np.ndarray, r1: float, r2: float,
-           branch: str) -> np.ndarray:
-    """Annulus Green kernel branch: 'left' treats y as the inner argument."""
-    if branch == "left":
-        lo, hi = y, x
-    elif branch == "right":
-        lo, hi = x, y
-    else:
-        raise ValueError("branch must be 'left' or 'right'")
-    return -(mode_sinh(n, np.log(lo / r1)) * mode_sinh(n, np.log(r2 / hi))
+def _green(n: int, x: np.ndarray, y: np.ndarray, r1: float, r2: float
+           ) -> np.ndarray:
+    """Annulus Green kernel of mode n with x the inner argument and y the
+    outer one (the kernel is symmetric, so swapping them gives the other
+    branch)."""
+    return -(mode_sinh(n, np.log(x / r1)) * mode_sinh(n, np.log(r2 / y))
              / (n * mode_sinh(n, np.log(r2 / r1))))
 
 
@@ -296,10 +292,11 @@ def _operator_parts(n: int, lam: float, profile: TrapezoidProfile,
     swirl = coeffs.swirl_on_grid(zgrid)
     radii = {band: coeffs.radii(band, zgrid.z) for band in (1, 2)}
     lam_diag = {band: lam * radii[band] ** 2 + swirl[band] for band in (1, 2)}
-    # the kernel is symmetric: a band's 'left' branch is its 'right' branch
-    # transposed, and block (2, 1) is block (1, 2) transposed
+    # right[i, j] is the branch with the target inside the source; the
+    # kernel is symmetric, so a band's other branch (source inside) is its
+    # transpose, and block (2, 1) is block (1, 2) transposed
     right = {(i, j): _green(n, radii[i][:, None], radii[j][None, :],
-                            cfg.r1, cfg.r2, "right")
+                            cfg.r1, cfg.r2)
              for i, j in ((1, 1), (2, 2), (1, 2))}
     K = {(1, 2): right[1, 2] * zgrid.w[None, :],
          (2, 1): right[1, 2].T * zgrid.w[None, :]}

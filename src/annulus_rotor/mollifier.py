@@ -7,6 +7,10 @@ import numpy as np
 from .quadrature import gauss_rule
 
 
+N_PANELS = 256          # panels of the cumulative quadrature on (-1, 1)
+N_GAUSS = 16            # Gauss nodes per panel
+
+
 def _bump_raw(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
@@ -31,9 +35,9 @@ class Mollifier:
     cdf(x>=1)=1, cdf2(x<=-1)=0 and cdf2(x>=1) = cdf2(1) + (x - 1).
     """
 
-    def __init__(self, n_panels: int = 256, n_gauss: int = 16):
-        self.edges = np.linspace(-1.0, 1.0, n_panels + 1)
-        gx, gw = gauss_rule(n_gauss)
+    def __init__(self):
+        self.edges = np.linspace(-1.0, 1.0, N_PANELS + 1)
+        gx, gw = gauss_rule(N_GAUSS)
         self._gx, self._gw = gx, gw
         a, b = self.edges[:-1], self.edges[1:]
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -8,7 +8,8 @@ closed form; modes n >= 1 use the explicit annulus Green's kernel
     S_n(x) = sinh(n log x),
 
 evaluated by `mode_sinh`, which every Green's-kernel user shares and which
-refuses modes with n log(r2/r1) > 600, where sinh nears overflow.  The tests
+refuses modes with n log(r2/r1) > 600 (`SINH_LOG_MAX`), where sinh nears
+overflow.  The tests
 check the Green's route against an independent second-order
 finite-difference boundary-value solver, which shares no code with it.
 
@@ -37,13 +38,16 @@ from .quadrature import (bary_diff_matrix, bary_interp,
                          lobatto_rule)
 
 
+SINH_LOG_MAX = 600.0    # largest n log(r2/r1) of a Green's solve
+
+
 def mode_sinh(n, logx) -> np.ndarray:
     """S_n(x) = sinh(n log x) from log x, for one mode n or an array of
     modes broadcasting against logx.  Every caller evaluates S_n(r2/r1), so
-    refusing |n log x| > 600 (sinh 600 = 2e260) refuses exactly the modes
-    with n log(r2/r1) > 600."""
+    refusing |n log x| > SINH_LOG_MAX (sinh 600 = 2e260) refuses exactly
+    the modes with n log(r2/r1) > SINH_LOG_MAX."""
     y = np.multiply(n, logx)
-    if np.max(np.abs(y), initial=0.0) > 600.0:
+    if np.max(np.abs(y), initial=0.0) > SINH_LOG_MAX:
         raise NumericsError(f"mode {np.max(n)} exceeds the stable range of "
                             "the Green solve; scale r2/r1 or cap modes")
     return np.sinh(y)

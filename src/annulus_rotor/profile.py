@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import AnnulusConfig, RunConfig
 from .errors import ConfigError, OutOfDomainError
-from .mollifier import Mollifier, default_mollifier
+from .mollifier import default_mollifier
 
 
 class TrapezoidProfile:
@@ -26,8 +26,7 @@ class TrapezoidProfile:
     ||edge' + 1/2||_L1 = O(kappa).
     """
 
-    def __init__(self, cfg: AnnulusConfig, eps: float, kappa: float,
-                 moll: Mollifier | None = None):
+    def __init__(self, cfg: AnnulusConfig, eps: float, kappa: float):
         if not 0.0 < eps < cfg.eps_max:
             raise OutOfDomainError(
                 f"eps must lie in (0, {cfg.eps_max}); got {eps}")
@@ -36,7 +35,7 @@ class TrapezoidProfile:
         self.cfg = cfg
         self.eps = float(eps)
         self.kappa = float(kappa)
-        self.moll = moll if moll is not None else default_mollifier()
+        self.moll = default_mollifier()
         # int_{-1}^{1} of the inner convolution kernel; exact: 2*kappa*(1-kappa)
         self._norm = 2.0 * self.kappa * (1.0 - self.kappa)
 

@@ -186,6 +186,10 @@ def test_distance_subcommand(tmp_path):
 @pytest.mark.parametrize("args,message", [
     (("simulate", "--nr", "96", "--ntheta", "2"), "highest mode 0"),
     (("simulate", "--nr", "4"), "nr must be at least 5"),
+    # m = 3: 720 sector columns carry full-circle modes up to 1080, past
+    # the Green's stream solve's sinh guard at 864
+    (("simulate", "--nr", "96", "--ntheta", "2048"),
+     r"ntheta=720 columns .* modes up to 1080, .*ntheta may be at most 577$"),
     (("simulate", "--nr", "8"), r"nr=8 .*r_xi is not positive"),
     (("simulate", "--nr", "96", "--ntheta", "32", "--T", "-1"), r"T=-1\.0"),
     (("simulate", "--nr", "96", "--ntheta", "32", "--dt", "-1"),

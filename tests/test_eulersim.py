@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 from desk import DESK_CFG as CFG, DESK_EPS as EPS, DESK_KAPPA as KAPPA
 
 from annulus_rotor.domain import circulation
 from annulus_rotor.errors import NumericsError, OutOfDomainError
 from annulus_rotor.eulersim import (ModalStreamSolver, SimGrid, SimState,
-                                    _CyclicReduction, _d_xi, cfl_limit,
-                                    conserved_quantities, initial_state, step,
-                                    verify_rotation)
+                                    cfl_limit, conserved_quantities,
+                                    initial_state, step, verify_rotation)
 from annulus_rotor.poisson import RadialGrid, solve_full
 from annulus_rotor.profile import TrapezoidProfile
 
@@ -50,107 +48,39 @@ def test_modal_solver_matches_green_solver(prof):
                      for j in range(grid.ntheta)]).T
     rel = np.linalg.norm(ours - psi_ref) / np.linalg.norm(psi_ref)
     assert rel < 2e-5
+    # at the sim nodes, through the reference's spectral interpolant, the
+    # linear interpolation's error is gone (1.7e-7 here)
+    at_nodes = ref_grid.interpolate(psi_ref, grid.r)
+    assert np.linalg.norm(psi - at_nodes) / np.linalg.norm(at_nodes) <= 5e-7
 
 
-def mode_tridiagonals(grid, nk):
-    """(lower, diag, upper) of psi_k'' + psi_k'/r - (k/r)^2 psi_k at the
-    interior nodes; diag has one column per mode k = 1..nk-1."""
-    nr = grid.nr
-    h = 1.0 / (nr - 1)
-    r, r_xi = grid.r, grid.r_xi
-    r_xixi = _d_xi(r_xi, h)
-    i = np.arange(1, nr - 1)
-    a_lo = 1.0 / (h * h * r_xi[i] ** 2) \
-        + (r_xixi[i] / r_xi[i] ** 3 - 1.0 / (r[i] * r_xi[i])) / (2 * h)
-    a_hi = 1.0 / (h * h * r_xi[i] ** 2) \
-        - (r_xixi[i] / r_xi[i] ** 3 - 1.0 / (r[i] * r_xi[i])) / (2 * h)
-    a_di = -2.0 / (h * h * r_xi[i] ** 2)
-    k = np.arange(1, nk)
-    return a_lo, a_di[:, None] - (k / r[i][:, None]) ** 2, a_hi
+def manufactured_mode_error(nr, n, symmetry=3, ntheta=90):
+    """Largest error of the solver's mode n on psi = sin(pi (r - r1) /
+    (r2 - r1)), whose source -(psi'' + psi'/r - (n/r)^2 psi) is exact."""
+    grid = SimGrid(cfg=CFG, nr=nr, ntheta=ntheta, eps=EPS, symmetry=symmetry)
+    r = grid.r
+    a = np.pi / (CFG.r2 - CFG.r1)
+    psi = np.sin(a * (r - CFG.r1))
+    omega = a * a * psi - a * np.cos(a * (r - CFG.r1)) / r + (n / r) ** 2 * psi
+    what = np.zeros((nr, ntheta // 2 + 1), dtype=complex)
+    what[:, n // symmetry] = omega
+    out = grid.solver.solve(what, 0.0)
+    return np.max(np.abs(out[:, n // symmetry] - psi))
 
 
-def per_mode_banded(grid, omega_hat):
-    """Reference for modes k >= 1: one banded solve per mode of
-    psi_k'' + psi_k'/r - (k/r)^2 psi_k = -omega_k, psi_k = 0 at the walls."""
-    nr, nk = omega_hat.shape
-    a_lo, diag, a_hi = mode_tridiagonals(grid, nk)
-    psi = np.zeros_like(omega_hat)
-    for k in range(1, nk):
-        band = np.zeros((3, nr - 2), dtype=complex)
-        band[0, 1:] = a_hi[:-1]
-        band[1, :] = diag[:, k - 1]
-        band[2, :-1] = a_lo[1:]
-        psi[1:-1, k] = solve_banded((1, 1), band, -omega_hat[1:-1, k])
-    return psi
+@pytest.mark.parametrize("n", [3, 30])
+def test_modal_solver_is_fourth_order(n):
+    # doubling nr divides the error by about 16 (13.0 at n = 3, 14.6 at
+    # n = 30); a second-order solve divides it by 4
+    ratio = manufactured_mode_error(384, n) / manufactured_mode_error(768, n)
+    assert ratio >= 12.0
 
 
-def per_mode_long_double(grid, omega_hat):
-    """Exact reference for modes k >= 1: the tridiagonals of
-    `per_mode_banded`, solved by elimination in np.longdouble, every mode
-    at once."""
-    nr, nk = omega_hat.shape
-    a_lo, diag, a_hi = (np.asarray(x, dtype=np.longdouble)
-                        for x in mode_tridiagonals(grid, nk))
-    f = -np.asarray(omega_hat[1:-1, 1:], dtype=np.clongdouble)
-    n = nr - 2
-    upper = np.zeros_like(diag)
-    for j in range(n):
-        if j:
-            den = diag[j] - a_lo[j] * upper[j - 1]
-            f[j] = (f[j] - a_lo[j] * f[j - 1]) / den
-        else:
-            den = diag[0]
-            f[0] = f[0] / den
-        if j < n - 1:
-            upper[j] = a_hi[j] / den
-    for j in range(n - 2, -1, -1):
-        f[j] -= upper[j] * f[j + 1]
-    psi = np.zeros(omega_hat.shape, dtype=np.clongdouble)
-    psi[1:-1, 1:] = f
-    return psi
-
-
-@pytest.mark.parametrize("nr, ntheta", [(384, 256), (96, 33)])
-def test_modal_solver_matches_per_mode_banded(nr, ntheta):
-    # against the exact solve of the same tridiagonals, the modal solver
-    # errs at most twice as much as the banded LAPACK solve does
-    grid = SimGrid(cfg=CFG, nr=nr, ntheta=ntheta, eps=EPS)
-    rng = np.random.default_rng(1)
-    shape = (nr, ntheta // 2 + 1)
-    what = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    psi = ModalStreamSolver(grid).solve(what, 1.0)
-    ref = per_mode_banded(grid, what)
-    exact = per_mode_long_double(grid, what)
-    err = np.max(np.abs(psi[:, 1:] - exact[:, 1:]))
-    err_banded = np.max(np.abs(ref[:, 1:] - exact[:, 1:]))
-    assert err_banded <= 1e-11 * np.max(np.abs(exact[:, 1:]))
-    assert err <= 2.0 * err_banded
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 33, 64])
-def test_cyclic_reduction_solves_every_length(n):
-    rng = np.random.default_rng(n)
-    lower, upper = rng.uniform(-1.0, 1.0, (2, n))
-    diag = 2.5 + rng.uniform(0.0, 1.0, n)
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    A = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-    cr = _CyclicReduction(lower, diag, upper)
-    cr.work[:] = f
-    x = cr.solve()
-    np.testing.assert_allclose(x, np.linalg.solve(A, f), rtol=0,
-                               atol=1e-15 * np.max(np.abs(f)) * n)
-
-
-def test_cyclic_reduction_rejects_a_singular_tridiagonal():
-    # [[1, 1], [1, 1]]: level 1 keeps one row, whose reduced diagonal is
-    # 1 - 1 * 1 / 1 = 0
-    with pytest.raises(NumericsError,
-                       match=r"level 1 .* smallest \|pivot\| 0 \(0 not"):
-        _CyclicReduction(np.ones(2), np.ones(2), np.ones(2))
-    with pytest.raises(NumericsError,
-                       match=r"level 0 .* smallest \|pivot\| 1 \(1 not"):
-        _CyclicReduction(np.zeros(3), np.array([1.0, np.nan, 2.0]),
-                         np.zeros(3))
+def test_modal_solver_resolves_the_highest_sector_mode():
+    # n = 135, the top mode of a 90-column sector: the tail R(r) summed
+    # backward from r2 errs by 7.3e-3; formed as the total minus the
+    # prefix, it cancels the large S_n(r2/s) weights and errs by 0.5
+    assert manufactured_mode_error(384, 135) <= 2e-2
 
 
 def test_mode_zero_solve_bit_identical_to_per_call_constants():
@@ -668,6 +598,23 @@ def test_sim_grid_refuses_fewer_nodes_than_its_stencils():
     with pytest.raises(OutOfDomainError,
                        match=r"nr=5 .*r_xi .*least -0\.65\)$"):
         SimGrid(cfg=CFG, nr=5, ntheta=8, eps=EPS)
+
+
+@pytest.mark.parametrize("symmetry,ntheta,top,admitted", [
+    (3, 578, 867, 577), (3, 720, 1080, 577), (1, 1732, 866, 1731)])
+def test_sim_grid_refuses_modes_past_the_sinh_guard(symmetry, ntheta, top,
+                                                    admitted):
+    # log(r2/r1) = log 2: n log 2 passes 600 between n = 865 and 866; the
+    # grid names its highest mode and the largest ntheta it admits, whose
+    # solver builds
+    with pytest.raises(OutOfDomainError,
+                       match=rf"ntheta={ntheta} columns at symmetry order "
+                             rf"{symmetry} carry angular modes up to {top},"
+                             rf".*at most {admitted}$"):
+        SimGrid(cfg=CFG, nr=16, ntheta=ntheta, eps=EPS, symmetry=symmetry)
+    grid = SimGrid(cfg=CFG, nr=16, ntheta=admitted, eps=EPS,
+                   symmetry=symmetry)
+    assert isinstance(grid.solver, ModalStreamSolver)
 
 
 @pytest.mark.parametrize("nr,least", [(8, "-0.148"), (12, "-0.0061")])

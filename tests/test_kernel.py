@@ -668,6 +668,20 @@ def test_null_vector_solve_failure_is_a_numerics_error(monkeypatch, zg):
     assert e._mode_op is None
 
 
+def test_unresolved_null_vector_is_a_numerics_error(monkeypatch, zg):
+    # a solve that returns its right-hand side leaves |S x| near the scale
+    # of S, far past SVD_GAP_TOL sigma_second
+    p = TrapezoidProfile(CFG, 1e-2, 0.1)
+    e = build_eigensolution(CFG, p, M_MODE, zg)
+    monkeypatch.setattr(np.linalg, "solve", lambda S, b: b.copy())
+    with pytest.raises(NumericsError,
+                       match=r"mode 3's null vector is unresolved after one "
+                             r"inverse-iteration solve: \|S x\| = \S+ "
+                             r"exceeds SVD_GAP_TOL sigma_second = 1e-06 \* "):
+        validate_kernel(e, CFG, p)
+    assert e._mode_op is None
+
+
 @pytest.mark.parametrize("eps", [1e-2, 5e-3])
 def test_hermitian_singular_values_match_general_svd(zg, eps):
     p = TrapezoidProfile(CFG, eps, 0.1)

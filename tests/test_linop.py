@@ -48,10 +48,10 @@ def test_p_ratio_formula():
 def test_green_and_p_coeff_refuse_modes_past_the_sinh_guard():
     # log(r2/r1) = log 2: n log 2 passes 600 between n = 865 and 866
     x, y = np.array([CFG.R1]), np.array([CFG.R2])
-    assert np.isfinite(_green(865, x, y, CFG.r1, CFG.r2, "right")).all()
+    assert np.isfinite(_green(865, x, y, CFG.r1, CFG.r2)).all()
     assert np.isfinite(p_coeff(1, 865, CFG))
     with pytest.raises(NumericsError, match="mode 866"):
-        _green(866, x, y, CFG.r1, CFG.r2, "right")
+        _green(866, x, y, CFG.r1, CFG.r2)
     with pytest.raises(NumericsError, match="mode 866"):
         p_coeff(1, 866, CFG)
 
@@ -196,7 +196,7 @@ def test_small_eps_coupling_matches_rank_one(setup):
     op = assemble(m, c.lam0, p, zg)
     # block (inner <- outer): eps * R1 * G_m(R1, R2) * (-sigma_out(s)) R2 w_s
     sig_out = p.weight_outer(zg.z)
-    G = _green(m, np.array(CFG.R1), np.array(CFG.R2), CFG.r1, CFG.r2, "right")
+    G = _green(m, np.array(CFG.R1), np.array(CFG.R2), CFG.r1, CFG.r2)
     expected = eps * CFG.R1 * G * (-(CFG.R2 * sig_out)) * zg.w
     got = op.blocks[0][1]
     for row in range(0, zg.n, 7):
@@ -470,7 +470,7 @@ def test_swirl_grid_terms_skip_empty_bands(monkeypatch):
 def _blocks_from_six_greens(n, eps, lam, cfg, prof, zg):
     """Reference: `assemble`'s blocks with every Green's branch evaluated
     separately (both branches of each diagonal block, and block (2, 1)
-    from its own 'left' branch)."""
+    from its own branch, the source inside the target)."""
     coeffs = prof.coefficients
     sig = coeffs.slope_weights(zg)
     swirl = coeffs.swirl_on_grid(zg)
@@ -480,12 +480,14 @@ def _blocks_from_six_greens(n, eps, lam, cfg, prof, zg):
     for i in (1, 2):
         for j in (1, 2):
             x, y = radii[i][:, None], radii[j][None, :]
+            # the inner argument comes first: (y, x) is the branch with
+            # the source y inside the target x
             if i == j:
-                K = (_green(n, x, y, cfg.r1, cfg.r2, "left") * zg.w_left
-                     + _green(n, x, y, cfg.r1, cfg.r2, "right") * zg.w_right)
+                K = (_green(n, y, x, cfg.r1, cfg.r2) * zg.w_left
+                     + _green(n, x, y, cfg.r1, cfg.r2) * zg.w_right)
             else:
-                branch = "left" if j < i else "right"
-                K = _green(n, x, y, cfg.r1, cfg.r2, branch) * zg.w[None, :]
+                inner, outer = (y, x) if j < i else (x, y)
+                K = _green(n, inner, outer, cfg.r1, cfg.r2) * zg.w[None, :]
             block = (eps * radii[i])[:, None] * K \
                 * (radii[j] * slope[j])[None, :]
             if i == j:

@@ -19,13 +19,13 @@ def test_greens_kernel_sign_symmetry():
     grid = make_grid()
     r = grid.r[::17]
     x, y = r[:, None], r[None, :]
-    # the band operator's kernel, 'left' branch: y is the inner argument
-    G = _green(4, np.maximum(x, y), np.minimum(x, y), CFG.r1, CFG.r2, "left")
+    # the band operator's kernel, the inner argument first
+    G = _green(4, np.minimum(x, y), np.maximum(x, y), CFG.r1, CFG.r2)
     assert np.all(G <= 0.0)
     np.testing.assert_allclose(G, G.T, rtol=1e-13)
     # Dirichlet: kernel vanishes when either argument hits a wall
-    inner = _green(4, r, np.array([CFG.r1]), CFG.r1, CFG.r2, "left")
-    outer = _green(4, np.array([CFG.r2]), r, CFG.r1, CFG.r2, "left")
+    inner = _green(4, np.array([CFG.r1]), r, CFG.r1, CFG.r2)
+    outer = _green(4, r, np.array([CFG.r2]), CFG.r1, CFG.r2)
     assert np.max(np.abs(inner)) < 1e-14
     assert np.max(np.abs(outer)) < 1e-14
 
