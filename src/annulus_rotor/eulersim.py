@@ -38,7 +38,7 @@ import numpy as np
 from .config import AnnulusConfig
 from .domain import circulation
 from .errors import NumericsError, OutOfDomainError
-from .nonlinear import LevelSetPerturbation, vorticity_samples
+from .nonlinear import LevelSetPerturbation, _mirrored, vorticity_samples
 from .poisson import SINH_LOG_MAX, mode_sinh
 from .profile import TrapezoidProfile
 
@@ -317,7 +317,10 @@ def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
     ntheta counts the full circle.  An m-mode wave is simulated on one
     2 pi/m sector of ceil(ntheta/m) columns, rounded up to an FFT-friendly
     length; the full circle keeps ntheta columns.  cfg, and f where given,
-    must be the profile's.
+    must be the profile's.  The wave reads theta only through cos(m theta),
+    and on the sector cos(m theta_j) = cos(2 pi j / ntheta), so the field
+    is even, as `build_vorticity`'s is: columns 0..ntheta//2 are sampled
+    and column ntheta - j is a copy of column j.
     """
     profile.check(cfg)
     symmetry = 1 if f is None else f.m
@@ -329,7 +332,11 @@ def initial_state(cfg: AnnulusConfig, profile: TrapezoidProfile,
         omega = np.tile((2 * cfg.A + profile.value(grid.r))[:, None],
                         (1, ntheta))
     else:
-        omega = vorticity_samples(f, profile, grid.r, grid.theta)
+        half = ntheta // 2 + 1
+        omega = np.empty((grid.nr, ntheta))
+        omega[:, :half] = vorticity_samples(f, profile, grid.r,
+                                            grid.theta[:half])
+        omega[:, half:] = _mirrored(omega, half)
     return SimState(grid=grid, omega=omega, time=0.0,
                     gamma=circulation(cfg), dealias=dealias)
 

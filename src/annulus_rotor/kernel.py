@@ -671,8 +671,10 @@ def adjoint_kernel(eig: EigenSolution, cfg: AnnulusConfig,
     profile.check(cfg)
     zg = eig.zgrid
     op, svals, null_w, _ = _mode_operator(eig, profile)
-    if svals[-1] / svals[-2] > 1e-3:
-        raise KernelValidationError("adjoint kernel dimension is not one")
+    if svals[-1] / svals[-2] > SVD_GAP_TOL:
+        raise KernelValidationError(
+            f"adjoint kernel dimension is not one: sigma_min/sigma_second = "
+            f"{svals[-1] / svals[-2]:.3g} > SVD_GAP_TOL = {SVD_GAP_TOL:g}")
     # back to nodal values; a sqrt-weight at rounding level relative to the
     # largest one carries no information, so it counts as a zero weight
     S = np.concatenate(op.sqrt_weights)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import legder
+from numpy.polynomial.chebyshev import chebder
 
 from .config import AnnulusConfig
 from .domain import circulation
@@ -28,7 +28,7 @@ from .kernel import EigenSolution
 from .linop import assemble
 from .poisson import RadialGrid, solve_full
 from .profile import TrapezoidProfile
-from .quadrature import ZGrid, bary_interp, gauss_bary_weights
+from .quadrature import ZGrid, _chebval_into, bary_interp, gauss_bary_weights
 
 
 @dataclass
@@ -194,7 +194,7 @@ def _mirrored(values: np.ndarray, half: int) -> np.ndarray:
 # Newton steps allowed per band inversion (the desk kernel's outer band
 # takes seven at amplitude 1e-3 and eleven at 3.8e-3)
 _NEWTON_STEPS = 30
-# The warm start: Newton's slope comes from the band's Legendre series cut
+# The warm start: Newton's slope comes from the band's Chebyshev series cut
 # where the tail of |coefficients| falls below _SERIES_TAIL of their sum,
 # and so does the residual until a step in rho is below _WARM_STEP
 _SERIES_TAIL = 1e-6
@@ -204,32 +204,10 @@ _STEP_TOL = 1e-14
 
 
 def _truncated(c: np.ndarray) -> np.ndarray:
-    """The leading terms of the Legendre series c whose omitted tail sums
+    """The leading terms of the Chebyshev series c whose omitted tail sums
     to at most _SERIES_TAIL of the whole in absolute value."""
     tail = np.cumsum(np.abs(c)[::-1])[::-1]    # tail[k] = sum over j >= k
     return c[:max(1, np.count_nonzero(tail > _SERIES_TAIL * tail[0]))]
-
-
-def _legval_into(x: np.ndarray, c: np.ndarray,
-                 work: np.ndarray) -> np.ndarray:
-    """The Legendre series c at the points x by Clenshaw's recurrence
-    (Clenshaw 1955), forming the same products and scalar ratios in the same
-    order as numpy's `legval`, so its bits are legval's.  The recurrence runs
-    in the three rows of work (shape (3,) + x.shape) and allocates nothing;
-    the returned sum is one of those rows, valid until work is reused."""
-    c0, c1, nxt = work[0, ...], work[1, ...], work[2, ...]
-    c0[...], c1[...] = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0.0)
-    nd = len(c)
-    for i in range(3, len(c) + 1):
-        nd = nd - 1
-        np.multiply(c1, (nd - 1) / nd, out=nxt)
-        np.subtract(c[-i], nxt, out=nxt)               # the next c0
-        np.multiply(c1, x, out=c1)
-        np.multiply(c1, (2 * nd - 1) / nd, out=c1)
-        np.add(c0, c1, out=c1)                         # the next c1
-        c0, nxt = nxt, c0
-    np.multiply(c1, x, out=c1)
-    return np.add(c0, c1, out=c1)
 
 
 def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
@@ -237,39 +215,41 @@ def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
     """Solve rho + g(rho) cos = r on the band by clipped Newton iteration.
 
     In z = (rho - R)/eps the map is R + eps z + G(z) cos with G the band's
-    Legendre series; its slope eps + G'(z) cos is positive because the
-    level sets do not fold (|dg/drho| < 1).  The slope always comes from
-    the series truncated by `_truncated` (degree 15 of 95 on the desk
-    kernel), and so does the residual until a step in rho is at most
-    _WARM_STEP; from then on the residual is the full series', so the
-    iteration is an inexact Newton method on the full map (Dembo,
-    Eisenstat & Steihaug 1982) and converges to its root.  At sigma 1e-3
-    on the 96-node grid the outer band takes four truncated steps and
-    three full ones, where the full series took five steps of both.
+    Chebyshev series (`ZGrid.to_chebyshev`); its slope eps + G'(z) cos is
+    positive because the level sets do not fold (|dg/drho| < 1).  The
+    slope always comes from the series truncated by `_truncated` (degree
+    13 of 95 on the desk kernel's outer band), and so does the residual
+    until a step in rho is at most _WARM_STEP; from then on the residual
+    is the full series', so the iteration is an inexact Newton method on
+    the full map (Dembo, Eisenstat & Steihaug 1982) and converges to its
+    root.  At sigma 1e-3 on the 96-node grid the outer band takes four
+    truncated steps and three full ones (seven and four at sigma 3.8e-3).
     Iterates stay in [-1, 1]; the loop stops once the largest step in rho
     of a full-series residual is at most _STEP_TOL.  cos_m may be a scalar
     or an array matching r_targets, so an entire band (all columns at once)
-    inverts in one batched sweep.  The series are summed by `_legval_into`
-    in one set of work arrays.
+    inverts in one batched sweep.  The series are summed by
+    `_chebval_into`, three array operations per term, in one set of work
+    arrays; the Legendre series it replaced took five per term, and the
+    inversion's share of one F at n_theta 128 fell from about 4.5 to 3 ms.
 
-    Only here is g read through its Legendre series, not the grid's
-    barycentric formulas, because only a series truncates to a cheap warm
-    start: on the desk kernel at sigma 1e-3 a barycentric Newton inversion
-    took 3.6-5.5x this one's time (over 3x with a piecewise-linear warm
-    phase), and inversion is about 30% of a branch pass.
+    Only here is g read through a series, not the grid's barycentric
+    formulas, because only a series truncates to a cheap warm start: on
+    the desk kernel at sigma 1e-3 a barycentric Newton inversion took
+    3.6-5.5x the time of the Legendre-series one (over 3x with a
+    piecewise-linear warm phase).
     """
     cfg, eps = f.cfg, f.eps
     R = cfg.R1 if band == 1 else cfg.R2
-    c = f.zgrid.to_legendre @ (f.g_inner if band == 1 else f.g_outer)
+    c = f.zgrid.to_chebyshev @ (f.g_inner if band == 1 else f.g_outer)
     c_warm = _truncated(c)
-    dc_warm = legder(c_warm)
+    dc_warm = chebder(c_warm)
     series = c_warm
     z = np.clip((np.asarray(r_targets, dtype=float) - R) / eps, -1.0, 1.0)
-    work = np.empty((3,) + z.shape)
+    work = np.empty((4,) + z.shape)
     for _ in range(_NEWTON_STEPS):
-        resid = R + eps * z + _legval_into(z, series, work) * cos_m \
+        resid = R + eps * z + _chebval_into(z, series, work) * cos_m \
             - r_targets
-        z_new = np.clip(z - resid / (eps + _legval_into(z, dc_warm, work)
+        z_new = np.clip(z - resid / (eps + _chebval_into(z, dc_warm, work)
                                      * cos_m), -1.0, 1.0)
         step = eps * np.max(np.abs(z_new - z), initial=0.0)
         z = z_new
@@ -310,8 +290,8 @@ def functional_F(lam: float, f: LevelSetPerturbation,
                  profile: TrapezoidProfile,
                  n_theta: int = 64) -> ResidualField:
     """Wave residual on the bands for rotation rate lam; psi is read at the
-    displaced radii rho + g cos(m theta) column by column, by the panel
-    grid's barycentric interpolant (spectral in r).
+    displaced radii rho + g cos(m theta) column by column, from the panel
+    grid's Chebyshev series (`RadialGrid.interpolate`, spectral in r).
 
     F is even in theta, as f is: it is read on columns 0..n_theta//2 and
     column n_theta - j is a copy of column j before the angular mean is
@@ -438,10 +418,13 @@ def sobolev_distance(profile: TrapezoidProfile, s: float,
     zg = _distance_grid()
     n_theta = 64
 
-    # L2 of the deviation from the constant background
-    grid = RadialGrid.for_profile(cfg, e, (24, 48, 24, 48, 24))
-    varpi = profile.value(grid.r)
-    l2 = np.sqrt(2.0 * np.pi * float(np.dot(grid.w, varpi ** 2)))
+    # L2 of the deviation from the constant background, once per profile
+    def deviation_l2() -> float:
+        grid = RadialGrid.for_profile(cfg, e, (24, 48, 24, 48, 24))
+        varpi = profile.value(grid.r)
+        return np.sqrt(2.0 * np.pi * float(np.dot(grid.w, varpi ** 2)))
+
+    l2 = profile.coefficients.memo("deviation_l2", deviation_l2)
 
     # the background (f = None) is the zero displacement on one column
     if f is None:

@@ -1,7 +1,8 @@
 """Gauss-Legendre panel quadrature, indefinite integration weights, z-grids,
-and the barycentric formulas (Berrut & Trefethen, SIAM Rev. 46 (2004)) by
-which the Gauss z-grid and the Lobatto radial panels interpolate and
-differentiate."""
+the barycentric formulas (Berrut & Trefethen, SIAM Rev. 46 (2004)) by which
+the Gauss z-grid interpolates and both node sets differentiate, and the
+Chebyshev series (Clenshaw, MTAC 9 (1955)) by which F reads the band
+displacement and the radial panels' stream function."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from numpy.polynomial.legendre import Legendre, leggauss, legvander
 
 
@@ -88,26 +90,29 @@ class ZGrid:
     w: np.ndarray = field(init=False, repr=False)
     w_left: np.ndarray = field(init=False, repr=False)   # int_{-1}^{z_j}
     w_right: np.ndarray = field(init=False, repr=False)  # int_{z_j}^{1}
-    to_legendre: np.ndarray = field(init=False, repr=False)  # f -> Legendre coeffs
     diff: np.ndarray = field(init=False, repr=False)     # f -> f' at the nodes
     ends: np.ndarray = field(init=False, repr=False)     # f -> f(-1), f(1)
 
     def __post_init__(self):
         z, w = gauss_rule(self.n)
-        to_legendre = _legendre_analysis(z, w)
-        wl = _legendre_integrals(z) @ to_legendre
+        wl = _legendre_integrals(z) @ _legendre_analysis(z, w)
         b = gauss_bary_weights(self.n)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "w_left", wl)
         object.__setattr__(self, "w_right", w[None, :] - wl)
-        object.__setattr__(self, "to_legendre", to_legendre)
         object.__setattr__(self, "diff", bary_diff_matrix(z, b))
         # barycentric rows at z = -1, 1, where no Gauss node lies; summed
         # node by node, as `bary_interp` sums, so the rows are its rows
         rows = b / (np.array([[-1.0], [1.0]]) - z)
         object.__setattr__(self, "ends",
                            rows / np.cumsum(rows, axis=1)[:, -1:])
+
+    @property
+    def to_chebyshev(self) -> np.ndarray:
+        """Matrix taking f at the nodes to the Chebyshev coefficients of its
+        interpolant, shared by every n-node grid (`gauss_to_chebyshev`)."""
+        return gauss_to_chebyshev(self.n)
 
     def integrate(self, fvals: np.ndarray) -> float:
         return float(np.dot(self.w, fvals))
@@ -178,7 +183,7 @@ def bary_interp(xn: np.ndarray, fn: np.ndarray, x: np.ndarray,
     the nodal columns fn (n, ncol) at points x of shape (k, 1), shared by
     every column, or (k, ncol), one column each.  The sums run node by
     node, so no temporary outgrows the result; a point within 1e-15 of a
-    node takes the node's value."""
+    node takes the node's value (`snap_to_nodes`)."""
     num = np.zeros(np.broadcast_shapes(x.shape, fn.shape[1:]),
                    dtype=np.result_type(fn, float))
     term = np.empty_like(num)
@@ -192,10 +197,85 @@ def bary_interp(xn: np.ndarray, fn: np.ndarray, x: np.ndarray,
             np.multiply(q, fn[k], out=term)
             num += term
         num /= den
+    return snap_to_nodes(xn, fn, x, num)
+
+
+def snap_to_nodes(xn: np.ndarray, fn: np.ndarray, x: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """out, an interpolant of the nodal columns fn on the sorted nodes xn
+    at the points x (shaped as in `bary_interp`), with every point within
+    1e-15 of a node given the node's value."""
     j = np.clip(np.searchsorted(xn, x), 1, len(xn) - 1)
     near = np.where(x - xn[j - 1] <= xn[j] - x, j - 1, j)
     hit = np.abs(x - xn[near]) <= 1e-15
     if np.any(hit):
-        np.copyto(num, np.take_along_axis(fn, near, axis=0),
-                  where=np.broadcast_to(hit, num.shape))
-    return num
+        np.copyto(out, np.take_along_axis(fn, near, axis=0),
+                  where=np.broadcast_to(hit, out.shape))
+    return out
+
+
+def _chebyshev_analysis(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix C with (C f)[k] the k-th Chebyshev coefficient of the degree
+    n-1 interpolant of f at the n nodes x in [-1, 1] with barycentric
+    weights b, read-only.
+
+    The barycentric rows at the n Chebyshev points of the first kind, summed
+    by their discrete cosine orthogonality, give C's first guess; one
+    Newton-Schulz step C + C (I - V C) on the Chebyshev-Vandermonde matrix
+    V of the nodes takes the interpolant's error from about n eps to eps,
+    as V's LAPACK inverse has it, by matrix products alone: a first LAPACK
+    call maps about 0.45 MB of library pages into the branch pass, which
+    makes none otherwise."""
+    n = len(x)
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    t = np.cos(theta)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = b / (t - x)
+        rows /= np.sum(rows, axis=1, keepdims=True)
+    rows = snap_to_nodes(x, np.eye(n), t, rows)
+    C = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ rows
+    C[0] /= 2.0
+    C += C @ (np.eye(n) - chebvander(x, n - 1) @ C)
+    C.flags.writeable = False
+    return C
+
+
+@lru_cache(maxsize=64)
+def lobatto_to_chebyshev(n: int) -> np.ndarray:
+    """`_chebyshev_analysis` of the n-point Lobatto rule, read-only and
+    shared by every n-node panel like `lobatto_bary_weights`."""
+    return _chebyshev_analysis(lobatto_rule(n)[0],
+                               lobatto_bary_weights(n))
+
+
+@lru_cache(maxsize=64)
+def gauss_to_chebyshev(n: int) -> np.ndarray:
+    """`_chebyshev_analysis` of the n-point Gauss rule, read-only and
+    shared by every `ZGrid(n)`."""
+    return _chebyshev_analysis(gauss_rule(n)[0], gauss_bary_weights(n))
+
+
+def _chebval_into(x: np.ndarray, c: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
+    """The Chebyshev series c at the points x by Clenshaw's recurrence, in
+    the operations and order of numpy's `chebval`, so its bits are
+    chebval's: three array operations per term and no division.  c of
+    shape (n,) is one series; c of shape (n, ncol) holds one series per
+    column of the result, chebval's `tensor=False`, with x of shape
+    (k, ncol) or (k, 1).  The recurrence runs in the four rows of work
+    (shape (4, k, ncol), or (4,) + x.shape for one series) and allocates
+    nothing; the returned sum is one of those rows, valid until work is
+    reused."""
+    c0, c1, nxt, x2 = work
+    if len(c) > 2:
+        np.multiply(x, 2, out=x2)
+        c0[...], c1[...] = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            np.subtract(c[-i], c1, out=nxt)            # the next c0
+            np.multiply(c1, x2, out=c1)
+            np.add(c0, c1, out=c1)                     # the next c1
+            c0, nxt = nxt, c0
+    else:
+        c0[...], c1[...] = (c[0], c[1]) if len(c) == 2 else (c[0], 0.0)
+    np.multiply(c1, x, out=c1)
+    return np.add(c0, c1, out=c1)

@@ -9,6 +9,7 @@ M = 8 (see the README for why B differs from 1).
 import numpy as np
 import pytest
 
+from axisymmetric import axisymmetric_prime
 from desk import (DESK_CFG as CFG, DESK_EPS, DESK_KAPPA, DESK_M,
                   OFFMODE_SVD_FLOOR, eigensolution)
 from fd_oracle import fd_bvp_solve
@@ -24,7 +25,7 @@ from annulus_rotor.linop import CoefficientSet, assemble, assemble_adjoint
 from annulus_rotor.nonlinear import (LevelSetPerturbation, _kernel_direction,
                                      continue_branch, h2_band_bound,
                                      linearization_check, sobolev_distance)
-from annulus_rotor.poisson import RadialGrid, axisymmetric_prime, solve_mode
+from annulus_rotor.poisson import RadialGrid, solve_mode
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import ZGrid
 

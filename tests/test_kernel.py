@@ -5,8 +5,8 @@ from annulus_rotor import kernel as kernel_mod
 from annulus_rotor.config import AnnulusConfig
 from annulus_rotor.errors import (BracketError, KernelValidationError,
                                   NumericsError)
-from annulus_rotor.kernel import (KernelBuilder, adjoint_kernel, b0_and_a1,
-                                  build_eigensolution,
+from annulus_rotor.kernel import (SVD_GAP_TOL, KernelBuilder, adjoint_kernel,
+                                  b0_and_a1, build_eigensolution,
                                   fixed_point_corrections, invert_q2hat,
                                   lambda1_closed_form, lambda_star,
                                   operator_residual, singular_values,
@@ -706,6 +706,25 @@ def test_adjoint_range_orthogonality(eig):
         u = rng.standard_normal((2, eig.zgrid.n))
         lhs = op.inner(op.apply(*u), hstar)
         assert abs(lhs) <= 1e-9 * op.norm(tuple(u)) * hnorm
+
+
+def test_adjoint_kernel_refuses_a_gap_ratio_above_svd_gap_tol(
+        eig, monkeypatch):
+    # a ratio between SVD_GAP_TOL (1e-6) and the 1e-3 once accepted: the
+    # null vector is not certified there, so the adjoint is refused
+    prof = TrapezoidProfile(CFG, 1e-2, 0.1)
+    op, svals, left, right = kernel_mod._mode_operator(eig, prof)
+    ratio = 1e-4
+    wide = svals.copy()
+    wide[-1] = ratio * wide[-2]
+    monkeypatch.setattr(kernel_mod, "_mode_operator",
+                        lambda e, p: (op, wide, left, right))
+    assert SVD_GAP_TOL < ratio < 1e-3
+    with pytest.raises(KernelValidationError,
+                       match=r"adjoint kernel dimension is not one: "
+                             r"sigma_min/sigma_second = 0\.0001 > "
+                             r"SVD_GAP_TOL = 1e-06"):
+        adjoint_kernel(eig, CFG, prof)
 
 
 def test_transversality(eig):

@@ -144,13 +144,13 @@ def test_newton_inversion_evaluates_the_full_series_only_at_the_end(
     theta = 2.0 * np.pi * np.arange(128) / 128
     cosm = np.cos(M_MODE * theta)
     sizes = []
-    legval_into = nonlinear._legval_into
+    chebval_into = nonlinear._chebval_into
 
-    def counting_legval(x, c, work):
+    def counting_chebval(x, c, work):
         sizes.append(len(c))
-        return legval_into(x, c, work)
+        return chebval_into(x, c, work)
 
-    monkeypatch.setattr(nonlinear, "_legval_into", counting_legval)
+    monkeypatch.setattr(nonlinear, "_chebval_into", counting_chebval)
     for band, R in ((1, CFG.R1), (2, CFG.R2)):
         lo = R - EPS + f.profile_at(R - EPS, band) * cosm
         hi = R + EPS + f.profile_at(R + EPS, band) * cosm
@@ -159,20 +159,28 @@ def test_newton_inversion_evaluates_the_full_series_only_at_the_end(
         c = np.broadcast_to(cosm, (60, 128)).ravel()
         sizes.clear()
         rho = nonlinear._invert_map(f, band, r, c)
-        assert sum(n >= zg.n - 1 for n in sizes) <= 4
+        assert sizes and sum(n >= zg.n - 1 for n in sizes) <= 4
         assert np.max(np.abs(rho - bisect_map(f, band, r, c))) <= 1e-12
 
 
-def test_clenshaw_sum_is_legval_bit_for_bit():
-    from numpy.polynomial.legendre import legval
-    from annulus_rotor.nonlinear import _legval_into
+def test_clenshaw_sum_is_chebval_bit_for_bit():
+    # one series at shared points, and one series per column at the
+    # columns' own points or at points shared by every column
+    from numpy.polynomial.chebyshev import chebval
+    from annulus_rotor.quadrature import _chebval_into
     rng = np.random.default_rng(11)
     x = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 997)])
-    work = np.empty((3,) + x.shape)
+    work = np.empty((4,) + x.shape)
+    X = rng.uniform(-1.0, 1.0, (40, 7))
+    work_cols = np.empty((4,) + X.shape)
     for n in range(1, 97):
         for scale in (1e-6, 1.0, 1e3):
             c = scale * rng.standard_normal(n)
-            assert np.array_equal(_legval_into(x, c, work), legval(x, c))
+            assert np.array_equal(_chebval_into(x, c, work), chebval(x, c))
+            c = scale * rng.standard_normal((n, X.shape[1]))
+            for pts in (X, X[:, :1]):
+                assert np.array_equal(_chebval_into(pts, c, work_cols),
+                                      chebval(pts, c, tensor=False))
 
 
 def test_F_peak_memory(zg, prof, eig):
@@ -258,6 +266,40 @@ def test_per_column_interpolation_matches_column_by_column(zg, prof, eig):
     np.testing.assert_array_equal(out[4, ::2], psi[100, ::2])
     with pytest.raises(ValueError, match="per-column"):
         grid.interpolate(psi[:, :8], targets)
+
+
+def _bary_read(grid, fvals, x):
+    """grid.interpolate as it was before the Chebyshev read: per panel, the
+    barycentric formula of `bary_interp` at the points of that panel, one
+    column of points per column of fvals."""
+    from annulus_rotor.quadrature import lobatto_bary_weights
+    out = np.empty(x.shape)
+    panel_of = np.clip(np.searchsorted(grid.edges, x, side="right") - 1,
+                       0, len(grid.panel_slices) - 1)
+    for p, idx in enumerate(grid.panel_slices):
+        sel = panel_of == p
+        rows = np.flatnonzero(sel.any(axis=1))
+        if len(rows):
+            vals = bary_interp(grid.r[idx], fvals[idx], x[rows],
+                               lobatto_bary_weights(len(idx)))
+            out[rows] = np.where(sel[rows], vals, out[rows])
+    return out
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 3.8e-3])
+def test_chebyshev_read_matches_the_barycentric_oracle(zg, prof, eig, sigma):
+    # psi of F's field at both bands' displaced radii, on F's half circle;
+    # measured: within 1.6e-15 (sigma 1e-3) and 1.5e-15 (3.8e-3) of max|psi|
+    from annulus_rotor.domain import circulation
+    from annulus_rotor.poisson import solve_full
+    f = _pert(eig, sigma)
+    field = build_vorticity(f, prof, n_theta=128)
+    grid = field.grid
+    psi = solve_full(field.values, circulation(CFG), grid, CFG)[:, :65]
+    targets = _band_targets(f, field.theta[:65])
+    got = grid.interpolate(psi, targets)
+    assert np.max(np.abs(got - _bary_read(grid, psi, targets))) \
+        <= 1e-14 * np.max(np.abs(psi))
 
 
 def _smooth(r, theta):
@@ -438,14 +480,23 @@ def test_sobolev_with_perturbation_close_to_unperturbed(prof, eig):
 
 
 def test_sobolev_distance_reuses_one_grid(prof, eig, monkeypatch):
+    # one z-grid per process and one L2 part per profile: a second call
+    # builds neither a ZGrid nor a RadialGrid, and its values keep their bits
     from annulus_rotor import nonlinear
-    sobolev_distance(prof, 1.0)
+    from annulus_rotor.poisson import RadialGrid
+    first = [sobolev_distance(prof, 1.0),
+             sobolev_distance(prof, 1.0, f=_pert(eig, 1e-3))]
     built = []
     monkeypatch.setattr(nonlinear, "ZGrid",
                         lambda *a, **k: built.append(a) or ZGrid(*a, **k))
-    sobolev_distance(prof, 1.0)
-    sobolev_distance(prof, 1.0, f=_pert(eig, 1e-3))
+    post_init = RadialGrid.__post_init__
+    monkeypatch.setattr(RadialGrid, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    again = [sobolev_distance(prof, 1.0),
+             sobolev_distance(prof, 1.0, f=_pert(eig, 1e-3))]
     assert not built
+    for a, b in zip(first, again):
+        assert a == b
 
 
 def test_continue_branch_small_amplitude(zg, prof, eig):
@@ -655,11 +706,19 @@ def test_F_unchanged_by_interpolated_edge_rows(zg, prof, eig):
     assert np.max(np.abs(new.outer - ref.outer)) <= 1e-15 * scale
 
 
+def _to_legendre(zgrid):
+    """The grid's values -> Legendre coefficients matrix, by the Gauss
+    rule's discrete orthogonality."""
+    from annulus_rotor.quadrature import _legendre_analysis
+    return _legendre_analysis(zgrid.z, zgrid.w)
+
+
 def _edges_by_legval(self, band):
     """Reference: the band-edge values read by one-point Legendre sums at
     z = -1 and z = 1, as `vorticity_samples` once did."""
     from numpy.polynomial.legendre import legval
-    c = self.zgrid.to_legendre @ (self.g_inner if band == 1 else self.g_outer)
+    c = _to_legendre(self.zgrid) @ (self.g_inner if band == 1
+                                    else self.g_outer)
     return float(legval(-1.0, c)), float(legval(1.0, c))
 
 
@@ -667,7 +726,7 @@ def _slope_by_legder(self):
     """Reference: the fold check's slope from the differentiated Legendre
     series, as `max_slope` once read it."""
     from numpy.polynomial.legendre import legder, legval
-    slopes = [legval(self.zgrid.z, legder(self.zgrid.to_legendre @ g))
+    slopes = [legval(self.zgrid.z, legder(_to_legendre(self.zgrid) @ g))
               for g in (self.g_inner, self.g_outer)]
     return float(np.max(np.abs(slopes))) / self.eps
 

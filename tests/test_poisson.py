@@ -3,10 +3,11 @@ import pytest
 
 from annulus_rotor.domain import circulation, u_tc
 from annulus_rotor.linop import _green
-from annulus_rotor.poisson import (RadialGrid, axisymmetric_prime,
-                                   solve_axisymmetric, solve_full, solve_mode)
+from annulus_rotor.poisson import (RadialGrid, solve_axisymmetric,
+                                   solve_full, solve_mode)
 from annulus_rotor.profile import TrapezoidProfile
 
+from axisymmetric import axisymmetric_prime
 from desk import DESK_CFG as CFG
 from fd_oracle import fd_bvp_solve
 
