@@ -38,7 +38,7 @@ from .errors import BracketError, ContractionError, KernelValidationError, Numer
 from .linop import CoefficientSet, assemble, p_coeff
 from .poisson import mode_sinh
 from .profile import TrapezoidProfile
-from .quadrature import ZGrid, geometric_edges, mapped_rule
+from .quadrature import ZGrid, gauss_rule, geometric_edges
 
 
 def lambda_star(coeffs: CoefficientSet) -> float:
@@ -88,17 +88,25 @@ def _median(x) -> float:
 def _I_panels(prof: TrapezoidProfile) -> tuple:
     """Nodes, weights and edge' values of the Gauss panels of I(lam1), one
     row per panel, refined toward the endpoints where the integrand has
-    boundary-layer structure."""
+    boundary-layer structure.  Every panel's rule is `mapped_rule`'s, built
+    for all panels in one broadcast."""
     breaks = _edge_breaks(prof.kappa)
     edges = _sorted_distinct(np.concatenate([
         geometric_edges(lo, hi, side, 18, 0.6)
         for lo, hi in zip(breaks[:-1], breaks[1:])
         for side in ("right", "left")]))
-    rules = [mapped_rule(lo, hi, _I_GAUSS)
-             for lo, hi in zip(edges[:-1], edges[1:])]
-    x = np.array([xk for xk, _ in rules])
-    w = np.array([wk for _, wk in rules])
-    return x, w, prof.edge_prime(x)
+    gx, gw = gauss_rule(_I_GAUSS)
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    x = lo + half * (gx + 1.0)
+    return x, half * gw, prof.edge_prime(x)
+
+
+def _I_terms(coeffs: CoefficientSet) -> tuple:
+    """The lam1-free terms of J's integrand on the panels of `_I_panels`:
+    the weights w edge', and alpha1's lam0 2 R2 x and swirl1(2, x)."""
+    x, w, ep = _I_panels(coeffs.profile)
+    return w * ep, coeffs.lam0 * 2.0 * coeffs.cfg.R2 * x, coeffs.swirl1(2, x)
 
 
 def _I_quadrature(coeffs: CoefficientSet,
@@ -106,13 +114,18 @@ def _I_quadrature(coeffs: CoefficientSet,
     """J(lam1) = int edge'(s) / alpha1_out(s) ds and its slope
     dJ/dlam1 = -R2^2 int edge' / alpha1_out^2 at every entry of lam1, from
     one evaluation of alpha1 on all panel nodes.  Mode n's I(lam1) is
-    p2(n) J(lam1).  The panels and their edge' values are built once per
-    profile."""
-    x, w, ep = coeffs.memo("I_panels", lambda: _I_panels(coeffs.profile))
-    alpha1 = coeffs.alpha1(2, x, lam1[:, None, None])
-    q = w * ep / alpha1
-    return (np.sum(q, axis=(1, 2)),
-            -coeffs.cfg.R2 ** 2 * np.sum(q / alpha1, axis=(1, 2)))
+    p2(n) J(lam1).  The panels and the lam1-free terms (`_I_terms`) are
+    built once per profile, so an evaluation forms only alpha1 =
+    lin + lam1 R2^2 + swirl1, in `CoefficientSet.alpha1`'s order, and the
+    two sums."""
+    wep, lin, swirl1 = coeffs.memo("I_terms", lambda: _I_terms(coeffs))
+    R2 = coeffs.cfg.R2
+    alpha1 = lin + lam1[:, None, None] * R2 ** 2
+    alpha1 += swirl1
+    q = wep / alpha1
+    J = np.sum(q, axis=(1, 2))
+    q /= alpha1
+    return J, -R2 ** 2 * np.sum(q, axis=(1, 2))
 
 
 def solve_lambda1(coeffs: CoefficientSet) -> dict:

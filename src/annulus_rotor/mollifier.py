@@ -33,6 +33,10 @@ class Mollifier:
     whose terms are all non-negative, so nothing cancels.  Saturated
     arguments take closed forms without quadrature: cdf(x<=-1)=0,
     cdf(x>=1)=1, cdf2(x<=-1)=0 and cdf2(x>=1) = cdf2(1) + (x - 1).
+
+    The Gauss nodes of [edge_k, x] lie in [-1, 1), so the CDFs evaluate the
+    bump there with `_interior`, `value`'s operations in its order on one
+    array, without its mask; `value` keeps the mask for any argument.
     """
 
     def __init__(self):
@@ -51,17 +55,33 @@ class Mollifier:
         self._cdf2_at_edges = np.concatenate(([0.0], np.cumsum(per_panel)))
 
     def _panel(self, x: np.ndarray):
-        """Panel index, left edge, half-width and Gauss nodes of [edge, x]."""
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
-                      0, len(self.edges) - 2)
+        """Panel index, left edge, half-width and Gauss nodes of [edge, x]
+        for x in (-1, 1), which keeps the index in 0..N_PANELS-1."""
+        idx = np.searchsorted(self.edges, x, side="right") - 1
         lo = self.edges[idx]
         half = 0.5 * (x - lo)
-        pts = (lo + half)[..., None] + half[..., None] * self._gx
+        pts = half[..., None] * self._gx
+        pts += (lo + half)[..., None]
         return idx, lo, half, pts
 
     def value(self, u) -> np.ndarray:
         """Normalized bump."""
         return _bump_raw(u) / self.norm
+
+    def _interior(self, u: np.ndarray, out=None) -> np.ndarray:
+        """`value` at nodes u in [-1, 1], into out (a new array if None).
+
+        `value`'s operations in its order, so every value keeps its bits.
+        A node that rounds onto -1 (x within about 2e-14 of -1) gives
+        exp(-1/0) = exp(-inf) = 0, as the masked form does, and no warning.
+        """
+        phi = np.multiply(u, u, out=out)
+        np.subtract(1.0, phi, out=phi)
+        with np.errstate(divide="ignore"):
+            np.divide(-1.0, phi, out=phi)
+        np.exp(phi, out=phi)
+        phi /= self.norm
+        return phi
 
     def cdf(self, x) -> np.ndarray:
         """CDF of the bump: 0 for x <= -1, 1 for x >= 1."""
@@ -70,7 +90,7 @@ class Mollifier:
         inside = (x > -1.0) & (x < 1.0)
         idx, _, half, pts = self._panel(x[inside])
         out[inside] = self._cdf_at_edges[idx] \
-            + half * (self.value(pts) @ self._gw)
+            + half * (self._interior(pts, out=pts) @ self._gw)
         return out
 
     def cdf2(self, x) -> np.ndarray:
@@ -80,9 +100,11 @@ class Mollifier:
         inside = (x > -1.0) & (x < 1.0)
         xi = x[inside]
         idx, lo, half, pts = self._panel(xi)
-        tail = ((xi[:, None] - pts) * self.value(pts)) @ self._gw
+        phi = self._interior(pts)
+        tail = np.subtract(xi[:, None], pts, out=pts)
+        tail *= phi
         out[inside] = self._cdf2_at_edges[idx] \
-            + (xi - lo) * self._cdf_at_edges[idx] + half * tail
+            + (xi - lo) * self._cdf_at_edges[idx] + half * (tail @ self._gw)
         return out
 
     @property

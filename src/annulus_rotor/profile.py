@@ -18,6 +18,12 @@ from .errors import ConfigError, OutOfDomainError
 from .mollifier import default_mollifier
 
 
+def _not_finite(x: np.ndarray) -> str:
+    """'; k of n arguments are not finite' when k > 0, else ''."""
+    k = int(np.count_nonzero(~np.isfinite(x)))
+    return f"; {k} of {x.size} arguments are not finite" if k else ""
+
+
 class TrapezoidProfile:
     """Band half-width eps, edge regularization kappa, edge function tools.
 
@@ -70,8 +76,9 @@ class TrapezoidProfile:
 
     def _check_z(self, z):
         z = np.asarray(z, dtype=float)
-        if np.any(np.abs(z) > 1.0 + 1e-14):
-            raise OutOfDomainError("edge function argument must lie in [-1, 1]")
+        if not np.all(np.abs(z) <= 1.0 + 1e-14):     # NaN fails it too
+            raise OutOfDomainError("edge function argument must lie in "
+                                   f"[-1, 1]{_not_finite(z)}")
         return np.clip(z, -1.0, 1.0)
 
     def edge(self, z) -> np.ndarray:
@@ -114,14 +121,17 @@ class TrapezoidProfile:
         the inner band, z = (R1 - r)/eps, outer(z) on the outer band,
         z = (r - R2)/eps, and zero elsewhere."""
         r = np.asarray(r, dtype=float)
-        if np.any((r < self.cfg.r1 - 1e-12) | (r > self.cfg.r2 + 1e-12)):
-            raise OutOfDomainError("radius outside the annulus")
+        cfg = self.cfg
+        if not np.all((r >= cfg.r1 - 1e-12) & (r <= cfg.r2 + 1e-12)):
+            raise OutOfDomainError(
+                f"radius outside the annulus{_not_finite(r)}")
         e = self.eps
         out = np.zeros_like(r)
-        for R, sign, f in ((self.cfg.R1, -1.0, inner),
-                           (self.cfg.R2, 1.0, outer)):
+        for R, sign, f in ((cfg.R1, -1.0, inner), (cfg.R2, 1.0, outer)):
             band = (r >= R - e) & (r <= R + e)
-            out[band] = f(sign * (r[band] - R) / e)
+            # a band that holds none of the radii costs no edge evaluation
+            if band.any():
+                out[band] = f(sign * (r[band] - R) / e)
         return r, out
 
     def value(self, r) -> np.ndarray:

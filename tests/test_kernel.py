@@ -917,6 +917,66 @@ def test_lambda1_newton_matches_bisection_in_few_evaluations(monkeypatch,
     assert abs(p_coeff(2, m, CFG) * dJ - fd) <= 1e-6 * slope
 
 
+def _I_panels_per_rule(prof):
+    """Reference: `_I_panels` with one `mapped_rule` call per panel."""
+    breaks = _edge_breaks(prof.kappa)
+    edges = np.unique(np.concatenate([
+        geometric_edges(lo, hi, side, 18, 0.6)
+        for lo, hi in zip(breaks[:-1], breaks[1:])
+        for side in ("right", "left")]))
+    rules = [mapped_rule(lo, hi, kernel_mod._I_GAUSS)
+             for lo, hi in zip(edges[:-1], edges[1:])]
+    x = np.array([xk for xk, _ in rules])
+    w = np.array([wk for _, wk in rules])
+    return x, w, prof.edge_prime(x)
+
+
+def _I_direct(coeffs, lam1):
+    """Reference: J and dJ with alpha1 and w edge' formed on every call."""
+    x, w, ep = _I_panels_per_rule(coeffs.profile)
+    alpha1 = coeffs.alpha1(2, x, lam1[:, None, None])
+    q = w * ep / alpha1
+    return (np.sum(q, axis=(1, 2)),
+            -coeffs.cfg.R2 ** 2 * np.sum(q / alpha1, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.6])
+def test_I_panels_broadcast_is_the_per_panel_rules_bit_for_bit(kappa):
+    prof = TrapezoidProfile(CFG, 1e-2, kappa)
+    for got, want in zip(kernel_mod._I_panels(prof),
+                         _I_panels_per_rule(prof)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_I_quadrature_hoisted_terms_are_bit_for_bit(eps):
+    coeffs = CoefficientSet(TrapezoidProfile(CFG, eps, 0.1))
+    ls = lambda_star(coeffs)
+    start = ls - 1e-12 * max(abs(ls), 1.0)        # the ladder's start
+    lam1 = np.concatenate([[start], ls - np.array([1e-6, 1e-3, 0.1, 10.0,
+                                                   1e3])])
+    for lam in (lam1, lam1[:1], lam1[::-1]):
+        for got, want in zip(_I_quadrature(coeffs, lam),
+                             _I_direct(coeffs, lam)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eps", [1e-2, 5e-3])
+def test_rate_ladder_unchanged_by_the_hoisted_terms(monkeypatch, eps):
+    prof = TrapezoidProfile(CFG, eps, 0.1)
+    evals = _count_calls(monkeypatch, kernel_mod, "_I_quadrature")
+    root = solve_lambda1(CoefficientSet(prof))
+    n_hoisted = evals["n"]
+    monkeypatch.setattr(kernel_mod, "_I_quadrature", _I_direct)
+    evals = _count_calls(monkeypatch, kernel_mod, "_I_quadrature")
+    ref = solve_lambda1(CoefficientSet(prof))
+    assert evals["n"] == n_hoisted
+    assert root["lam1"].tobytes() == ref["lam1"].tobytes()
+    assert root["residual"].tobytes() == ref["residual"].tobytes()
+    assert (root["n_star"], root["J_edge"]) == (ref["n_star"], ref["J_edge"])
+
+
 def test_I_quadrature_matches_per_panel_reference():
     # J sums all panels at once, the reference I panel by panel in a running
     # sum, so they agree to the rounding of the summation order

@@ -183,6 +183,19 @@ def test_clenshaw_sum_is_chebval_bit_for_bit():
                                       chebval(pts, c, tensor=False))
 
 
+def test_F_evaluates_the_edge_once_per_band(monkeypatch, zg, prof, eig):
+    # each profile.value call of vorticity_samples holds one band's points,
+    # so the other band costs no (empty) edge evaluation
+    f = _pert(eig, 1e-3)
+    functional_F(eig.lam, f, prof, n_theta=64)
+    sizes = []
+    orig = TrapezoidProfile.edge
+    monkeypatch.setattr(TrapezoidProfile, "edge", lambda self, z: (
+        sizes.append(np.size(z)) or orig(self, z)))
+    functional_F(eig.lam, f, prof, n_theta=64)
+    assert len(sizes) == 2 and min(sizes) > 0
+
+
 def test_F_peak_memory(zg, prof, eig):
     # one F at n_theta 128 on the desk kernel peaks at 2.0 MB traced, in
     # the real cosine-mode solve (a complex solve of every rfft bin with

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_rotor.config import AnnulusConfig, RunConfig
+from annulus_rotor.domain import N_GAUSS, band_moment
 from annulus_rotor.errors import ConfigError, OutOfDomainError
+from annulus_rotor.kernel import _I_panels
 from annulus_rotor.mollifier import Mollifier, default_mollifier
 from annulus_rotor.profile import TrapezoidProfile
-from annulus_rotor.quadrature import mapped_rule
+from annulus_rotor.quadrature import ZGrid, mapped_rule
 
-from desk import DESK_CFG as CFG
+from desk import DESK_CFG as CFG, DESK_KAPPA
 
 
 def make_profile(eps=1e-2, kappa=0.1):
@@ -35,9 +37,94 @@ def test_mollifier_cdf_matches_brute_force():
     # ... with no bump evaluation: one Gauss rule, for the inner point only
     spy = Mollifier()
     sizes = []
-    spy.value = lambda u: sizes.append(np.size(u)) or Mollifier.value(spy, u)
+    spy._interior = lambda u, out=None: (sizes.append(np.size(u))
+                                         or Mollifier._interior(spy, u, out))
     spy.cdf(np.array([-3.0, -1.0, 0.2, 1.0, 3.0]))
     assert sizes == [len(spy._gw)]
+
+
+def _masked_bump(u):
+    """Reference: the bump as `value` evaluates it, masked to |u| < 1."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    return out
+
+
+def masked_cdf(moll, x):
+    """Reference: the CDF with the masked bump at the Gauss nodes and a
+    clipped panel index, as first written."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x >= 1.0, 1.0, 0.0)
+    inside = (x > -1.0) & (x < 1.0)
+    idx, half, pts = _masked_panel(moll, x[inside])
+    out[inside] = moll._cdf_at_edges[idx] \
+        + half * ((_masked_bump(pts) / moll.norm) @ moll._gw)
+    return out
+
+
+def masked_cdf2(moll, x):
+    """Reference: the integrated CDF as `masked_cdf` evaluates it."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x >= 1.0, moll._cdf2_at_edges[-1] + (x - 1.0), 0.0)
+    inside = (x > -1.0) & (x < 1.0)
+    xi = x[inside]
+    idx, half, pts = _masked_panel(moll, xi)
+    lo = moll.edges[idx]
+    tail = ((xi[:, None] - pts) * (_masked_bump(pts) / moll.norm)) @ moll._gw
+    out[inside] = moll._cdf2_at_edges[idx] \
+        + (xi - lo) * moll._cdf_at_edges[idx] + half * tail
+    return out
+
+
+def _masked_panel(moll, x):
+    idx = np.clip(np.searchsorted(moll.edges, x, side="right") - 1,
+                  0, len(moll.edges) - 2)
+    lo = moll.edges[idx]
+    half = 0.5 * (x - lo)
+    pts = (lo + half)[..., None] + half[..., None] * moll._gx
+    return idx, half, pts
+
+
+def _recorded_arguments(monkeypatch, name, run):
+    """The arguments of every Mollifier.<name> call made by run()."""
+    seen = []
+    orig = getattr(Mollifier, name)
+    monkeypatch.setattr(Mollifier, name, lambda self, x: (
+        seen.append(np.array(x, dtype=float)) or orig(self, x)))
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def test_interior_kernel_cdfs_match_the_masked_oracle_bit_for_bit(
+        monkeypatch):
+    moll = default_mollifier()
+    prof = make_profile(kappa=DESK_KAPPA)
+    z = ZGrid(96).z
+    # band_moment's arguments per band: cdf2 of edge's two shifted copies
+    moment_args = _recorded_arguments(monkeypatch, "cdf2", lambda: [
+        band_moment(prof, band, z) for band in (1, 2)])
+    assert len(moment_args) == 4 and moment_args[0].shape == (96, N_GAUSS)
+    # the rate ladder's panels: cdf of edge_prime's two shifted copies
+    panel_args = _recorded_arguments(monkeypatch, "cdf",
+                                     lambda: _I_panels(prof))
+    assert len(panel_args) == 2
+    ends = [np.nextafter(end, toward) for end in (-1.0, 1.0)
+            for toward in (0.0, 2.0 * end)]
+    args = moment_args + panel_args + [
+        np.random.default_rng(7).uniform(-1.5, 3.0, 20000),
+        np.array([-1.0, 1.0] + ends), moll.edges, np.empty(0),
+        # Gauss nodes of [-1, x] round onto -1 for x within 2e-14 of -1
+        -1.0 + np.logspace(-17, -12, 200),
+        np.array(np.nextafter(-1.0, 0.0)), np.array(0.3)]
+    for x in args:
+        for new, ref in ((moll.cdf, masked_cdf), (moll.cdf2, masked_cdf2)):
+            got, want = new(x), ref(moll, x)
+            assert got.shape == want.shape == x.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def nested_cdf2(moll, x):
@@ -183,6 +270,39 @@ def test_out_of_domain_raises():
         p.edge(1.5)
     with pytest.raises(OutOfDomainError):
         p.value(0.5)
+
+
+@pytest.mark.parametrize("entry", ["edge", "edge_prime", "edge_second",
+                                   "value", "derivative",
+                                   "second_derivative"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_arguments_raise(entry, bad):
+    p = make_profile()
+    inside = 0.3 if entry.startswith("edge") else CFG.R2
+    with pytest.raises(OutOfDomainError, match="1 of 2 arguments are not "
+                                               "finite"):
+        getattr(p, entry)(np.array([bad, inside]))
+    with pytest.raises(OutOfDomainError, match="1 of 1 arguments"):
+        getattr(p, entry)(bad)
+
+
+def test_radial_profile_skips_a_band_without_radii(monkeypatch):
+    p = make_profile()
+    calls = {name: [] for name in ("edge", "edge_prime", "edge_second")}
+    for name, seen in calls.items():
+        orig = getattr(TrapezoidProfile, name)
+        monkeypatch.setattr(TrapezoidProfile, name, (
+            lambda orig, seen: lambda self, z: (
+                seen.append(np.size(z)) or orig(self, z)))(orig, seen))
+    outer = CFG.R2 + p.eps * np.linspace(-0.9, 0.9, 7)
+    both = np.concatenate([CFG.R1 + p.eps * np.linspace(-0.9, 0.9, 5), outer])
+    for entry, name in (("value", "edge"), ("derivative", "edge_prime"),
+                        ("second_derivative", "edge_second")):
+        one_band = getattr(p, entry)(outer)
+        assert calls[name] == [7]
+        # the band values are those of a call holding both bands
+        assert np.array_equal(one_band, getattr(p, entry)(both)[5:])
+        assert calls[name] == [7, 5, 7]
 
 
 def test_profile_and_run_config_share_the_annulus_eps_bound():
