@@ -38,7 +38,7 @@ from .errors import BracketError, ContractionError, KernelValidationError, Numer
 from .linop import CoefficientSet, assemble, p_coeff
 from .poisson import mode_sinh
 from .profile import TrapezoidProfile
-from .quadrature import ZGrid, gauss_rule, geometric_edges
+from .quadrature import ZGrid, geometric_edges, mapped_rule
 
 
 def lambda_star(coeffs: CoefficientSet) -> float:
@@ -88,18 +88,15 @@ def _median(x) -> float:
 def _I_panels(prof: TrapezoidProfile) -> tuple:
     """Nodes, weights and edge' values of the Gauss panels of I(lam1), one
     row per panel, refined toward the endpoints where the integrand has
-    boundary-layer structure.  Every panel's rule is `mapped_rule`'s, built
-    for all panels in one broadcast."""
+    boundary-layer structure.  One `mapped_rule` call on the edge columns
+    builds every panel's rule in one broadcast."""
     breaks = _edge_breaks(prof.kappa)
     edges = _sorted_distinct(np.concatenate([
         geometric_edges(lo, hi, side, 18, 0.6)
         for lo, hi in zip(breaks[:-1], breaks[1:])
         for side in ("right", "left")]))
-    gx, gw = gauss_rule(_I_GAUSS)
-    lo = edges[:-1, None]
-    half = 0.5 * (edges[1:, None] - lo)
-    x = lo + half * (gx + 1.0)
-    return x, half * gw, prof.edge_prime(x)
+    x, w = mapped_rule(edges[:-1, None], edges[1:, None], _I_GAUSS)
+    return x, w, prof.edge_prime(x)
 
 
 def _I_terms(coeffs: CoefficientSet) -> tuple:

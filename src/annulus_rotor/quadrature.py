@@ -21,8 +21,9 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def mapped_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped to [a, b]."""
+def mapped_rule(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule mapped to [a, b]; column arrays a and b give one
+    rule per row."""
     x, w = gauss_rule(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
