@@ -24,6 +24,11 @@ from .profile import TrapezoidProfile
 from .quadrature import ZGrid
 
 
+# largest relative L2 error of a manufactured modal solve that poisson-test
+# passes; the default modes 1..16 on the desk grid err by 3e-15 at most
+POISSON_TEST_TOL = 1e-10
+
+
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -90,6 +95,10 @@ def cmd_poisson_test(run: RunConfig, outdir: str, args) -> int:
         f"worst relative L2 error: {_fmt(worst)}",
         f"radial nodes: {grid.n}",
     ])
+    bad = next(((n, rel) for n, rel in rows if rel > POISSON_TEST_TOL), None)
+    if bad is not None:
+        raise NumericsError(f"mode {bad[0]}: relative L2 error "
+                            f"{_fmt(bad[1])} exceeds {POISSON_TEST_TOL:g}")
     return 0
 
 

@@ -28,7 +28,7 @@ from .kernel import EigenSolution
 from .linop import assemble
 from .poisson import RadialGrid, solve_full
 from .profile import TrapezoidProfile
-from .quadrature import ZGrid, _chebval_into, bary_interp, gauss_bary_weights
+from .quadrature import ZGrid, _chebval_into
 
 
 @dataclass
@@ -99,10 +99,9 @@ def _kernel_direction(eig: EigenSolution,
 
 
 def _interp_gauss(zgrid: ZGrid, g: np.ndarray, z) -> np.ndarray:
-    """The grid interpolant of the nodal values g at the points z."""
-    z = np.asarray(z, dtype=float)
-    return bary_interp(zgrid.z, g[:, None], z.reshape(-1, 1),
-                       gauss_bary_weights(zgrid.n)).reshape(z.shape)
+    """The grid interpolant of the nodal values g at the points z in
+    [-1, 1], shaped as z (`ZGrid.interpolate`)."""
+    return zgrid.interpolate(g, z).reshape(np.shape(z))
 
 
 @dataclass
@@ -112,12 +111,6 @@ class VorticityField:
     grid: RadialGrid
     theta: np.ndarray
     values: np.ndarray
-
-    def mass(self) -> float:
-        """Integral over the annulus with the plane area measure."""
-        dtheta = self.theta[1] - self.theta[0]
-        radial = self.values @ np.full(len(self.theta), dtheta)
-        return float(np.dot(self.grid.w, self.grid.r * radial))
 
 
 # Lobatto nodes per panel of the transported-vorticity grid, from r1: gap,
@@ -232,9 +225,9 @@ def _invert_map(f: LevelSetPerturbation, band: int, r_targets: np.ndarray,
     arrays; the Legendre series it replaced took five per term, and the
     inversion's share of one F at n_theta 128 fell from about 4.5 to 3 ms.
 
-    Only here is g read through a series, not the grid's barycentric
-    formulas, because only a series truncates to a cheap warm start: on
-    the desk kernel at sigma 1e-3 a barycentric Newton inversion took
+    Here g is read through its own series, not `ZGrid.interpolate`,
+    because only the series truncates to a cheap warm start: on the desk
+    kernel at sigma 1e-3 a barycentric Newton inversion took
     3.6-5.5x the time of the Legendre-series one (over 3x with a
     piecewise-linear warm phase).
     """

@@ -24,23 +24,23 @@ move.  At 64 modes on F's 332-node grid a real `solve_mode` takes 0.7-0.8
 ms and peaks at 0.92 MB of traced memory, a complex one 1.9-2.2 ms and
 1.54 MB.
 
-`RadialGrid.interpolate` reads a field between the nodes, as F reads psi
-at the displaced band radii, from each panel's Chebyshev series, summed
-by Clenshaw's recurrence (`quadrature._chebval_into`).  The barycentric
-formula it replaced stays in the tests as its oracle.
+`RadialGrid` is the Lobatto case of the package's one panel grid
+(`quadrature.PanelGrid`), which also gives the z-grid: its weights,
+partial integrals, derivative and reads between the nodes come from the
+shared reference panels.  F reads psi at the displaced band radii by
+`RadialGrid.interpolate`, from each panel's Chebyshev series; the
+barycentric formula it replaced stays in the tests as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import AnnulusConfig
 from .errors import NumericsError
-from .quadrature import (_chebval_into, bary_diff_matrix,
-                         lobatto_bary_weights, lobatto_indefinite_weights,
-                         lobatto_rule, lobatto_to_chebyshev, snap_to_nodes)
+from .quadrature import PanelGrid
 
 
 SINH_LOG_MAX = 600.0    # largest n log(r2/r1) of a Green's solve
@@ -58,8 +58,8 @@ def mode_sinh(n, logx) -> np.ndarray:
     return np.sinh(y)
 
 
-@dataclass
-class RadialGrid:
+@dataclass(frozen=True, eq=False, init=False)
+class RadialGrid(PanelGrid):
     """Panel-refined Lobatto collocation grid on [r1, r2].
 
     Panels split at the two band boundaries so integrands stay smooth per
@@ -67,35 +67,9 @@ class RadialGrid:
     integration weights.  Band edges are nodes (Lobatto endpoints).
     """
 
-    edges: np.ndarray
-    nodes_per_panel: tuple
-    r: np.ndarray = field(init=False, repr=False)
-    w: np.ndarray = field(init=False, repr=False)
-    panel_slices: list = field(init=False, repr=False)
-    _panel_wleft: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=float)
-        if len(self.nodes_per_panel) != len(self.edges) - 1:
-            raise ValueError("need one node count per panel")
-        counts = [int(n) for n in self.nodes_per_panel]
-        total = sum(counts) - (len(counts) - 1)      # shared panel endpoints
-        self.r = np.empty(total)
-        self.w = np.zeros(total)
-        self.panel_slices = []
-        self._panel_wleft = []
-        start = 0
-        for (a, b), npan in zip(zip(self.edges[:-1], self.edges[1:]), counts):
-            x, w = lobatto_rule(npan)
-            half = 0.5 * (b - a)
-            idx = np.arange(start, start + npan)
-            self.panel_slices.append(idx)
-            self._panel_wleft.append(lobatto_indefinite_weights(npan) * half)
-            self.r[idx] = a + half * (x + 1.0)
-            self.w[idx] += half * w                  # shared node accumulates
-            start += npan - 1
-        if not np.all(np.diff(self.r) > 0):
-            raise NumericsError("radial grid nodes are not strictly increasing")
+    def __init__(self, edges: np.ndarray, nodes_per_panel: tuple):
+        super().__init__(edges, nodes_per_panel, "lobatto")
+        object.__setattr__(self, "r", self.nodes)
 
     @classmethod
     def for_profile(cls, cfg: AnnulusConfig, eps: float,
@@ -104,77 +78,6 @@ class RadialGrid:
         e = eps + pad
         edges = [cfg.r1, cfg.R1 - e, cfg.R1 + e, cfg.R2 - e, cfg.R2 + e, cfg.r2]
         return cls(np.array(edges), tuple(nodes_per_panel))
-
-    @property
-    def n(self) -> int:
-        return len(self.r)
-
-    def integrate(self, fvals: np.ndarray) -> float:
-        return float(np.dot(self.w, fvals))
-
-    def cumulative(self, fvals: np.ndarray) -> np.ndarray:
-        """Values of int_{r1}^{r_j} f at every node (spectral per panel)."""
-        out = np.empty_like(fvals, dtype=float)
-        offset = 0.0
-        for idx, wl in zip(self.panel_slices, self._panel_wleft):
-            out[idx] = offset + wl @ fvals[idx]
-            offset = out[idx][-1]      # wl[-1] integrates to the panel edge
-        return out
-
-    def derivative(self, fvals: np.ndarray) -> np.ndarray:
-        """Spectral radial derivative (per panel, averaged at shared nodes)."""
-        fvals = np.asarray(fvals, dtype=float)
-        out = np.zeros(fvals.shape)
-        for idx in self.panel_slices:
-            D = bary_diff_matrix(self.r[idx], lobatto_bary_weights(len(idx)))
-            out[idx] += D @ fvals[idx]
-        out[[idx[0] for idx in self.panel_slices[1:]]] /= 2.0
-        return out
-
-    def interpolate(self, fvals: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Interpolation of nodal data at points x (spectral per panel).
-
-        With fvals of shape (n, ncol) and x of shape (k, ncol), column j is
-        read at its own points x[:, j]; otherwise every column of fvals is
-        read at the points x, giving shape x.shape + fvals.shape[1:].  Both
-        take one path: a panel's nodal values become Chebyshev coefficients
-        (`lobatto_to_chebyshev`), which `_chebval_into` sums at t = (x -
-        mid) / half, clipped to [-1, 1] (a point clipped there lies in
-        another panel, whose read it takes); a point within 1e-15 of a node
-        takes the node's value.  On F's two bands at n_theta 128 the read takes
-        2.7-3.0 ms, where the barycentric formula (`bary_interp`, five
-        array operations and a division per node) took 4.2 ms, and it errs
-        by 2.0e-15 on sin(7 r) cos(3 theta) + log r at F's points, where the
-        barycentric read erred by 2.9e-15.
-        """
-        fvals = np.asarray(fvals)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        per_column = x.ndim == 2 and fvals.ndim == 2
-        if per_column and x.shape[1] != fvals.shape[1]:
-            raise ValueError(f"per-column points of shape {x.shape} do not "
-                             f"match nodal data of shape {fvals.shape}")
-        cols = fvals.reshape(self.n, -1)
-        pts = x if per_column else x.reshape(-1, 1)
-        out = np.empty((len(pts), cols.shape[1]),
-                       dtype=np.result_type(cols, float))
-        panel_of = np.clip(np.searchsorted(self.edges, pts, side="right") - 1,
-                           0, len(self.panel_slices) - 1)
-        for p, idx in enumerate(self.panel_slices):
-            sel = panel_of == p
-            rows = np.flatnonzero(sel.any(axis=1))
-            if not len(rows):
-                continue
-            a, b = self.edges[p], self.edges[p + 1]
-            nodal, at = cols[idx], pts[rows]
-            t = np.subtract(at, 0.5 * (a + b))
-            np.divide(t, 0.5 * (b - a), out=t)
-            np.clip(t, -1.0, 1.0, out=t)
-            coef = lobatto_to_chebyshev(len(idx)) @ nodal
-            work = np.empty((4, len(rows), cols.shape[1]), dtype=out.dtype)
-            vals = snap_to_nodes(self.r[idx], nodal, at,
-                                 _chebval_into(t, coef, work))
-            out[rows] = np.where(sel[rows], vals, out[rows])
-        return out if per_column else out.reshape(x.shape + fvals.shape[1:])
 
 
 def solve_mode(n: int | np.ndarray, g: np.ndarray, grid: RadialGrid,

@@ -91,6 +91,27 @@ def test_poisson_subcommand(tmp_path):
     assert len(body) == 5
 
 
+@pytest.mark.parametrize("n_max, code", [(None, 0), (60, 3)])
+def test_poisson_test_exit_code_follows_the_worst_mode(tmp_path, n_max, code):
+    # the default modes 1..16 solve to rounding; from mode 55 on the desk
+    # grid the error passes 1e-10, and the failure names that first mode
+    from annulus_rotor.cli import POISSON_TEST_TOL
+    args = () if n_max is None else ("--n-max", str(n_max))
+    proc, out = run_cli(tmp_path, CONFIG_OK, "poisson-test", *args)
+    assert proc.returncode == code, proc.stderr
+    rows = np.loadtxt(out / "poisson_manufactured.csv", delimiter=",",
+                      skiprows=1)
+    assert len(rows) == (n_max or 16)
+    over = rows[rows[:, 1] > POISSON_TEST_TOL]
+    if code == 0:
+        assert not len(over) and proc.stderr == ""
+    else:
+        assert re.match(rf"numeric failure: mode {int(over[0, 0])}: relative "
+                        rf"L2 error \S+ exceeds {POISSON_TEST_TOL:g}$",
+                        proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
 def test_find_eigen_outputs(tmp_path):
     proc, out = run_cli(tmp_path, CONFIG_OK, "find-eigen")
     assert proc.returncode == 0, proc.stderr

@@ -216,25 +216,27 @@ def test_greens_vs_oracle_converge_on_refinement():
 
 def test_barycentric_weights_built_once_per_node_count():
     from annulus_rotor.nonlinear import _interp_gauss
-    from annulus_rotor.quadrature import (ZGrid, gauss_bary_weights,
-                                          lobatto_bary_weights)
+    from annulus_rotor.quadrature import ZGrid, _reference_panel
     nodes = (17, 33, 17, 33, 17)
     grid = make_grid(nodes)
-    rules = {lobatto_bary_weights: [grid.r[idx] for idx in grid.panel_slices],
-             gauss_bary_weights: [ZGrid(n).z for n in (17, 33)]}
-    for weights, panels in rules.items():
+    rules = {"lobatto": [grid.r[idx] for idx in grid.panel_slices],
+             "gauss": [ZGrid(n).z for n in (17, 33)]}
+    for rule, panels in rules.items():
         for x in panels:
             # 1 / prod_{k != j} (x_j - x_k) on the (mapped) panel, which an
             # affine map scales by one factor (up to the nodes' rounding,
             # 1e-12 here)
             d = 4.0 * (x[:, None] - x[None, :]) / (x[-1] - x[0])
             np.fill_diagonal(d, 1.0)
-            ratio = (1.0 / np.prod(d, axis=1)) / weights(len(x))
+            ratio = (1.0 / np.prod(d, axis=1)) \
+                / _reference_panel(rule, len(x)).bary
             assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-11
     f = np.sin(3 * grid.r)
     grid.interpolate(f, [1.3])
     grid.derivative(f)
-    built = {weights: weights.cache_info().misses for weights in rules}
+    built = {(rule, n): _reference_panel(rule, n).bary for rule in rules
+             for n in (17, 33)}
+    misses = _reference_panel.cache_info().misses
     # second grids with the same node counts build no weights
     other = make_grid(nodes, eps=2e-2)
     x = np.linspace(CFG.r1, CFG.r2, 7)
@@ -249,8 +251,8 @@ def test_barycentric_weights_built_once_per_node_count():
                                    np.exp(z), rtol=0, atol=1e-12)
         np.testing.assert_allclose(zg.diff @ np.exp(zg.z), np.exp(zg.z),
                                    rtol=0, atol=1e-9)
-    assert {weights: weights.cache_info().misses
-            for weights in rules} == built
+    assert _reference_panel.cache_info().misses == misses
+    assert all(_reference_panel(*key).bary is b for key, b in built.items())
 
 
 def _reference_solve_mode(n, g, grid, r1, r2):
