@@ -246,11 +246,11 @@ class PanelGrid:
             half = 0.5 * (b - a)
             idx = np.arange(start, start + n)
             slices.append(idx)
-            wleft.append(ref.w_left * half)
-            # the reference interval keeps the rule's nodes, which x + 1 - 1
-            # would round
-            nodes[idx] = ref.x if (a, b) == (-1.0, 1.0) \
-                else a + half * (ref.x + 1.0)
+            # a panel on the reference interval takes the reference panel's
+            # own arrays (x + 1 - 1 would round the nodes)
+            same = (a, b) == (-1.0, 1.0)
+            nodes[idx] = ref.x if same else a + half * (ref.x + 1.0)
+            wleft.append(ref.w_left if same else ref.w_left * half)
             w[idx] += half * ref.w                   # shared node accumulates
             start += n - 1
         if not np.all(np.diff(nodes) > 0):

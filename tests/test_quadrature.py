@@ -160,11 +160,12 @@ def test_zgrid_keeps_its_bits(n):
                                    (64, 128, 64, 128, 64)])
 def test_radial_grid_keeps_its_bits(nodes):
     grid = RadialGrid.for_profile(DESK_CFG, DESK_EPS, nodes)
+    c, e = DESK_CFG, DESK_EPS
+    edges = [c.r1, c.R1 - e, c.R1 + e, c.R2 - e, c.R2 + e, c.r2]
     r = np.empty(sum(nodes) - (len(nodes) - 1))
     w = np.zeros_like(r)
     start = 0
-    for p, (a, b, npan) in enumerate(zip(grid.edges[:-1], grid.edges[1:],
-                                         nodes)):
+    for p, (a, b, npan) in enumerate(zip(edges[:-1], edges[1:], nodes)):
         x, wx = lobatto_rule(npan)
         half = 0.5 * (b - a)
         idx = np.arange(start, start + npan)
