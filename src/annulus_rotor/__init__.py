@@ -15,7 +15,7 @@ simulator that verifies rigid rotation.
 from numpy import fft as _fft  # noqa: F401
 
 from .config import AnnulusConfig, RunConfig, default_run_config, parse_config
-from .domain import circulation, lambda0, u_tc
+from .domain import circulation, lambda0
 from .kernel import (EigenSolution, adjoint_kernel, build_eigensolution,
                      lambda_star, solve_lambda1, transversality,
                      validate_kernel)
@@ -28,7 +28,7 @@ from .quadrature import ZGrid
 
 __all__ = [
     "AnnulusConfig", "RunConfig", "default_run_config", "parse_config",
-    "circulation", "lambda0", "u_tc",
+    "circulation", "lambda0",
     "EigenSolution", "adjoint_kernel", "build_eigensolution", "lambda_star",
     "solve_lambda1", "transversality", "validate_kernel",
     "BandOperator", "CoefficientSet", "assemble", "assemble_adjoint", "p_coeff",

@@ -50,14 +50,33 @@ def _report(outdir: str, name: str, lines: list[str]) -> None:
         print(line)
 
 
-def _setup(run: RunConfig):
-    profile = TrapezoidProfile.from_run(run)
-    zgrid = ZGrid(run.nz)
-    return profile, zgrid
+def _eigen(run: RunConfig):
+    """The annulus, profile, z-grid and eigensolution every command that
+    starts from the eigenpair builds."""
+    cfg = run.annulus
+    profile, zgrid = TrapezoidProfile.from_run(run), ZGrid(run.nz)
+    return cfg, profile, zgrid, build_eigensolution(cfg, profile, run.m, zgrid)
+
+
+def _branch(run: RunConfig, cfg, profile, eig, steps: int) -> list:
+    """The branch continued to run.sigma in steps points on a z-grid of at
+    most 48 nodes, each point with its level-set perturbation."""
+    zgb = ZGrid(min(run.nz, 48))
+    return [(p, LevelSetPerturbation(m=run.m, zgrid=zgb, g_inner=p.g_inner,
+                                     g_outer=p.g_outer, cfg=cfg, eps=run.eps))
+            for p in continue_branch(eig, cfg, profile, sigma_target=run.sigma,
+                                     steps=steps, n_theta=run.n_theta // 4,
+                                     zgrid=zgb)]
+
+
+def _write_kernel(path: str, zgrid: ZGrid, eig, adj: dict) -> None:
+    """The kernel pair and its adjoint at the z-grid nodes."""
+    write_csv(path, ["z", "a", "b", "a_star", "b_star"],
+              zip(zgrid.z, eig.a, eig.b, adj["astar"], adj["bstar"]))
 
 
 def cmd_profile_dump(run: RunConfig, outdir: str, args) -> int:
-    profile, _ = _setup(run)
+    profile = TrapezoidProfile.from_run(run)
     table = profile.tabulate(args.points)
     write_csv(os.path.join(outdir, "profile.csv"),
               ["z", "edge", "edge_prime"], table)
@@ -83,7 +102,7 @@ def cmd_poisson_test(run: RunConfig, outdir: str, args) -> int:
                                                 / (cfg.r2 - cfg.r1))
         fpp = -(np.pi / (cfg.r2 - cfg.r1)) ** 2 * fstar
         g = fpp + fp / r - (n / r) ** 2 * fstar
-        f = solve_mode(n, g, grid, cfg.r1, cfg.r2)
+        f = solve_mode(n, g, grid)
         rel = np.sqrt(grid.integrate((f - fstar) ** 2)
                       / grid.integrate(fstar ** 2))
         worst = max(worst, rel)
@@ -103,9 +122,7 @@ def cmd_poisson_test(run: RunConfig, outdir: str, args) -> int:
 
 
 def cmd_find_eigen(run: RunConfig, outdir: str, args) -> int:
-    cfg = run.annulus
-    profile, zgrid = _setup(run)
-    eig = build_eigensolution(cfg, profile, run.m, zgrid)
+    cfg, profile, zgrid, eig = _eigen(run)
     res = operator_residual(eig, cfg, profile)
     rows = []
     for n in range(1, run.M + 1):
@@ -115,9 +132,7 @@ def cmd_find_eigen(run: RunConfig, outdir: str, args) -> int:
               ["mode", "sigma_min", "sigma_second", "sigma_max"], rows)
     adj = adjoint_kernel(eig, cfg, profile)
     lam_star = eig.diagnostics["lambda1_root"]["lambda_star"]
-    write_csv(os.path.join(outdir, "eigen_kernel.csv"),
-              ["z", "a", "b", "a_star", "b_star"],
-              zip(zgrid.z, eig.a, eig.b, adj["astar"], adj["bstar"]))
+    _write_kernel(os.path.join(outdir, "eigen_kernel.csv"), zgrid, eig, adj)
     _report(outdir, "find-eigen", [
         f"mode m={run.m}, eps={run.eps}, kappa={run.kappa}",
         f"lambda0={_fmt(eig.lam0)}",
@@ -132,9 +147,7 @@ def cmd_find_eigen(run: RunConfig, outdir: str, args) -> int:
 
 
 def cmd_validate_kernel(run: RunConfig, outdir: str, args) -> int:
-    cfg = run.annulus
-    profile, zgrid = _setup(run)
-    eig = build_eigensolution(cfg, profile, run.m, zgrid)
+    cfg, profile, zgrid, eig = _eigen(run)
     diag = validate_kernel(eig, cfg, profile, M=run.M)
     rows = [(n, v["rung"], v["gap"], int(v["ok"]))
             for n, v in diag["off_modes"].items()]
@@ -155,13 +168,10 @@ def cmd_validate_kernel(run: RunConfig, outdir: str, args) -> int:
 
 
 def cmd_adjoint(run: RunConfig, outdir: str, args) -> int:
-    cfg = run.annulus
-    profile, zgrid = _setup(run)
-    eig = build_eigensolution(cfg, profile, run.m, zgrid)
+    cfg, profile, zgrid, eig = _eigen(run)
     adj = adjoint_kernel(eig, cfg, profile)
-    write_csv(os.path.join(outdir, "adjoint_kernel.csv"),
-              ["z", "a", "b", "a_star", "b_star"],
-              zip(zgrid.z, eig.a, eig.b, adj["astar"], adj["bstar"]))
+    _write_kernel(os.path.join(outdir, "adjoint_kernel.csv"), zgrid, eig,
+                  adj)
     _report(outdir, "adjoint", [
         f"adjoint sigma_min={_fmt(adj['sigma_min'])}",
         f"inner part weighted norm={_fmt(adj['a_norm_weighted'])} (O(eps))",
@@ -172,9 +182,7 @@ def cmd_adjoint(run: RunConfig, outdir: str, args) -> int:
 
 
 def cmd_transversality(run: RunConfig, outdir: str, args) -> int:
-    cfg = run.annulus
-    profile, zgrid = _setup(run)
-    eig = build_eigensolution(cfg, profile, run.m, zgrid)
+    cfg, profile, zgrid, eig = _eigen(run)
     adj = adjoint_kernel(eig, cfg, profile)
     tv = transversality(eig, adj, cfg, profile)
     _report(outdir, "transversality", [
@@ -189,9 +197,7 @@ def cmd_transversality(run: RunConfig, outdir: str, args) -> int:
 
 
 def cmd_residual(run: RunConfig, outdir: str, args) -> int:
-    cfg = run.annulus
-    profile, zgrid = _setup(run)
-    eig = build_eigensolution(cfg, profile, run.m, zgrid)
+    cfg, profile, zgrid, eig = _eigen(run)
     rows = []
     for sigma in args.sigmas:
         f = LevelSetPerturbation.from_kernel(eig, cfg, amplitude=sigma)
@@ -211,28 +217,20 @@ def cmd_residual(run: RunConfig, outdir: str, args) -> int:
 
 
 def cmd_continue(run: RunConfig, outdir: str, args) -> int:
-    cfg = run.annulus
-    profile, zgrid = _setup(run)
-    eig = build_eigensolution(cfg, profile, run.m, zgrid)
-    zgb = ZGrid(min(run.nz, 48))
-    pts = continue_branch(eig, cfg, profile, sigma_target=run.sigma,
-                          steps=args.steps, n_theta=run.n_theta // 4,
-                          zgrid=zgb)
-    rows = []
-    for p in pts:
-        fb = LevelSetPerturbation(m=run.m, zgrid=zgb, g_inner=p.g_inner,
-                                  g_outer=p.g_outer, cfg=cfg, eps=run.eps)
-        dist = sobolev_distance(profile, 1.0, f=fb)["estimate"]
-        rows.append((p.sigma, p.lam, p.residual, dist, p.newton_iters))
+    cfg, profile, zgrid, eig = _eigen(run)
+    branch = _branch(run, cfg, profile, eig, args.steps)
+    rows = [(p.sigma, p.lam, p.residual,
+             sobolev_distance(profile, 1.0, f=fb)["estimate"], p.newton_iters)
+            for p, fb in branch]
     write_csv(os.path.join(outdir, "branch.csv"),
               ["sigma", "lambda", "residual", "h1_distance", "newton_iters"],
               rows)
-    last = pts[-1]
+    last, fb = branch[-1]
     write_csv(os.path.join(outdir, "branch_profile.csv"),
               ["z", "g_inner", "g_outer"],
-              zip(zgb.z, last.g_inner, last.g_outer))
+              zip(fb.zgrid.z, last.g_inner, last.g_outer))
     _report(outdir, "continue", [
-        f"branch continued to sigma={_fmt(last.sigma)} in {len(pts)} steps",
+        f"branch continued to sigma={_fmt(last.sigma)} in {len(branch)} steps",
         f"lambda at target: {_fmt(last.lam)} (kernel rate {_fmt(eig.lam)})",
         f"final residual: {_fmt(last.residual)}",
     ])
@@ -266,16 +264,9 @@ def cmd_distance(run: RunConfig, outdir: str, args) -> int:
 
 def cmd_simulate(run: RunConfig, outdir: str, args) -> int:
     from .eulersim import initial_state, verify_rotation
-    cfg = run.annulus
-    profile, zgrid = _setup(run)
-    eig = build_eigensolution(cfg, profile, run.m, zgrid)
+    cfg, profile, zgrid, eig = _eigen(run)
     if args.use_branch:
-        zgb = ZGrid(min(run.nz, 48))
-        pts = continue_branch(eig, cfg, profile, sigma_target=run.sigma,
-                              steps=2, n_theta=run.n_theta // 4, zgrid=zgb)
-        last = pts[-1]
-        f = LevelSetPerturbation(m=run.m, zgrid=zgb, g_inner=last.g_inner,
-                                 g_outer=last.g_outer, cfg=cfg, eps=run.eps)
+        last, f = _branch(run, cfg, profile, eig, 2)[-1]
         lam = last.lam
     else:
         f = LevelSetPerturbation.from_kernel(eig, cfg, amplitude=run.sigma)

@@ -13,14 +13,6 @@ from .quadrature import gauss_rule, mapped_rule
 N_GAUSS = 48
 
 
-def u_tc(cfg: AnnulusConfig, r) -> np.ndarray:
-    """Azimuthal base velocity A r + B / r."""
-    r = np.asarray(r, dtype=float)
-    if np.any((r < cfg.r1 - 1e-12) | (r > cfg.r2 + 1e-12)):
-        raise OutOfDomainError(f"radius outside [{cfg.r1}, {cfg.r2}]")
-    return cfg.A * r + cfg.B / r
-
-
 def circulation(cfg: AnnulusConfig) -> float:
     """Boundary stream-function datum matching the base flow."""
     return -(cfg.A / 2.0 * (cfg.r2 ** 2 - cfg.r1 ** 2)
@@ -30,8 +22,9 @@ def circulation(cfg: AnnulusConfig) -> float:
 def lambda0(cfg: AnnulusConfig) -> float:
     """Leading rotation rate of the constructed waves.
 
-    Computed from the circulation form; algebraically equal to
-    u_tc(R2) / R2 (asserted by tests to 1e-13 relative).
+    Computed from the circulation form; algebraically equal to the base
+    swirl's angular velocity at R2, A + B / R2^2 (asserted by tests to
+    1e-13 relative).
     """
     gam = circulation(cfg)
     logr = np.log(cfg.r2 / cfg.r1)

@@ -11,16 +11,17 @@ to the four stages.  The base swirl then no longer sets the step (the
 FARGO idea for differentially rotating discs); the radial velocity, the
 swirl left after the mean rotation and the vorticity do.
 
-Each substage re-solves the stream function from its Green's
-representation, every angular mode at once in one NumPy sweep: forward and
-backward cumulative integrals by the fourth-order rule of `_cumint4`,
-weighted by sinh tables formed once per grid (`ModalStreamSolver`).  The
-solve is fourth order like the radial derivative, so at 384x256 the
-measured rotation rate of a desk wave sits within 7.3e-7 of its nr 1536
-value.  It is quadrature-limited for a mode whose n Delta log r across one
-radial interval is about 3 or more; the waves carry only rounding at such
-modes.  The stages are combined in spectral space, in arrays the grid's
-solver owns, so a step allocates only the new vorticity field.
+Each substage re-solves the stream function by the package's one Green's
+solve (`poisson.solve_axisymmetric` and `poisson.GreenModes`), every
+angular mode at once, on the grid's own partial integrals: forward and
+backward sums of the fourth-order increments of `_cumint4`
+(`ModalStreamSolver`).  The solve is fourth order like the radial
+derivative, so at 384x256 the measured rotation rate of a desk wave sits
+within 7.3e-7 of its nr 1536 value.  It is quadrature-limited for a mode
+whose n Delta log r across one radial interval is about 3 or more; the
+waves carry only rounding at such modes.  The stages are combined in
+spectral space, in arrays the grid's solver owns, so a step allocates only
+the new vorticity field.
 
 Euler preserves m-fold symmetry, so a grid of symmetry order m stores one
 sector theta in [0, 2 pi/m) and carries only the angular wavenumbers k m;
@@ -39,7 +40,7 @@ from .config import AnnulusConfig
 from .domain import circulation
 from .errors import NumericsError, OutOfDomainError
 from .nonlinear import LevelSetPerturbation, _mirrored, vorticity_samples
-from .poisson import SINH_LOG_MAX, mode_sinh
+from .poisson import SINH_LOG_MAX, GreenModes, solve_axisymmetric
 from .profile import TrapezoidProfile
 
 _FOCUS = 25.0          # extra radial node density of `SimGrid` at the bands
@@ -132,12 +133,37 @@ class SimGrid:
         work = np.multiply(F_hat, 1j * self.wavenumbers, out=work)
         return np.fft.irfft(work, n=self.ntheta, axis=1, out=out)
 
+    # the walls, exactly, and dr/dxi, the factor of `partials` integrands
+    r1 = property(lambda self: self.cfg.r1)
+    r2 = property(lambda self: self.cfg.r2)
+    measure = property(lambda self: self.r_xi)
+
+    def cumulative(self, F: np.ndarray) -> np.ndarray:
+        """int_{r1}^{r} F along axis 0 (per angular column): `_cumint4` in
+        the uniform coordinate xi, with the metric r_xi."""
+        return _cumint4(F * self.r_xi.reshape((-1,) + (1,) * (F.ndim - 1)),
+                        1.0 / (self.nr - 1))
+
+    def partials(self, A: np.ndarray, B: np.ndarray,
+                 work: np.ndarray) -> None:
+        """Overwrite A with int_0^xi A dxi along axis 0, in the uniform
+        coordinate xi, and B with int_xi^1 B dxi: the increments of
+        `_cumint4` summed forward, and backward from xi = 1, never as a
+        total minus a prefix, which would cancel the exponentially large
+        S_n(r2/s) weights of a modal solve.  With A = F `measure`, the
+        forward sums are `cumulative`'s int_{r1}^{r} F dr.  work, of A's
+        shape less one row, takes the increments."""
+        h = 1.0 / (self.nr - 1)
+        for F, order in ((A, slice(None)), (B, slice(None, None, -1))):
+            _increments(F, work)
+            work *= h / 24.0
+            F[order][0] = 0.0
+            np.cumsum(work[order], axis=0, out=F[order][1:])
+
     def quad_r(self, F: np.ndarray) -> np.ndarray:
         """Integral over r along axis 0 (per angular column): the total of
-        `_cumint4` in the uniform coordinate xi, with the metric r_xi, the
-        rule the mode-0 stream solve integrates with."""
-        return _cumint4(F * self.r_xi.reshape((-1,) + (1,) * (F.ndim - 1)),
-                        1.0 / (self.nr - 1))[-1]
+        `cumulative`, the rule the mode-0 stream solve integrates with."""
+        return self.cumulative(F)[-1]
 
 
 def _increments(F: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -187,56 +213,29 @@ def _d_xi(F: np.ndarray, h: float, out: np.ndarray | None = None
 
 
 class ModalStreamSolver:
-    """Green's-representation modal solver on the mapped radial grid.
+    """The stream solve of a `SimGrid`: the package's Green's solve
+    (`poisson.solve_axisymmetric` for mode zero, `poisson.GreenModes` for
+    the modes n = k m >= 1 of a grid of symmetry order m) on the grid's own
+    partial integrals (`SimGrid.cumulative` and `SimGrid.partials`), with
+    the wall values (0, gamma delta_{n0}).
 
-    Solves psi_n'' + psi_n'/r - (n/r)^2 psi_n = -omega_n with the wall
-    values (0, gamma delta_{n0}).  Mode zero is the closed-form double
-    integral psi_0 = C log(r/r1) - U; every mode n >= 1 (n = k m on a grid
-    of symmetry order m) is
-
-        psi_n(r) = (S_n(r2/r) L(r) + S_n(r/r1) R(r)) / (n S_n(r2/r1)),
-        L(r) = int_{r1}^{r} S_n(s/r1) s omega_n ds,
-        R(r) = int_{r}^{r2} S_n(r2/s) s omega_n ds,
-
-    with S_n = `poisson.mode_sinh` (Greengard & Rokhlin, CPAM 44 (1991),
-    for two-point problems as integral equations).  L is summed forward
-    from r1 and R backward from r2, each from the increments of `_cumint4`
-    in xi times the metric r_xi: every mode takes mode zero's fourth-order
-    rule, and R is never a total minus a prefix, which would cancel the
-    exponentially large S_n(r2/s) weights.  The four S_n tables (L's and
-    R's integrand factors with h/24 r r_xi folded in, and the two output
-    factors over n S_n(r2/r1)) are formed once per grid and stored
-    complex, so a solve multiplies complex by complex on contiguous work
-    arrays and allocates nothing of the modes' size.
-
-    A mode with n Delta log r of about 3 or more across one interval is
-    quadrature-limited, as the cubic in xi no longer follows exp(n log r):
-    at nr 96 a manufactured n = 135 mode errs by 1.4e2.  The waves' content
-    at such modes is at rounding.  The solver also owns the work arrays of
-    the time step (`_velocity`, `_remainder`, `step`); `SimGrid.solver`
-    holds one per grid.
+    The modes' sinh tables are formed once per grid, complex, so a solve
+    multiplies complex by complex on contiguous work arrays and allocates
+    nothing of the modes' size.  A mode with n Delta log r of about 3 or
+    more across one interval is quadrature-limited, as the cubic in xi no
+    longer follows exp(n log r): at nr 96 a manufactured n = 135 mode errs
+    by 1.4e2.  The waves' content at such modes is at rounding.  The solver
+    also owns the work arrays of the time step (`_velocity`, `_remainder`,
+    `step`); `SimGrid.solver` holds one per grid.
     """
 
     def __init__(self, grid: SimGrid):
         self.grid = grid
         nr = grid.nr
-        h = 1.0 / (nr - 1)
-        r = grid.r
         nk = grid.ntheta // 2
         self._shape = (nr, nk + 1)
-        # mode zero's grid constants: psi_0 = C log(r/r1) - U
-        self._h = h
-        self._log_r = np.log(r / r[0])
-        self._log_span = np.log(r[-1] / r[0])
-        # modes n = k m, k = 1..nk: S_n(r/r1), S_n(r2/r) and n S_n(r2/r1)
-        n = grid.symmetry * np.arange(1, nk + 1)
-        s_lo = mode_sinh(n, self._log_r[:, None])
-        s_hi = mode_sinh(n, self._log_span - self._log_r[:, None])
-        den = n * mode_sinh(n, self._log_span)
-        weight = (h / 24.0 * r * grid.r_xi)[:, None]
-        self._lo_in, self._hi_in, self._lo_out, self._hi_out = (
-            np.asarray(t, dtype=complex) for t in (
-                s_lo * weight, s_hi * weight, s_lo / den, s_hi / den))
+        self._modes = GreenModes(grid, grid.symmetry * np.arange(1, nk + 1),
+                                 complex)
         self._L, self._R = (np.empty((nr, nk), dtype=complex)
                             for _ in range(2))
         self._inc = np.empty((nr - 1, nk), dtype=complex)
@@ -259,30 +258,15 @@ class ModalStreamSolver:
             raise OutOfDomainError(f"omega_hat has shape {omega_hat.shape}; "
                                    f"the solver is factored for {self._shape}")
         psi = np.empty_like(omega_hat) if out is None else out
-        grid = self.grid
-        h = self._h
-        w0 = omega_hat[:, 0]
-        V = _cumint4(grid.r * w0 * grid.r_xi, h)
-        U = _cumint4(V / grid.r * grid.r_xi, h)
-        C = (gamma_hat + U[-1]) / self._log_span
-        psi[:, 0] = C * self._log_r - U
-        # modes n >= 1, every mode at once: L forward, R backward
-        # (a ufunc reading or writing the strided columns 1: of a modal
-        # array allocates a buffer; a copy does not)
-        L, R, inc = self._L, self._R, self._inc
-        np.copyto(R, omega_hat[:, 1:])
-        np.multiply(self._lo_in, R, out=L)
-        R *= self._hi_in
-        _increments(L, inc)
-        L[0] = 0.0
-        np.cumsum(inc, axis=0, out=L[1:])
-        _increments(R, inc)
-        R[-1] = 0.0
-        np.cumsum(inc[::-1], axis=0, out=R[-2::-1])
-        L *= self._hi_out
-        R *= self._lo_out
-        L += R
-        np.copyto(psi[:, 1:], L)
+        psi[:, 0] = solve_axisymmetric(self.grid, omega_hat[:, 0], gamma_hat)
+        # -(lap) psi = omega: the modes' source is -omega_n (a ufunc reading
+        # or writing the strided columns 1: of a modal array allocates a
+        # buffer; a copy does not, and np.negative of a complex array is
+        # slower than a product by -1)
+        np.copyto(self._R, omega_hat[:, 1:])
+        self._R *= -1.0
+        np.copyto(psi[:, 1:], self._modes.solve(self._R, self._L, self._R,
+                                                self._inc))
         return psi
 
 

@@ -11,19 +11,19 @@ Green kernel G_n, and source densities d_j carrying the profile slope on the
 band (positive weight on the inner band, negative on the outer one).  The
 operator is assembled as dense blocks on a shared Gauss grid, with the
 within-band kernel kink handled by per-target indefinite integration weights.
-The adjoint in the slope-weighted L2 pair is built from the operator's own
-kernel blocks: the Gauss weights and their indefinite weights W satisfy the
-summation-by-parts identity w_j W[j, i] + w_i W[i, j] = w_i w_j, so its
-weighted matrix is the transpose of the operator's.  The same identity makes
-the weighted matrix Mw J-symmetric: with J = +1 on the inner band and -1 on
-the outer one, J Mw is symmetric, so the singular values of Mw are the
-moduli of the eigenvalues of J Mw, and its SVD is a symmetric eigensolve
-(`BandOperator.symmetric_matrix`).
+The Gauss weights and their indefinite weights W satisfy the
+summation-by-parts identity w_j W[j, i] + w_i W[i, j] = w_i w_j, which
+makes the weighted matrix Mw J-symmetric: with J = +1 on the inner band and
+-1 on the outer one, J Mw is symmetric.  So the singular values of Mw are
+the moduli of the eigenvalues of J Mw, and its SVD is a symmetric
+eigensolve (`BandOperator.symmetric_matrix`); and the adjoint in the
+slope-weighted L2 pair is J M J, the operator's blocks with the
+off-diagonal ones negated (`assemble_adjoint`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -279,19 +279,16 @@ class BandOperator:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
 
-def _operator_parts(n: int, lam: float, profile: TrapezoidProfile,
-                    zgrid: ZGrid):
-    """Slope weights, band radii, diagonal multipliers and the Green's-kernel
-    blocks core[i, j] = eps r_i(z) K_ij(z, s) of mode n, quadrature weights
-    included; the source factor r_j sigma_j(s) is left to the callers.
-    The annulus, eps and the profile terms are the profile's."""
+def assemble(n: int, lam: float, profile: TrapezoidProfile,
+             zgrid: ZGrid) -> BandOperator:
+    """Dense band operator for mode n at rotation rate lam.  The annulus,
+    eps and the profile terms are the profile's."""
     if n < 1:
         raise ValueError("band operator is defined for modes n >= 1")
     cfg, eps, coeffs = profile.cfg, profile.eps, profile.coefficients
     sig = coeffs.slope_weights(zgrid)
     swirl = coeffs.swirl_on_grid(zgrid)
     radii = {band: coeffs.radii(band, zgrid.z) for band in (1, 2)}
-    lam_diag = {band: lam * radii[band] ** 2 + swirl[band] for band in (1, 2)}
     # right[i, j] is the branch with the target inside the source; the
     # kernel is symmetric, so a band's other branch (source inside) is its
     # transpose, and block (2, 1) is block (1, 2) transposed
@@ -303,44 +300,29 @@ def _operator_parts(n: int, lam: float, profile: TrapezoidProfile,
     for band in (1, 2):
         K[band, band] = right[band, band].T * zgrid.w_left \
             + right[band, band] * zgrid.w_right
-    core = {(i, j): (eps * radii[i])[:, None] * K[i, j]
-            for i in (1, 2) for j in (1, 2)}
-    return sig, radii, lam_diag, core
-
-
-def _band_operator(n, lam, zgrid, sig, lam_diag, blocks) -> BandOperator:
-    """Add the diagonal multiplier to the 2x2 kernel blocks and wrap them."""
+    # block (i, j) is eps r_i K_ij times the source factor r_j sigma_j, with
+    # the profile derivative's sign on each band
+    slope = {1: sig[1], 2: -sig[2]}
+    blocks = [[(eps * radii[i])[:, None] * K[i, j]
+               * (radii[j] * slope[j])[None, :] for j in (1, 2)]
+              for i in (1, 2)]
     diag = np.arange(zgrid.n)
     for band in (1, 2):
-        blocks[band - 1][band - 1][diag, diag] += lam_diag[band]
+        blocks[band - 1][band - 1][diag, diag] += \
+            lam * radii[band] ** 2 + swirl[band]
     sqrtw = (np.sqrt(zgrid.w * sig[1]), np.sqrt(zgrid.w * sig[2]))
     return BandOperator(n=n, lam=lam, zgrid=zgrid, blocks=blocks,
                         sqrt_weights=sqrtw)
-
-
-def assemble(n: int, lam: float, profile: TrapezoidProfile,
-             zgrid: ZGrid) -> BandOperator:
-    """Dense band operator for mode n at rotation rate lam."""
-    sig, radii, lam_diag, core = _operator_parts(n, lam, profile, zgrid)
-    slope = {1: sig[1], 2: -sig[2]}        # profile derivative on each band
-    blocks = [[core[i, j] * (radii[j] * slope[j])[None, :] for j in (1, 2)]
-              for i in (1, 2)]
-    return _band_operator(n, lam, zgrid, sig, lam_diag, blocks)
 
 
 def assemble_adjoint(n: int, lam: float, profile: TrapezoidProfile,
                      zgrid: ZGrid) -> BandOperator:
     """Adjoint of `assemble` in the slope-weighted L2 pair.
 
-    Block (j, i) is sign_j r_j K^T (w sigma_i) / w, with K = eps r_i K_ij the
-    kernel block of `assemble` and sign +1 on the inner band, -1 on the outer
-    one.  Only the positive Gauss weights are divided by, never the slope
-    weights, which vanish at some nodes.
+    J Mw is symmetric (J = +1 on the inner band, -1 on the outer one), so
+    the weighted adjoint W^-1 M^T W is J M J: the operator's blocks with the
+    two off-diagonal blocks negated.
     """
-    sig, radii, lam_diag, core = _operator_parts(n, lam, profile, zgrid)
-    w = zgrid.w
-    sign = {1: 1.0, 2: -1.0}
-    blocks = [[(sign[j] * radii[j] / w)[:, None] * core[i, j].T
-               * (w * sig[i])[None, :] for i in (1, 2)]
-              for j in (1, 2)]
-    return _band_operator(n, lam, zgrid, sig, lam_diag, blocks)
+    op = assemble(n, lam, profile, zgrid)
+    (b11, b12), (b21, b22) = op.blocks
+    return replace(op, blocks=[[b11, -b12], [-b21, b22]])

@@ -35,8 +35,7 @@ from .quadrature import ZGrid, _chebval_into
 class LevelSetPerturbation:
     """Single-mode band displacement f(r, theta) = g(z(r)) cos(m theta).
 
-    g is sampled on the shared z-grid per band (inner, outer);
-    `profile_at` interpolates it in z.
+    g is sampled on the shared z-grid per band (inner, outer).
     """
 
     m: int
@@ -58,13 +57,6 @@ class LevelSetPerturbation:
         return cls(m=eig.m, zgrid=eig.zgrid,
                    g_inner=amplitude * h[0], g_outer=amplitude * h[1],
                    cfg=cfg, eps=eig.eps)
-
-    def profile_at(self, r, band: int) -> np.ndarray:
-        R = self.cfg.R1 if band == 1 else self.cfg.R2
-        z = (np.asarray(r, dtype=float) - R) / self.eps
-        z = np.clip(z, -1.0, 1.0)
-        g = self.g_inner if band == 1 else self.g_outer
-        return _interp_gauss(self.zgrid, g, z)
 
     def edge_values(self, band: int) -> tuple[float, float]:
         """g at the band's edges z = -1 and z = 1."""
@@ -295,7 +287,7 @@ def functional_F(lam: float, f: LevelSetPerturbation,
     grid = field.grid
     theta = field.theta
     gamma = circulation(cfg)
-    psi = solve_full(field.values, gamma, grid, cfg)
+    psi = solve_full(field.values, gamma, grid)
     half = n_theta // 2 + 1
     cosm = np.cos(f.m * theta[:half])
     zg = f.zgrid
@@ -403,7 +395,8 @@ def sobolev_distance(profile: TrapezoidProfile, s: float,
     be built for the profile's annulus and eps.
     """
     if not 0.0 <= s < 1.5:
-        raise ValueError("Sobolev exponent must lie in [0, 3/2)")
+        raise OutOfDomainError(f"Sobolev exponent s={s} must lie in "
+                               f"[0, 3/2)")
     if f is not None:
         profile.check(f.cfg, f.eps)
     cfg = profile.cfg

@@ -268,12 +268,42 @@ class PanelGrid:
 
     def cumulative(self, fvals: np.ndarray) -> np.ndarray:
         """Values of int_{edges[0]}^{x_j} f at the nodes (spectral)."""
-        out = np.empty_like(fvals, dtype=float)
+        out = np.empty_like(fvals, dtype=np.result_type(fvals, float))
         offset = 0.0
         for idx, wl in zip(self.panel_slices, self._panel_wleft):
             out[idx] = offset + wl @ fvals[idx]
             offset = out[idx][-1]      # wl[-1] integrates to the panel edge
         return out
+
+    measure = 1.0      # dx/dxi of the coordinate `partials` integrates in
+
+    def partials(self, A: np.ndarray, B: np.ndarray, work=None) -> None:
+        """Overwrite A with its partial integrals int_{edges[0]}^{x_j} and B
+        with int_{x_j}^{edges[-1]}, along axis 0, each node re-anchored
+        through its panel's indefinite weights, so an integrand's kink at a
+        node never crosses a quadrature interval.  The sums run in A and B
+        themselves; work, the scratch another grid's sums take, is
+        unused."""
+        # panel totals once, then per-node partials via the W matrices
+        totals_A = np.array([wl[-1] @ A[idx] for idx, wl
+                             in zip(self.panel_slices, self._panel_wleft)])
+        totals_B = np.array([wl[-1] @ B[idx] for idx, wl
+                             in zip(self.panel_slices, self._panel_wleft)])
+        zero = np.zeros_like(totals_A[:1])
+        pref_A = np.concatenate((zero, np.cumsum(totals_A, axis=0)))
+        suff_B = np.concatenate((np.cumsum(totals_B[::-1], axis=0)[::-1],
+                                 zero))
+        # a panel's last node is the next panel's first, which that panel
+        # still reads and then writes, so every panel but the last leaves
+        # its last node alone (the value separate output arrays would keep)
+        last = len(self.panel_slices) - 1
+        for p, (idx, wl) in enumerate(zip(self.panel_slices,
+                                          self._panel_wleft)):
+            part_A = pref_A[p] + wl @ A[idx]
+            part_B = suff_B[p + 1] + (totals_B[p] - wl @ B[idx])
+            keep = idx if p == last else idx[:-1]
+            A[keep] = part_A[:len(keep)]
+            B[keep] = part_B[:len(keep)]
 
     def derivative(self, fvals: np.ndarray) -> np.ndarray:
         """Spectral derivative at the nodes: per panel, the reference

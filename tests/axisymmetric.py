@@ -1,12 +1,23 @@
-"""The radial derivative of the axisymmetric stream solution in closed form.
+"""The Taylor-Couette swirl and the radial derivative of the axisymmetric
+stream solution in closed form.
 
-Only the tests read it: they recover the Taylor-Couette swirl from it.  A
+Only the tests read them: they recover the swirl from the derivative.  A
 plain module, like `desk`, so that test files import it by name.
 """
 
 import numpy as np
 
+from annulus_rotor.config import AnnulusConfig
+from annulus_rotor.errors import OutOfDomainError
 from annulus_rotor.poisson import RadialGrid
+
+
+def u_tc(cfg: AnnulusConfig, r) -> np.ndarray:
+    """Azimuthal base velocity A r + B / r."""
+    r = np.asarray(r, dtype=float)
+    if np.any((r < cfg.r1 - 1e-12) | (r > cfg.r2 + 1e-12)):
+        raise OutOfDomainError(f"radius outside [{cfg.r1}, {cfg.r2}]")
+    return cfg.A * r + cfg.B / r
 
 
 def axisymmetric_prime(grid: RadialGrid, w0: np.ndarray, gamma: float,

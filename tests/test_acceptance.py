@@ -9,13 +9,13 @@ M = 8 (see the README for why B differs from 1).
 import numpy as np
 import pytest
 
-from axisymmetric import axisymmetric_prime
+from axisymmetric import axisymmetric_prime, u_tc
 from desk import (DESK_CFG as CFG, DESK_EPS, DESK_KAPPA, DESK_M,
                   OFFMODE_SVD_FLOOR, eigensolution)
 from fd_oracle import fd_bvp_solve
 
 from annulus_rotor.config import AnnulusConfig
-from annulus_rotor.domain import circulation, lambda0, u_tc
+from annulus_rotor.domain import circulation, lambda0
 from annulus_rotor.errors import ConfigError
 from annulus_rotor.kernel import (adjoint_kernel, lambda1_closed_form,
                                   operator_residual, singular_values,
@@ -90,7 +90,7 @@ def test_acceptance_02_poisson_correctness():
                                                 / (cfg.r2 - cfg.r1))
         fpp = -(np.pi / (cfg.r2 - cfg.r1)) ** 2 * fstar
         g = fpp + fp / r - (n / r) ** 2 * fstar
-        f = solve_mode(n, g, grid, cfg.r1, cfg.r2)
+        f = solve_mode(n, g, grid)
         rel = np.sqrt(grid.integrate((f - fstar) ** 2)
                       / grid.integrate(fstar ** 2))
         worst = max(worst, rel)
@@ -105,7 +105,7 @@ def test_acceptance_02_poisson_correctness():
         return prof.derivative(r) * _interp_gauss(eig.zgrid, eig.b0, z)
 
     grid_f = RadialGrid.for_profile(cfg, DESK_EPS, (128, 256, 160, 256, 128))
-    f = solve_mode(DESK_M, g_fn(grid_f.r), grid_f, cfg.r1, cfg.r2)
+    f = solve_mode(DESK_M, g_fn(grid_f.r), grid_f)
     base = np.unique(np.concatenate([
         np.linspace(cfg.r1, cfg.r2, 1024),
         np.linspace(cfg.R1 - 2 * DESK_EPS, cfg.R1 + 2 * DESK_EPS, 512),

@@ -219,6 +219,7 @@ def test_distance_subcommand(tmp_path):
      "n_checkpoints=0"),
     (("continue", "--steps", "0"), "steps must be at least 1; got 0"),
     (("distance", "--eps-list", "0.5"), r"eps must lie in .*got 0\.5"),
+    (("distance", "--s-list", "1.6"), r"Sobolev exponent s=1\.6 must lie in"),
     (("poisson-test", "--n-max", "0"), "--n-max must be at least 1; got 0"),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else "")
 def test_out_of_domain_arguments_exit_2(tmp_path, args, message):

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annulus_rotor.config import AnnulusConfig
-from annulus_rotor.domain import (N_GAUSS, BaseStream, circulation, lambda0,
-                                  u_tc)
+from annulus_rotor.domain import N_GAUSS, BaseStream, circulation, lambda0
 from annulus_rotor.errors import ConfigError, OutOfDomainError
 from annulus_rotor.profile import TrapezoidProfile
 from annulus_rotor.quadrature import mapped_rule
 
+from axisymmetric import u_tc
 from desk import DESK_CFG as CFG
 
 

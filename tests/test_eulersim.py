@@ -43,7 +43,7 @@ def test_modal_solver_matches_green_solver(prof):
     w_ref = (2 * CFG.A + prof.value(ref_grid.r))[:, None] \
         + 1e-2 * np.outer(np.exp(-((ref_grid.r - 1.35) / 0.1) ** 2),
                           np.cos(3 * grid.theta))
-    psi_ref = solve_full(w_ref, gamma, ref_grid, CFG)
+    psi_ref = solve_full(w_ref, gamma, ref_grid)
     ours = np.array([np.interp(ref_grid.r, grid.r, psi[:, j])
                      for j in range(grid.ntheta)]).T
     rel = np.linalg.norm(ours - psi_ref) / np.linalg.norm(psi_ref)
@@ -96,6 +96,124 @@ def test_mode_zero_solve_bit_identical_to_per_call_constants():
     U = _cumint4(V / grid.r * grid.r_xi, h)
     C = (0.7 + 0.0j + U[-1]) / np.log(grid.r[-1] / grid.r[0])
     assert np.array_equal(psi[:, 0], C * np.log(grid.r / grid.r[0]) - U)
+
+
+class _ReferenceModalStreamSolver:
+    """The simulator's stream solve as it was with its own Green's tables
+    and sums, before it called the shared solve (verbatim, less the step's
+    work arrays): the reference the shared solve moved from."""
+
+    def __init__(self, grid):
+        from annulus_rotor.poisson import mode_sinh
+        self.grid = grid
+        nr = grid.nr
+        h = 1.0 / (nr - 1)
+        r = grid.r
+        nk = grid.ntheta // 2
+        self._shape = (nr, nk + 1)
+        # mode zero's grid constants: psi_0 = C log(r/r1) - U
+        self._h = h
+        self._log_r = np.log(r / r[0])
+        self._log_span = np.log(r[-1] / r[0])
+        # modes n = k m, k = 1..nk: S_n(r/r1), S_n(r2/r) and n S_n(r2/r1)
+        n = grid.symmetry * np.arange(1, nk + 1)
+        s_lo = mode_sinh(n, self._log_r[:, None])
+        s_hi = mode_sinh(n, self._log_span - self._log_r[:, None])
+        den = n * mode_sinh(n, self._log_span)
+        weight = (h / 24.0 * r * grid.r_xi)[:, None]
+        self._lo_in, self._hi_in, self._lo_out, self._hi_out = (
+            np.asarray(t, dtype=complex) for t in (
+                s_lo * weight, s_hi * weight, s_lo / den, s_hi / den))
+        self._L, self._R = (np.empty((nr, nk), dtype=complex)
+                            for _ in range(2))
+        self._inc = np.empty((nr - 1, nk), dtype=complex)
+
+    def solve(self, omega_hat, gamma_hat, out=None):
+        from annulus_rotor.eulersim import _cumint4, _increments
+        if omega_hat.shape != self._shape:
+            raise OutOfDomainError(f"omega_hat has shape {omega_hat.shape}; "
+                                   f"the solver is factored for {self._shape}")
+        psi = np.empty_like(omega_hat) if out is None else out
+        grid = self.grid
+        h = self._h
+        w0 = omega_hat[:, 0]
+        V = _cumint4(grid.r * w0 * grid.r_xi, h)
+        U = _cumint4(V / grid.r * grid.r_xi, h)
+        C = (gamma_hat + U[-1]) / self._log_span
+        psi[:, 0] = C * self._log_r - U
+        # modes n >= 1, every mode at once: L forward, R backward
+        # (a ufunc reading or writing the strided columns 1: of a modal
+        # array allocates a buffer; a copy does not)
+        L, R, inc = self._L, self._R, self._inc
+        np.copyto(R, omega_hat[:, 1:])
+        np.multiply(self._lo_in, R, out=L)
+        R *= self._hi_in
+        _increments(L, inc)
+        L[0] = 0.0
+        np.cumsum(inc, axis=0, out=L[1:])
+        _increments(R, inc)
+        R[-1] = 0.0
+        np.cumsum(inc[::-1], axis=0, out=R[-2::-1])
+        L *= self._hi_out
+        R *= self._lo_out
+        L += R
+        np.copyto(psi[:, 1:], L)
+        return psi
+
+
+@pytest.mark.parametrize("nr, ntheta, symmetry", [(384, 90, 3), (96, 32, 1)])
+def test_shared_green_solve_matches_the_simulators_own(nr, ntheta, symmetry):
+    # the shared solve moves each of the simulator's stream modes at
+    # rounding only (by at most 7.1e-16 of the mode's largest value here),
+    # and mode zero not at all
+    grid = SimGrid(cfg=CFG, nr=nr, ntheta=ntheta, eps=EPS, symmetry=symmetry)
+    ref = _ReferenceModalStreamSolver(grid)
+    rng = np.random.default_rng(nr)
+    for _ in range(3):
+        what = rng.standard_normal(ref._shape) \
+            + 1j * rng.standard_normal(ref._shape)
+        psi, psi_ref = grid.solver.solve(what, 0.7), ref.solve(what, 0.7)
+        assert psi.shape == (nr, ntheta // 2 + 1)
+        assert np.all(np.max(np.abs(psi - psi_ref), axis=0)
+                      <= 1e-14 * np.max(np.abs(psi_ref), axis=0))
+        assert np.array_equal(psi[:, 0], psi_ref[:, 0])
+
+
+def _xi_integrand(grid, p):
+    """F with F r_xi = p(xi) on the grid, so its integral in r is the
+    integral of p over xi: the rule's order shows without the mapping's."""
+    xi = np.linspace(0.0, 1.0, grid.nr)
+    return p(xi) / grid.r_xi, xi
+
+
+def test_sim_grid_partials_are_the_cumint4_rule_both_ways():
+    # forward, of F times the metric, the sums of `cumulative`; backward,
+    # the same increments summed from r2.  A cubic in xi is integrated
+    # exactly, and a smooth function to fourth order: the error falls
+    # 16-fold when nr doubles
+    errs = []
+    for nr in (96, 192, 384):
+        grid = SimGrid(cfg=CFG, nr=nr, ntheta=8, eps=EPS)
+        for p, P, exact in (
+                (lambda x: 1 - 3 * x + 2 * x ** 3,
+                 lambda x: x - 1.5 * x ** 2 + 0.5 * x ** 4, True),
+                (lambda x: np.exp(3 * x) * np.cos(5 * x),
+                 lambda x: np.exp(3 * x) * (3 * np.cos(5 * x)
+                                            + 5 * np.sin(5 * x)) / 34,
+                 False)):
+            F, xi = _xi_integrand(grid, p)
+            A = np.outer(F * grid.measure, [1.0, -2.0])
+            B = A.copy()
+            grid.partials(A, B, np.empty_like(A[1:]))
+            fwd = np.outer(P(xi) - P(0.0), [1.0, -2.0])
+            bwd = np.outer(P(1.0) - P(xi), [1.0, -2.0])
+            assert np.array_equal(A[:, 0], grid.cumulative(F))
+            err = max(np.max(np.abs(A - fwd)), np.max(np.abs(B - bwd)))
+            if exact:
+                assert err <= 1e-14
+            else:
+                errs.append(err)
+    assert errs[0] / errs[1] >= 14.0 and errs[1] / errs[2] >= 14.0
 
 
 def test_modal_solver_rejects_wrong_mode_count():

@@ -23,6 +23,15 @@ from desk import DESK_CFG as CFG
 EPS, KAPPA, M_MODE = 1e-2, 0.1, 3
 
 
+def _profile_at(f, r, band):
+    """The band displacement g of f at the radii r of band 1 or 2, read from
+    its z-grid interpolant (z clipped to [-1, 1]): the tests' oracle for
+    the level sets."""
+    R = f.cfg.R1 if band == 1 else f.cfg.R2
+    z = np.clip((np.asarray(r, dtype=float) - R) / f.eps, -1.0, 1.0)
+    return _interp_gauss(f.zgrid, f.g_inner if band == 1 else f.g_outer, z)
+
+
 @pytest.fixture(scope="module")
 def zg():
     return ZGrid(96)
@@ -97,8 +106,8 @@ def test_vorticity_roundtrip_on_level_sets(zg, prof, eig):
         for _ in range(20):
             j = int(rng.integers(0, len(theta)))
             cosj = np.cos(M_MODE * theta[j])
-            lo = R - EPS + f.profile_at(R - EPS, band) * cosj
-            hi = R + EPS + f.profile_at(R + EPS, band) * cosj
+            lo = R - EPS + _profile_at(f, R - EPS, band) * cosj
+            hi = R + EPS + _profile_at(f, R + EPS, band) * cosj
             sel = np.where((grid.r > lo) & (grid.r < hi))[0]
             k = int(rng.choice(sel))
             rho = _invert_map(f, band, np.array([grid.r[k]]), cosj)[0]
@@ -114,7 +123,7 @@ def bisect_map(f, band, r_targets, cos_m, tol=1e-13):
     hi = np.full_like(r_targets, R + EPS)
     while np.max(hi - lo) >= tol:
         mid = 0.5 * (lo + hi)
-        pos = mid + f.profile_at(mid, band) * cos_m - r_targets > 0.0
+        pos = mid + _profile_at(f, mid, band) * cos_m - r_targets > 0.0
         hi = np.where(pos, mid, hi)
         lo = np.where(pos, lo, mid)
     return 0.5 * (lo + hi)
@@ -128,13 +137,13 @@ def test_newton_inversion_residual_and_bisection(zg, prof, eig, sigma):
     cosm = np.cos(M_MODE * theta)
     for band, R in ((1, CFG.R1), (2, CFG.R2)):
         # targets across the whole deformed band, edges included
-        lo = R - EPS + f.profile_at(R - EPS, band) * cosm
-        hi = R + EPS + f.profile_at(R + EPS, band) * cosm
+        lo = R - EPS + _profile_at(f, R - EPS, band) * cosm
+        hi = R + EPS + _profile_at(f, R + EPS, band) * cosm
         t = np.linspace(0.0, 1.0, 41)[:, None]
         r = (lo + t * (hi - lo)).ravel()
         c = np.broadcast_to(cosm, (41, 24)).ravel()
         rho = _invert_map(f, band, r, c)
-        resid = rho + f.profile_at(rho, band) * c - r
+        resid = rho + _profile_at(f, rho, band) * c - r
         assert np.max(np.abs(resid)) <= 1e-14
         assert np.max(np.abs(rho - bisect_map(f, band, r, c))) <= 1e-12
 
@@ -166,8 +175,8 @@ def test_newton_inversion_evaluates_the_full_series_only_at_the_end(
 
     monkeypatch.setattr(nonlinear, "_chebval_into", counting_chebval)
     for band, R in ((1, CFG.R1), (2, CFG.R2)):
-        lo = R - EPS + f.profile_at(R - EPS, band) * cosm
-        hi = R + EPS + f.profile_at(R + EPS, band) * cosm
+        lo = R - EPS + _profile_at(f, R - EPS, band) * cosm
+        hi = R + EPS + _profile_at(f, R + EPS, band) * cosm
         t = np.linspace(0.0, 1.0, 60)[:, None]
         r = (lo + t * (hi - lo)).ravel()
         c = np.broadcast_to(cosm, (60, 128)).ravel()
@@ -246,7 +255,7 @@ def _full_circle_F(lam, f, prof, n_theta):
     grid = RadialGrid.for_profile(CFG, f.eps, _FIELD_NODES, pad=pad)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     omega = vorticity_samples(f, prof, grid.r, theta)
-    psi = solve_full(omega, circulation(CFG), grid, CFG)
+    psi = solve_full(omega, circulation(CFG), grid)
     targets = _band_targets(f, theta)
     vals = lam * targets ** 2 / 2.0 + grid.interpolate(psi, targets)
     return vals - vals.mean(axis=1, keepdims=True)
@@ -277,7 +286,7 @@ def test_per_column_interpolation_matches_column_by_column(zg, prof, eig):
     f = _pert(eig, 1e-3)
     field = build_vorticity(f, prof, n_theta=32)
     grid = field.grid
-    psi = solve_full(field.values, circulation(CFG), grid, CFG)
+    psi = solve_full(field.values, circulation(CFG), grid)
     targets = _band_targets(f, field.theta)
     # walls, nodes (a shared panel end among them) and a node's neighbour
     targets[:4] = grid.r[[0, 5, 47, -1]][:, None]
@@ -321,7 +330,7 @@ def test_chebyshev_read_matches_the_barycentric_oracle(zg, prof, eig, sigma):
     f = _pert(eig, sigma)
     field = build_vorticity(f, prof, n_theta=128)
     grid = field.grid
-    psi = solve_full(field.values, circulation(CFG), grid, CFG)[:, :65]
+    psi = solve_full(field.values, circulation(CFG), grid)[:, :65]
     targets = _band_targets(f, field.theta[:65])
     got = grid.interpolate(psi, targets)
     assert np.max(np.abs(got - _bary_read(grid, psi, targets))) \
@@ -345,7 +354,7 @@ def test_band_reads_are_spectrally_accurate(zg, prof, eig, monkeypatch):
     exact = _smooth(targets, theta[None, :])
     assert np.max(np.abs(grid.interpolate(smooth, targets) - exact)) <= 1e-14
     monkeypatch.setattr(nonlinear, "solve_full",
-                        lambda omega, gamma, grid, cfg:
+                        lambda omega, gamma, grid:
                         _smooth(grid.r[:, None], theta[None, :]))
     res = functional_F(0.0, f, prof, n_theta=128)
     exact -= exact.mean(axis=1, keepdims=True)
@@ -361,7 +370,7 @@ def _spline_F(lam, f, prof, n_theta):
     from annulus_rotor.poisson import solve_full
     field = build_vorticity(f, prof, n_theta=n_theta)
     grid = field.grid
-    psi = solve_full(field.values, circulation(CFG), grid, CFG)
+    psi = solve_full(field.values, circulation(CFG), grid)
     cs = CubicSpline(grid.r, psi, axis=0)
     targets = _band_targets(f, field.theta)
     interval = np.clip(np.searchsorted(grid.r, targets, side="right") - 1,
